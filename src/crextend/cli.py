@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import extend as extend_mod
 from . import leafcauchy, moments, quadform
-from .errors import InputError, NumericalError
-from .polyalg import Polynomial
+from .errors import InputError, NumericalError, NumericalFailure
+from .polyalg import Polynomial, complex_from_json
 
 PROG = "crextend"
 GRID_MIN, GRID_MAX = 64, 4096
@@ -32,8 +33,8 @@ GRID_MIN, GRID_MAX = 64, 4096
 
 
 def _format_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise InputError(f"cannot serialize non-finite number {x}")
+    if not math.isfinite(x):
+        raise NumericalFailure(f"cannot serialize non-finite number {x}")
     return format(float(x), ".17g")
 
 
@@ -70,10 +71,6 @@ def dumps_canonical(obj, indent=0):
 def _cnum(v):
     v = complex(v)
     return {"re": v.real, "im": v.imag}
-
-
-def _matrix(M):
-    return [[_cnum(v) for v in row] for row in np.asarray(M)]
 
 
 # -- configuration -----------------------------------------------------------
@@ -174,12 +171,6 @@ def _require(doc, field, where):
     return doc[field]
 
 
-def _parse_point(v, where):
-    if not isinstance(v, dict) or "re" not in v or "im" not in v:
-        raise InputError(f"{where}: points must be objects with 're' and 'im'")
-    return complex(float(v["re"]), float(v["im"]))
-
-
 def _parse_boundary_data(doc):
     if not isinstance(doc, dict):
         raise InputError("data: must be a JSON object")
@@ -220,7 +211,7 @@ def _cmd_classify(args, cfg: RunConfig):
         "sigma_min": result.nondegeneracy.sigma_min,
         "sigma_max": result.nondegeneracy.sigma_max,
         "lambdas": list(result.lambdas) if result.lambdas is not None else None,
-        "T": _matrix(nf.T) if nf is not None else None,
+        "T": quadform._matrix_to_json(nf.T) if nf is not None else None,
         "residual_a": nf.residual_a if nf is not None else None,
         "residual_b": nf.residual_b if nf is not None else None,
         "note": result.note,
@@ -281,7 +272,9 @@ def _cmd_check(args, cfg: RunConfig):
         leaves = doc.get("leaves", cfg.leaf_ladder)
         Lmax = doc.get("Lmax")
         tol = doc.get("tol", cfg.tol_moment)
-        report = moments.check_moments(f, model, leaves=leaves, Lmax=Lmax, tol=tol, N=cfg.grid_n)
+        report = moments.check_moments(
+            f, model, leaves=leaves, Lmax=Lmax, tol=tol, N=cfg.grid_n, leaf_tol=cfg.tol_leaf
+        )
         out = report.to_json_dict()
         out = {"command": "check", "config": cfg.to_json_dict(), "mode": "moments", **out}
         return out
@@ -310,8 +303,8 @@ def _cmd_leaf_extend(args, cfg: RunConfig):
     points_doc = _require(doc, "points", "leaf-extend input")
     if not isinstance(points_doc, list):
         raise InputError("leaf-extend input: 'points' must be a list")
-    points = [_parse_point(v, f"points[{i}]") for i, v in enumerate(points_doc)]
-    leaf = moments.solve_leaf(model, r, N=cfg.grid_n)
+    points = [complex_from_json(v, f"points[{i}]") for i, v in enumerate(points_doc)]
+    leaf = moments.solve_leaf(model, r, N=cfg.grid_n, tol=cfg.tol_leaf)
     ext = leafcauchy.cauchy_extend(data, leaf, points)
     return {
         "command": "leaf-extend",
@@ -330,7 +323,7 @@ def _cmd_probe_degenerate(args, cfg: RunConfig):
     kind = _require(family_doc, "kind", "family")
     if kind == "quadric":
         model = quadform.QuadricModel.from_json_dict(_require(family_doc, "model", "family"))
-        family = leafcauchy.quadric_leaf_family(model, N=cfg.grid_n)
+        family = leafcauchy.quadric_leaf_family(model, N=cfg.grid_n, tol=cfg.tol_leaf)
     elif kind == "radial":
         power = float(_require(family_doc, "power", "family"))
         if power < 2:
@@ -411,9 +404,6 @@ def main(argv=None):
     except NumericalError as exc:
         sys.stderr.write(f"{PROG}: numerical failure: {exc}\n")
         return 3
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -69,12 +69,7 @@ def extend_lambda0(f: Polynomial) -> ExtensionResult:
         raise InputError("extend_lambda0: f must have n = 1")
     if f.has_w_terms():
         raise InputError("extend_lambda0: f must not contain w")
-    offending = None
-    for e, _ in f.sorted_terms():
-        j, k = e.alpha[0], e.beta[0]
-        if j < k:
-            offending = (j, k)
-            break
+    offending = _offending_monomial(f)
     if offending is not None:
         d = sum(offending)
         bad = [
@@ -82,16 +77,12 @@ def extend_lambda0(f: Polynomial) -> ExtensionResult:
             for e, c in f.terms.items()
             if e.alpha[0] < e.beta[0] and e.degree() == d
         ]
+        residual = float(np.sqrt(sum(b * b for b in bad)))
         return ExtensionResult(
             status="NotExtendible",
             P=None,
-            residual=float(np.sqrt(sum(b * b for b in bad))),
-            certificate=Certificate(
-                degree=d,
-                residual=float(np.sqrt(sum(b * b for b in bad))),
-                condition="monomial z^j zbar^k with j < k",
-                detail={"offending": offending},
-            ),
+            residual=residual,
+            certificate=_monomial_certificate(d, residual, offending),
         )
     terms = {}
     for e, c in f.terms.items():
@@ -101,6 +92,21 @@ def extend_lambda0(f: Polynomial) -> ExtensionResult:
     rho = Polynomial.monomial(1, (1,), (1,), 0)
     residual = (P.substitute_w(rho) - f).max_coeff()
     return ExtensionResult(status="Extended", P=P, residual=residual)
+
+
+def _offending_monomial(f: Polynomial):
+    """(j, k) of the first term z^j zbar^k with j < k in graded order, else None."""
+    bad = ((e.alpha[0], e.beta[0]) for e, _ in f.sorted_terms() if e.alpha[0] < e.beta[0])
+    return next(bad, None)
+
+
+def _monomial_certificate(degree, residual, offending):
+    return Certificate(
+        degree=degree,
+        residual=residual,
+        condition="monomial z^j zbar^k with j < k",
+        detail={"offending": offending},
+    )
 
 
 def check_involution_invariance(f: Polynomial, lam):
@@ -150,15 +156,9 @@ def _structural_certificate(f, model, degree, residual):
         return Certificate(degree=degree, residual=residual)
     lam = float(lambdas[0])
     if lam <= 1e-12:
-        for e, _ in f.sorted_terms():
-            j, k = e.alpha[0], e.beta[0]
-            if j < k:
-                return Certificate(
-                    degree=degree,
-                    residual=residual,
-                    condition="monomial z^j zbar^k with j < k",
-                    detail={"offending": (j, k)},
-                )
+        offending = _offending_monomial(f)
+        if offending is not None:
+            return _monomial_certificate(degree, residual, offending)
     elif lam < 0.5:
         invariant, deviation = check_involution_invariance(f, lam)
         if not invariant:
@@ -281,22 +281,14 @@ def restrict_to_plane(P: Polynomial, v) -> Polynomial:
         raise InputError(f"restrict_to_plane: direction has length {len(v)}, expected {P.n}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise InputError("restrict_to_plane: direction must be a unit vector")
-    terms = {}
-    for e, c in P.terms.items():
-        factor = c
-        for j, a in enumerate(e.alpha):
-            if a:
-                factor *= v[j] ** a
-        key = Exponent((sum(e.alpha),), (0,), e.k)
-        terms[key] = terms.get(key, 0.0) + factor
-    return Polynomial(1, terms)
+    return _restrict(P, v)
 
 
-def _restrict_data(f: Polynomial, v, rotation):
-    """f(xi v, conj(xi v)) with xi = exp(i rotation) * eta, as a polynomial in eta."""
+def _restrict(p: Polynomial, v, rotation=0.0):
+    """p(xi v, conj(xi v), w) with xi = exp(i rotation) * eta, as a polynomial in (eta, w)."""
     vb = np.conj(v)
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in p.terms.items():
         factor = c
         for j, a in enumerate(e.alpha):
             if a:
@@ -306,7 +298,7 @@ def _restrict_data(f: Polynomial, v, rotation):
                 factor *= vb[j] ** b
         ja, kb = sum(e.alpha), sum(e.beta)
         factor *= np.exp(1j * rotation * (ja - kb))
-        key = Exponent((ja,), (kb,), 0)
+        key = Exponent((ja,), (kb,), e.k)
         terms[key] = terms.get(key, 0.0) + factor
     return Polynomial(1, terms)
 
@@ -341,7 +333,7 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
                 "(cannot happen for an elliptic ambient model)"
             )
         sliced_model = QuadricModel(A=np.eye(1), B=np.array([[lam_prime]]))
-        f_v = _restrict_data(f, v, rotation)
+        f_v = _restrict(f, v, rotation)
         result = extend_general(f_v, sliced_model, tol=tol)
         if not result.extended:
             return float("inf")
@@ -367,13 +359,13 @@ def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, samples=
         radius, _ = default_radii(model)
     rng = np.random.default_rng(seed)
     n = model.n
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         direction = rng.standard_normal(2 * n)
         direction /= np.linalg.norm(direction)
         t = rng.uniform() ** (1.0 / (2 * n))
-        zr = radius * t * direction
-        z = [complex(zr[j], zr[n + j]) for j in range(n)]
-        wval = rho.evaluate(z).real
-        worst = max(worst, abs(P.evaluate(z, wval) - f.evaluate(z)))
-    return worst
+        draws.append(radius * t * direction)
+    zr = np.reshape(draws, (samples, 2 * n))
+    z = zr[:, :n] + 1j * zr[:, n:]
+    err = np.abs(P.evaluate(z, rho.evaluate(z).real) - f.evaluate(z))
+    return float(np.max(err, initial=0.0))

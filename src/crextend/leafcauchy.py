@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NearBoundary
-from .moments import LeafParametrization, eval_on_grid, solve_leaf
+from .moments import LEAF_RESIDUAL_TOL, LeafParametrization, eval_on_grid, solve_leaf
 from .polyalg import Polynomial
 from .quadform import QuadricModel
 
@@ -30,17 +30,16 @@ MIN_LADDER_RUNGS = 6
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Boundary values on the model, evaluable per leaf.
+    """Boundary values on the model, evaluated a whole leaf at a time.
 
-    evaluator maps (z on the leaf, leaf level s = value of w) to a complex
-    value.  When the data comes from a polynomial in (z, zbar), poly keeps
-    the symbolic form so tangential derivatives are available; otherwise
-    fz / fzbar may supply them.
+    evaluator maps (array of points z on a leaf, leaf level s = value of w)
+    to the array of data values at those points, of the same shape.  fz and
+    fzbar, when given, map the same arguments to the tangential derivatives
+    f_z and f_zbar; zderiv_bound_check needs them.
     """
 
     evaluator: Callable
     description: str
-    poly: Polynomial | None = None
     fz: Callable | None = None
     fzbar: Callable | None = None
 
@@ -50,10 +49,13 @@ class BoundaryData:
             raise InputError("BoundaryData.from_polynomial expects an n = 1 polynomial")
         if p.has_w_terms():
             raise InputError("BoundaryData.from_polynomial: polynomial must not contain w")
+        pz = p.partial_derivative("z")
+        pzb = p.partial_derivative("zbar")
         return cls(
-            evaluator=lambda z, s: p.evaluate(z),
+            evaluator=lambda z, s: eval_on_grid(p, z),
             description=description or p.pretty(),
-            poly=p,
+            fz=lambda z, s: eval_on_grid(pz, z),
+            fzbar=lambda z, s: eval_on_grid(pzb, z),
         )
 
     @classmethod
@@ -61,18 +63,17 @@ class BoundaryData:
         """Named data sets: "sqrt-re-w", "constant", "identity"."""
         if name == "sqrt-re-w":
             # equals |z|^2 on the degenerate model w = |z|^4
+            def zero(z, s):
+                return np.zeros(np.shape(z), dtype=complex)
+
             return cls(
-                evaluator=lambda z, s: complex(np.sqrt(s)),
+                evaluator=lambda z, s: np.full(np.shape(z), complex(np.sqrt(s))),
                 description="sqrt-re-w",
-                fz=lambda z, s: 0.0j,
-                fzbar=lambda z, s: 0.0j,
+                fz=zero,
+                fzbar=zero,
             )
         if name == "constant":
-            return cls(
-                evaluator=lambda z, s: complex(value),
-                description=f"constant {value}",
-                poly=Polynomial.constant(1, value),
-            )
+            return cls.from_polynomial(Polynomial.constant(1, value), f"constant {value}")
         if name == "identity":
             return cls.from_polynomial(Polynomial.z(1), description="identity")
         raise InputError(f"unknown builtin boundary data {name!r}")
@@ -89,12 +90,7 @@ class LeafExtension:
 
 def _cauchy_values(data: BoundaryData, leaf: LeafParametrization):
     zeta = leaf.points()
-    dzeta = leaf.tangent()
-    if data.poly is not None:
-        fvals = eval_on_grid(data.poly, zeta)
-    else:
-        fvals = np.array([data.evaluator(z, leaf.level) for z in zeta])
-    return zeta, dzeta, fvals
+    return zeta, leaf.tangent(), data.evaluator(zeta, leaf.level)
 
 
 def _cauchy_at(z, zeta, dzeta, fvals):
@@ -180,13 +176,16 @@ def radial_leaf_family(radius_fn: Callable, N=512, rho: Polynomial | None = None
     return family
 
 
-def quadric_leaf_family(model: QuadricModel, N=512):
-    """Leaves of an n = 1 normal-form quadric model, labeled by level s = r^2."""
+def quadric_leaf_family(model: QuadricModel, N=512, tol=LEAF_RESIDUAL_TOL):
+    """Leaves of an n = 1 normal-form quadric model, labeled by level s = r^2.
+
+    tol is solve_leaf's residual tolerance.
+    """
 
     def family(s):
         if not s > 0:
             raise InputError(f"leaf level must be positive, got {s}")
-        return solve_leaf(model, float(np.sqrt(s)), N)
+        return solve_leaf(model, float(np.sqrt(s)), N, tol)
 
     return family
 
@@ -269,18 +268,14 @@ def zderiv_bound_check(
     """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + slack.
 
     F_z is estimated by central finite differences of the Cauchy integral
-    at the interior samples; the tangential derivatives of f come from its
-    symbolic form when available, else from the fz / fzbar callables.
+    at the interior samples; the tangential derivatives of f come from the
+    data's fz / fzbar.
     """
-    zeta, dzeta, fvals = _cauchy_values(data, leaf)
-    if data.poly is not None:
-        fz_vals = eval_on_grid(data.poly.partial_derivative("z"), zeta)
-        fzb_vals = eval_on_grid(data.poly.partial_derivative("zbar"), zeta)
-    elif data.fz is not None and data.fzbar is not None:
-        fz_vals = np.array([data.fz(z, leaf.level) for z in zeta])
-        fzb_vals = np.array([data.fzbar(z, leaf.level) for z in zeta])
-    else:
+    if data.fz is None or data.fzbar is None:
         raise InputError("zderiv_bound_check: data carries no derivative information")
+    zeta, dzeta, fvals = _cauchy_values(data, leaf)
+    fz_vals = data.fz(zeta, leaf.level)
+    fzb_vals = data.fzbar(zeta, leaf.level)
     sup_bound = float(np.max(np.abs(fz_vals) + np.abs(fzb_vals)))
 
     inradius = float(np.min(np.abs(zeta)))

@@ -37,15 +37,10 @@ def _check_grid_size(N):
 
 
 def eval_on_grid(p: Polynomial, z):
-    """Vectorized evaluation of an n = 1 polynomial at an array of z (w = 0)."""
+    """Values of an n = 1 polynomial at an array of z (w = 0)."""
     if p.n != 1:
         raise InputError("eval_on_grid expects an n = 1 polynomial")
-    z = np.asarray(z, dtype=complex)
-    zb = np.conj(z)
-    total = np.zeros_like(z)
-    for e, c in p.terms.items():
-        total = total + c * z ** e.alpha[0] * zb ** e.beta[0]
-    return total
+    return p.evaluate(np.asarray(z, dtype=complex)[..., None])
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,16 @@ def fourier_derivative(values):
     return out.real if np.isrealobj(values) else out
 
 
-def solve_leaf(model: QuadricModel, r, N=DEFAULT_GRID_N) -> LeafParametrization:
+def solve_leaf(
+    model: QuadricModel, r, N=DEFAULT_GRID_N, tol=LEAF_RESIDUAL_TOL
+) -> LeafParametrization:
     """Solve for the leaf profile phi at level r^2 by vectorized Newton iteration.
 
     The model must be n = 1 in Bishop normal form with lam < 1/2.  For
     E = 0 the closed form phi = (1 + 2 lam cos 2theta)^(-1/2) is exact and
     Newton terminates immediately; with E present it is the initial guess.
+    A leaf whose defining-equation residual is not below tol is a
+    LeafSolveError.
     """
     if model.n != 1:
         raise InputError("solve_leaf: model must have n = 1")
@@ -132,8 +131,8 @@ def solve_leaf(model: QuadricModel, r, N=DEFAULT_GRID_N) -> LeafParametrization:
         raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
 
     residual = _leaf_residual(lam, E, r, theta, phi)
-    if residual >= LEAF_RESIDUAL_TOL:
-        raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {LEAF_RESIDUAL_TOL:g}")
+    if residual >= tol:
+        raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
 
     phi_theta = fourier_derivative(phi)
     theta.setflags(write=False)
@@ -216,11 +215,13 @@ def check_moments(
     Lmax=None,
     tol=DEFAULT_MOMENT_TOL,
     N=DEFAULT_GRID_N,
+    leaf_tol=LEAF_RESIDUAL_TOL,
 ) -> MomentReport:
     """Evaluate all moments with ell <= Lmax on a ladder of leaves.
 
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
-    Passes iff every moment modulus is below tol.
+    Passes iff every moment modulus is below tol; leaf_tol is solve_leaf's
+    residual tolerance.
     """
     if Lmax is None:
         Lmax = max(f.degree(), 0) + 4
@@ -231,7 +232,7 @@ def check_moments(
     entries = []
     max_mod = 0.0
     for r in leaves:
-        leaf = solve_leaf(model, r, N)
+        leaf = solve_leaf(model, r, N, leaf_tol)
         fvals = eval_on_grid(f, leaf.points())
         for ell in range(Lmax + 1):
             v = _moment_from_values(fvals, leaf, ell)

@@ -12,8 +12,11 @@ arithmetic operation, so "is zero" means "has no stored terms".
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -370,26 +373,33 @@ class Polynomial:
         return Polynomial(self.n, out)
 
     def evaluate(self, z, w=0.0):
-        """Evaluate at a point; zbar is the actual conjugate of z."""
-        if self.n == 1 and not isinstance(z, (list, tuple)):
-            z = (z,)
-        if len(z) != self.n:
-            raise InputError(f"evaluate: expected {self.n} coordinates, got {len(z)}")
-        z = [complex(v) for v in z]
-        zb = [v.conjugate() for v in z]
-        w = complex(w)
-        total = 0.0 + 0.0j
+        """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
+
+        For n = 1 a scalar is one point; w broadcasts over the point shape.
+        Returns a complex for one point, else an array.  Terms are summed one
+        at a time as c * z^alpha * zbar^beta * w^k: no points x terms array.
+        """
+        z = np.asarray(z, dtype=complex)
+        if self.n == 1 and z.ndim == 0:
+            z = z[None]
+        if z.ndim == 0 or z.shape[-1] != self.n:
+            raise InputError(
+                f"evaluate: expected points with {self.n} coordinates, got shape {z.shape}"
+            )
+        zb = np.conj(z)
+        w = np.asarray(w, dtype=complex)
+        total = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape), dtype=complex)
         for e, c in self._terms.items():
             val = c
             for j in range(self.n):
                 if e.alpha[j]:
-                    val *= z[j] ** e.alpha[j]
+                    val = val * z[..., j] ** e.alpha[j]
                 if e.beta[j]:
-                    val *= zb[j] ** e.beta[j]
+                    val = val * zb[..., j] ** e.beta[j]
             if e.k:
-                val *= w ** e.k
-            total += val
-        return total
+                val = val * w**e.k
+            total = total + val
+        return complex(total) if total.ndim == 0 else total
 
     # -- serialization -------------------------------------------------------
 
@@ -434,11 +444,24 @@ class Polynomial:
             if not isinstance(t["k"], int):
                 raise InputError(f"terms[{i}]: k must be an integer")
             e = _as_exponent(n, t["alpha"], t["beta"], t["k"])
-            c = complex(float(t["re"]), float(t["im"]))
+            c = complex_from_json(t, f"terms[{i}]")
             if e in terms:
                 raise InputError(f"terms[{i}]: duplicate exponent {tuple(e)}")
             terms[e] = c
         return cls(n, terms)
+
+
+def complex_from_json(v, where):
+    """The complex number of a {"re", "im"} object; finite parts only."""
+    if not isinstance(v, dict) or "re" not in v or "im" not in v:
+        raise InputError(f"{where} must be an object with 're' and 'im'")
+    try:
+        c = complex(float(v["re"]), float(v["im"]))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: 're' and 'im' must be numbers") from exc
+    if not cmath.isfinite(c):
+        raise InputError(f"{where}: non-finite number {c}")
+    return c
 
 
 def monomials(n, d) -> Iterable[tuple]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
-from .polyalg import Exponent, Polynomial
+from .polyalg import Exponent, Polynomial, complex_from_json
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -120,9 +120,7 @@ def _matrix_from_json(rows, n, name):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"model field {name!r} row {i} must have {n} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, dict) or "re" not in v or "im" not in v:
-                raise InputError(f"{name}[{i}][{j}] must be an object with 're' and 'im'")
-            M[i, j] = complex(float(v["re"]), float(v["im"]))
+            M[i, j] = complex_from_json(v, f"{name}[{i}][{j}]")
     return M
 
 
@@ -155,9 +153,13 @@ class ClassificationResult:
 
 def check_nondegenerate(model: QuadricModel) -> NondegeneracyReport:
     """A is nonsingular relative to its scale (smallest singular value test)."""
-    s = np.linalg.svd(model.A, compute_uv=False)
-    sigma_max = float(s[0]) if s.size else 0.0
-    sigma_min = float(s[-1]) if s.size else 0.0
+    return _nondegeneracy(np.linalg.eigvalsh(model.A))
+
+
+def _nondegeneracy(eigs):
+    # A is Hermitian, so its singular values are the moduli of its eigenvalues
+    s = np.abs(eigs)
+    sigma_min, sigma_max = (float(s.min()), float(s.max())) if s.size else (0.0, 0.0)
     ok = sigma_min > DEGENERACY_TOL * max(sigma_max, 1.0)
     return NondegeneracyReport(ok=ok, sigma_min=sigma_min, sigma_max=sigma_max)
 
@@ -273,7 +275,8 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
 
 def classify(model: QuadricModel) -> ClassificationResult:
     """Total classification: degenerate, elliptic, parabolic or hyperbolic."""
-    report = check_nondegenerate(model)
+    eigs = np.linalg.eigvalsh(model.A)
+    report = _nondegeneracy(eigs)
     if not report.ok:
         return ClassificationResult(
             classification="degenerate",
@@ -281,7 +284,6 @@ def classify(model: QuadricModel) -> ClassificationResult:
             nondegeneracy=report,
             note=f"A is singular to working precision (sigma_min = {report.sigma_min:.3e})",
         )
-    eigs = np.linalg.eigvalsh(model.A)
     if eigs[0] <= DEGENERACY_TOL:
         return ClassificationResult(
             classification="hyperbolic",
@@ -300,23 +302,14 @@ def classify(model: QuadricModel) -> ClassificationResult:
 
 
 def real_quadratic_form(model: QuadricModel):
-    """Q as a real symmetric 2n x 2n matrix in coordinates (Re z, Im z)."""
-    n = model.n
+    """Q as a real symmetric 2n x 2n matrix in coordinates (Re z, Im z).
 
-    def q(v):
-        z = v[:n] + 1j * v[n:]
-        val = z.conj() @ model.A @ z + 2 * (z @ model.B @ z).real
-        return float(val.real)
-
-    dim = 2 * n
-    basis = np.eye(dim)
-    diag = np.array([q(basis[p]) for p in range(dim)])
-    S = np.zeros((dim, dim))
-    for p in range(dim):
-        S[p, p] = diag[p]
-        for r in range(p + 1, dim):
-            S[p, r] = S[r, p] = (q(basis[p] + basis[r]) - diag[p] - diag[r]) / 2
-    return S
+    With A = Ar + i Ai and B = Br + i Bi, z^H A z + 2 Re(z^T B z) is the
+    form of [[Ar + 2 Br, -Ai - 2 Bi], [Ai - 2 Bi, Ar - 2 Br]].
+    """
+    Ar, Ai = model.A.real, model.A.imag
+    Br, Bi = model.B.real, model.B.imag
+    return np.block([[Ar + 2 * Br, -Ai - 2 * Bi], [Ai - 2 * Bi, Ar - 2 * Br]])
 
 
 def ellipticity_oracle(model: QuadricModel) -> bool:

@@ -62,3 +62,14 @@ def random_lambdas(rng, n):
 def random_unit_vector(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def loop_evaluate(p, z, w=0.0):
+    """Reference evaluation at one point, term by term in Python complex arithmetic."""
+    total = 0j
+    for e, c in p.terms.items():
+        val = c
+        for j in range(p.n):
+            val *= complex(z[j]) ** e.alpha[j] * complex(z[j]).conjugate() ** e.beta[j]
+        total += val * complex(w) ** e.k
+    return total

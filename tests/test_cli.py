@@ -270,6 +270,54 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_cli_nan_model_entry_is_input_error(tmp_path, capsys):
+    A = [[{"re": float("nan"), "im": 0.0}]]
+    B = [[{"re": 0.0, "im": 0.0}]]
+    path = write_json(tmp_path / "model.json", {"n": 1, "A": A, "B": B})
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 2 and out == ""
+    assert "A[0][0]" in err and "non-finite" in err
+
+
+def test_cli_nan_point_is_input_error(tmp_path, capsys):
+    doc_in = {
+        "model": model_doc([0.3]),
+        "data": {"builtin": "identity"},
+        "r": 0.1,
+        "points": [{"re": "nan", "im": 0.0}],
+    }
+    path = write_json(tmp_path / "in.json", doc_in)
+    code, out, err = run(capsys, ["leaf-extend", path])
+    assert code == 2 and out == ""
+    assert "points[0]" in err and "non-finite" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cli_overflowing_report_is_numerical_failure(tmp_path, capsys, sign):
+    f = sign * 1e308 * (Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.z(1) ** 2)
+    path = write_json(tmp_path / "in.json", {"model": model_doc([0.3]), "f": poly_doc(f)})
+    code, out, err = run(capsys, ["extend", path])
+    assert code == 3 and out == ""
+    assert "non-finite" in err
+
+
+def test_cli_tol_leaf_gates_leaf_residual(tmp_path, capsys):
+    doc_in = {
+        "model": model_doc([0.3]),
+        "data": {"builtin": "identity"},
+        "r": 0.1,
+        "points": [{"re": 0.01, "im": 0.0}],
+    }
+    in_path = write_json(tmp_path / "in.json", doc_in)
+    code, _, _ = run(capsys, ["leaf-extend", in_path])
+    assert code == 0
+    cfg_path = write_json(tmp_path / "cfg.json", {"tol_leaf": 1e-20})
+    code, out, err = run(capsys, ["leaf-extend", in_path, "--config", cfg_path])
+    assert code == 3 and out == ""
+    assert "leaf residual" in err
+
+
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_path = write_json(tmp_path / "cfg.json", {"grid_n": 256, "tol_moment": 1e-6, "seed": 5})
     f = Polynomial.z(1) * Polynomial.zbar(1)

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from conftest import random_holomorphic, random_lambdas, random_polynomial, random_unit_vector
+from conftest import (
+    loop_evaluate,
+    random_holomorphic,
+    random_lambdas,
+    random_polynomial,
+    random_unit_vector,
+)
 from crextend import (
     InputError,
     NotElliptic,
     Polynomial,
     QuadricModel,
     check_involution_invariance,
+    default_radii,
     extend_general,
     extend_lambda0,
     normal_form_model,
@@ -244,3 +251,34 @@ def test_verify_extension():
     assert verify_extension(P, f, m, samples=40, seed=1) == verify_extension(
         P, f, m, samples=40, seed=1
     )
+
+
+def loop_verify(P, f, model, samples, seed):
+    """Reference for verify_extension: one point at a time, same draws."""
+    rho = q_polynomial(model)
+    radius, _ = default_radii(model)
+    rng = np.random.default_rng(seed)
+    n = model.n
+    worst = 0.0
+    for _ in range(samples):
+        direction = rng.standard_normal(2 * n)
+        direction /= np.linalg.norm(direction)
+        t = rng.uniform() ** (1.0 / (2 * n))
+        zr = radius * t * direction
+        z = [complex(zr[j], zr[n + j]) for j in range(n)]
+        w = loop_evaluate(rho, z).real
+        worst = max(worst, abs(loop_evaluate(P, z, w) - loop_evaluate(f, z)))
+    return worst
+
+
+def test_verify_extension_matches_loop_reference():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3):
+        m = normal_form_model(random_lambdas(rng, n))
+        P = random_holomorphic(rng, n, 6)
+        f = P.substitute_w(q_polynomial(m)) + 1e-3 * random_polynomial(rng, n, 4)
+        for seed in (0, 7):
+            ref = loop_verify(P, f, m, 50, seed)
+            assert ref > 1e-8  # the perturbation is seen
+            assert verify_extension(P, f, m, samples=50, seed=seed) == pytest.approx(ref, rel=1e-10)
+    assert verify_extension(P, f, m, samples=0) == 0.0

@@ -164,6 +164,32 @@ def test_zderiv_bound_degenerate_constant_leafwise():
     assert report.sup_bound == 0.0
 
 
+def test_boundary_data_returns_leaf_arrays():
+    leaf = solve_leaf(normal_form_model([0.1]), 0.2, 128)
+    zeta, s = leaf.points(), leaf.level
+    for name in ("sqrt-re-w", "constant", "identity"):
+        data = BoundaryData.builtin(name, value=2.5)
+        for fn in (data.evaluator, data.fz, data.fzbar):
+            vals = fn(zeta, s)
+            assert isinstance(vals, np.ndarray) and vals.shape == zeta.shape
+    sqrt_data = BoundaryData.builtin("sqrt-re-w")
+    np.testing.assert_array_equal(sqrt_data.evaluator(zeta, s), np.sqrt(s))
+    np.testing.assert_array_equal(BoundaryData.builtin("constant", 2.5).evaluator(zeta, s), 2.5)
+    identity = BoundaryData.builtin("identity")
+    np.testing.assert_array_equal(identity.evaluator(zeta, s), zeta)
+    np.testing.assert_array_equal(identity.fz(zeta, s), 1.0)
+    np.testing.assert_array_equal(identity.fzbar(zeta, s), 0.0)
+
+
+def test_boundary_data_from_polynomial_derivatives():
+    f = Polynomial.z(1) ** 2 * Polynomial.zbar(1) + 3 * Polynomial.zbar(1)
+    data = BoundaryData.from_polynomial(f)
+    zeta = solve_leaf(normal_form_model([0.2]), 0.2, 64).points()
+    np.testing.assert_allclose(data.evaluator(zeta, 0.0), zeta**2 * np.conj(zeta) + 3 * np.conj(zeta))
+    np.testing.assert_allclose(data.fz(zeta, 0.0), 2 * zeta * np.conj(zeta))
+    np.testing.assert_allclose(data.fzbar(zeta, 0.0), zeta**2 + 3)
+
+
 def test_zderiv_requires_derivative_info():
     data = BoundaryData(evaluator=lambda z, s: complex(z), description="opaque")
     leaf = solve_leaf(normal_form_model([0.0]), 0.2, 128)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_holomorphic
+from conftest import random_holomorphic, random_polynomial
 from crextend import (
     InputError,
     LeafSolveError,
@@ -61,6 +61,26 @@ def test_leaf_perturbed_newton_converges():
     z = leaf.points()
     rho_vals = eval_on_grid(q_polynomial(m), z)
     assert np.max(np.abs(rho_vals.real - leaf.level)) < 1e-12
+
+
+def test_eval_on_grid_is_evaluate():
+    rng = np.random.default_rng(29)
+    p = random_polynomial(rng, 1, 6)
+    z = rng.uniform(-1, 1, (5, 7)) + 1j * rng.uniform(-1, 1, (5, 7))
+    vals = eval_on_grid(p, z)
+    assert vals.shape == z.shape
+    np.testing.assert_array_equal(vals, p.evaluate(z[..., None]))
+    with pytest.raises(InputError):
+        eval_on_grid(Polynomial.z(2), z)
+
+
+def test_solve_leaf_residual_tolerance():
+    m = normal_form_model([0.3])
+    solve_leaf(m, 0.1, 128)
+    with pytest.raises(LeafSolveError):
+        solve_leaf(m, 0.1, 128, tol=1e-20)
+    with pytest.raises(LeafSolveError):
+        check_moments(Polynomial.z(1), m, leaves=[0.1], N=128, leaf_tol=1e-20)
 
 
 def test_leaf_preconditions():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_polynomial
+from conftest import loop_evaluate, random_polynomial
 from crextend import InputError, Polynomial
-from crextend.polyalg import DEGREE_CAP, Exponent, ZERO_THRESHOLD, monomials
+from crextend.polyalg import DEGREE_CAP, Exponent, ZERO_THRESHOLD, complex_from_json, monomials
 
 
 def z(n=1, j=0):
@@ -90,6 +90,42 @@ def test_ring_axioms_random():
                 assert abs(lhs - rhs) < 1e-11 * scale**2
             assert (p * q - q * p).max_coeff() < 1e-13
             assert ((p + q) + r - (p + (q + r))).max_coeff() < 1e-13
+
+
+# -- array evaluation -----------------------------------------------------------
+
+
+def test_array_evaluate_matches_pointwise():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        p = random_polynomial(rng, n, 5, with_w=True)
+        z = rng.uniform(-1, 1, (4, 3, n)) + 1j * rng.uniform(-1, 1, (4, 3, n))
+        w_grid = rng.uniform(-1, 1, (4, 3)) + 1j * rng.uniform(-1, 1, (4, 3))
+        w_row = rng.uniform(-1, 1, 3)  # broadcasts along the first axis
+        for w in (0.3 - 0.2j, w_grid, w_row):
+            vals = p.evaluate(z, w)
+            assert isinstance(vals, np.ndarray) and vals.shape == (4, 3)
+            for idx in np.ndindex(4, 3):
+                wi = np.broadcast_to(w, (4, 3))[idx]
+                ref = loop_evaluate(p, z[idx], wi)
+                assert abs(vals[idx] - ref) < 1e-13 * (1 + abs(ref))
+                one = p.evaluate(z[idx], wi)
+                assert type(one) is complex
+                assert abs(one - ref) < 1e-13 * (1 + abs(ref))
+
+
+def test_evaluate_point_shapes():
+    p = z() * zbar() + Polynomial.w(1)
+    assert type(p.evaluate(0.5j)) is complex  # n = 1: a scalar is one point
+    assert p.evaluate([0.5j], 2.0) == pytest.approx(2.25)
+    np.testing.assert_allclose(p.evaluate([[1.0], [2.0]]), [1.0, 4.0])
+    # one point against an array of w values
+    np.testing.assert_allclose(p.evaluate(1.0, np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
+    assert p.evaluate(np.zeros((0, 1))).shape == (0,)
+    with pytest.raises(InputError):
+        p.evaluate([1.0, 2.0])  # n = 1 points need a trailing axis of length 1
+    with pytest.raises(InputError):
+        z(2).evaluate(1.0)
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -273,6 +309,16 @@ def test_json_rejects_malformed():
         Polynomial.from_json_dict(
             {"n": 1, "terms": [{"alpha": [1], "beta": [0], "k": 0, "re": 1.0}]}
         )
+
+
+@pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.0, float("inf")), ("nan", 0.0), ("x", 0.0)])
+def test_json_rejects_non_numbers(re, im):
+    term = {"alpha": [1], "beta": [0], "k": 0, "re": re, "im": im}
+    with pytest.raises(InputError):
+        Polynomial.from_json_dict({"n": 1, "terms": [term]})
+    with pytest.raises(InputError):
+        complex_from_json({"re": re, "im": im}, "value")
+    assert complex_from_json({"re": 1, "im": -2.5}, "value") == 1 - 2.5j
 
 
 # -- helpers ----------------------------------------------------------------------

@@ -64,6 +64,18 @@ def test_accepts_real_quartic_perturbation():
 # -- nondegeneracy ---------------------------------------------------------------
 
 
+def test_nondegeneracy_from_singular_values():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3):
+        for shift in (0.5, -1.0):  # positive definite and indefinite A
+            m = random_model(rng, n, posdef_shift=shift)
+            s = np.linalg.svd(m.A, compute_uv=False)
+            report = check_nondegenerate(m)
+            assert report.sigma_max == pytest.approx(s[0], rel=1e-12)
+            assert report.sigma_min == pytest.approx(s[-1], rel=1e-10)
+            assert classify(m).nondegeneracy == report
+
+
 def test_check_nondegenerate():
     ok = check_nondegenerate(normal_form_model([0.1, 0.2]))
     assert ok.ok and ok.sigma_min == pytest.approx(1.0)
@@ -183,6 +195,33 @@ def test_real_form_matrix_n1():
     for lam in (0.0, 0.3, 0.6):
         S = real_quadratic_form(normal_form_model([lam]))
         assert S == pytest.approx(np.diag([1 + 2 * lam, 1 - 2 * lam]), abs=1e-12)
+
+
+def polarized_form(model):
+    """Reference for real_quadratic_form: polarization of 4n^2 values of Q."""
+    n = model.n
+
+    def q(v):
+        z = v[:n] + 1j * v[n:]
+        return float((z.conj() @ model.A @ z + 2 * (z @ model.B @ z).real).real)
+
+    basis = np.eye(2 * n)
+    S = np.zeros((2 * n, 2 * n))
+    for p in range(2 * n):
+        for r in range(2 * n):
+            S[p, r] = (q(basis[p] + basis[r]) - q(basis[p]) - q(basis[r])) / 2
+    return S
+
+
+def test_real_form_matches_polarization():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            m = random_model(rng, n)
+            S = real_quadratic_form(m)
+            R = polarized_form(m)
+            assert maxabs(S - R) <= 1e-14 * maxabs(R)
+            assert maxabs(S - S.T) <= 1e-14 * maxabs(R)
 
 
 def test_oracle_examples():
