@@ -23,7 +23,7 @@ import numpy as np
 from . import extend as extend_mod
 from . import leafcauchy, moments, quadform
 from .errors import InputError, NumericalError, NumericalFailure
-from .polyalg import Polynomial, complex_from_json
+from .polyalg import Polynomial, complex_from_json, real_from_json
 
 PROG = "crextend"
 GRID_MIN, GRID_MAX = 64, 4096
@@ -89,7 +89,7 @@ class RunConfig:
     def validate(self):
         for name in ("tol_extend", "tol_moment", "tol_leaf"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0):
+            if not real_from_json(v, f"config {name}") > 0:
                 raise InputError(f"config {name} must be positive, got {v!r}")
         N = self.grid_n
         if not isinstance(N, int) or not GRID_MIN <= N <= GRID_MAX or N & (N - 1):
@@ -99,7 +99,7 @@ class RunConfig:
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
             raise InputError(f"config seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.leaf_ladder is not None:
-            if not all(isinstance(r, (int, float)) and r > 0 for r in self.leaf_ladder):
+            if not all(r > 0 for r in _number_list(self.leaf_ladder, "config leaf_ladder")):
                 raise InputError("config leaf_ladder must contain positive numbers")
         return self
 
@@ -124,7 +124,7 @@ def _load_config(args) -> RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        if "leaf_ladder" in doc and doc["leaf_ladder"] is not None:
+        if isinstance(doc.get("leaf_ladder"), list):
             doc = dict(doc, leaf_ladder=tuple(doc["leaf_ladder"]))
         cfg = replace(cfg, **doc)
     overrides = {}
@@ -163,12 +163,21 @@ def _read_json(path):
         raise InputError(
             f"malformed JSON in {name}: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # integer too long, nesting too deep
+        raise InputError(f"malformed JSON in {name}: {exc}") from exc
 
 
 def _require(doc, field, where):
     if not isinstance(doc, dict) or field not in doc:
         raise InputError(f"{where}: missing field {field!r}")
     return doc[field]
+
+
+def _number_list(values, where):
+    """A non-empty list of finite numbers, as floats."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InputError(f"{where} must be a non-empty list of numbers")
+    return [real_from_json(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 def _parse_boundary_data(doc):
@@ -179,19 +188,24 @@ def _parse_boundary_data(doc):
             Polynomial.from_json_dict(doc["polynomial"])
         )
     if "builtin" in doc:
-        return leafcauchy.BoundaryData.builtin(doc["builtin"], value=doc.get("value", 1.0))
+        value = real_from_json(doc.get("value", 1.0), "data value")
+        return leafcauchy.BoundaryData.builtin(doc["builtin"], value=value)
     raise InputError("data: expected a 'polynomial' or 'builtin' field")
 
 
 def _parse_ladder(doc):
     if isinstance(doc, list):
-        return [float(s) for s in doc]
+        return _number_list(doc, "ladder")
     if isinstance(doc, dict):
-        for field in ("start", "ratio", "count"):
-            if field not in doc:
-                raise InputError(f"ladder: missing field {field!r}")
-        start, ratio, count = float(doc["start"]), float(doc["ratio"]), int(doc["count"])
-        return [start * ratio**i for i in range(count)]
+        start = real_from_json(_require(doc, "start", "ladder"), "ladder start")
+        ratio = real_from_json(_require(doc, "ratio", "ladder"), "ladder ratio")
+        count = real_from_json(_require(doc, "count", "ladder"), "ladder count", integer=True)
+        if count > leafcauchy.MAX_LADDER_RUNGS:
+            raise InputError(f"ladder count {count} exceeds {leafcauchy.MAX_LADDER_RUNGS}")
+        try:
+            return [start * ratio**i for i in range(count)]
+        except OverflowError as exc:
+            raise InputError(f"ladder levels overflow: start {start}, ratio {ratio}") from exc
     raise InputError("ladder: expected a list of levels or {start, ratio, count}")
 
 
@@ -270,8 +284,14 @@ def _cmd_check(args, cfg: RunConfig):
     f = Polynomial.from_json_dict(_require(doc, "f", "check input"))
     if model.n == 1:
         leaves = doc.get("leaves", cfg.leaf_ladder)
+        if leaves is not None:
+            leaves = _number_list(leaves, "check input 'leaves'")
         Lmax = doc.get("Lmax")
-        tol = doc.get("tol", cfg.tol_moment)
+        if Lmax is not None:
+            Lmax = real_from_json(Lmax, "check input 'Lmax'", integer=True)
+        tol = real_from_json(doc.get("tol", cfg.tol_moment), "check input 'tol'")
+        if not tol > 0:
+            raise InputError(f"check input 'tol' must be positive, got {tol!r}")
         report = moments.check_moments(
             f, model, leaves=leaves, Lmax=Lmax, tol=tol, N=cfg.grid_n, leaf_tol=cfg.tol_leaf
         )
@@ -299,7 +319,7 @@ def _cmd_leaf_extend(args, cfg: RunConfig):
     doc = _read_json(args.input)
     model = quadform.QuadricModel.from_json_dict(_require(doc, "model", "leaf-extend input"))
     data = _parse_boundary_data(_require(doc, "data", "leaf-extend input"))
-    r = float(_require(doc, "r", "leaf-extend input"))
+    r = real_from_json(_require(doc, "r", "leaf-extend input"), "leaf-extend input 'r'")
     points_doc = _require(doc, "points", "leaf-extend input")
     if not isinstance(points_doc, list):
         raise InputError("leaf-extend input: 'points' must be a list")
@@ -325,7 +345,7 @@ def _cmd_probe_degenerate(args, cfg: RunConfig):
         model = quadform.QuadricModel.from_json_dict(_require(family_doc, "model", "family"))
         family = leafcauchy.quadric_leaf_family(model, N=cfg.grid_n, tol=cfg.tol_leaf)
     elif kind == "radial":
-        power = float(_require(family_doc, "power", "family"))
+        power = real_from_json(_require(family_doc, "power", "family"), "family power")
         if power < 2:
             raise InputError(f"family: radial power must be >= 2, got {power}")
         family = leafcauchy.radial_leaf_family(lambda s: s ** (1.0 / power), N=cfg.grid_n)

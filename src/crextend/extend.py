@@ -176,7 +176,9 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
 
     For each total degree d of f, solves for coefficients of
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
-    the degree-d part of f.  The solve is rank revealing (SVD) and the
+    the degree-d part of f.  The column of z^alpha w^k is Q^k with every
+    z-exponent raised by alpha; Q^k is computed once, when a degree d with
+    k <= d // 2 is first solved.  The solve is rank revealing (SVD) and the
     per-degree condition number is reported.  Failure threshold for the
     graded residual is tol * (1 + max |coeff f|); residuals inside
     (1e-11, tol) of that scale pass with a conditioning warning.
@@ -200,35 +202,28 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     threshold = tol * scale
     n = f.n
 
-    qpowers = {0: Polynomial.constant(n, 1.0)}
-
-    def qpow(k):
-        if k not in qpowers:
-            qpowers[k] = qpow(k - 1) * Q
-        return qpowers[k]
-
+    qpowers = [Polynomial.constant(n, 1.0)]
     reports = []
-    P = Polynomial.zero(n)
+    P_terms = {}
     for d in range(f.degree() + 1):
         fd = f.homogeneous_part(d)
         if fd.is_zero():
             continue
+        while len(qpowers) <= d // 2:
+            qpowers.append(qpowers[-1] * Q)
         basis = _graded_basis(n, d)
-        images = []
         row_index = {}
-        for alpha, k in basis:
-            img = Polynomial.monomial(n, alpha, (0,) * n, 0) * qpow(k)
-            images.append(img)
-            for e in img.terms:
-                if e not in row_index:
-                    row_index[e] = len(row_index)
+        rows, cols, vals = [], [], []
+        for col, (alpha, k) in enumerate(basis):
+            for e, c in qpowers[k].terms.items():
+                shifted = Exponent(tuple(a + b for a, b in zip(alpha, e.alpha)), e.beta, 0)
+                rows.append(row_index.setdefault(shifted, len(row_index)))
+                cols.append(col)
+                vals.append(c)
         for e, _ in fd.sorted_terms():
-            if e not in row_index:
-                row_index[e] = len(row_index)
+            row_index.setdefault(e, len(row_index))
         M = np.zeros((len(row_index), len(basis)), dtype=complex)
-        for col, img in enumerate(images):
-            for e, c in img.terms.items():
-                M[row_index[e], col] = c
+        M[rows, cols] = vals
         b = np.zeros(len(row_index), dtype=complex)
         for e, c in fd.terms.items():
             b[row_index[e]] = c
@@ -255,10 +250,9 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
         reports.append(
             DegreeReport(degree=d, residual=residual, condition=condition, warning=warning)
         )
-        terms = {}
         for (alpha, k), coeff in zip(basis, x):
-            terms[Exponent(alpha, (0,) * n, k)] = coeff
-        P = P + Polynomial(n, terms)
+            P_terms[Exponent(alpha, (0,) * n, k)] = coeff
+    P = Polynomial(n, P_terms)
     final_residual = (P.substitute_w(Q) - f).max_coeff()
     return ExtensionResult(
         status="Extended",

@@ -26,6 +26,7 @@ from .quadform import QuadricModel
 NEAR_BOUNDARY_FACTOR = 0.05
 WINDING_TOL = 0.01
 MIN_LADDER_RUNGS = 6
+MAX_LADDER_RUNGS = 64
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def continuity_probe(data: BoundaryData, model: QuadricModel, radii, f0=None, N=
     return f0, rows
 
 
-def radial_leaf_family(radius_fn: Callable, N=512, rho: Polynomial | None = None):
+def radial_leaf_family(radius_fn: Callable, N=512):
     """Leaves of a radially symmetric model w = g(|z|^2).
 
     The leaf at level s is the circle of radius radius_fn(s); this covers
@@ -170,7 +171,7 @@ def radial_leaf_family(radius_fn: Callable, N=512, rho: Polynomial | None = None
         if not r > 0:
             raise InputError(f"radial leaf radius must be positive, got {r} at s = {s}")
         return LeafParametrization(
-            lam=0.0, rho=rho, r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros
+            lam=0.0, r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros
         )
 
     return family
@@ -209,8 +210,10 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
     the derivative stays bounded.
     """
     s_ladder = [float(s) for s in s_ladder]
-    if len(s_ladder) < MIN_LADDER_RUNGS:
-        raise InputError(f"s ladder needs at least {MIN_LADDER_RUNGS} rungs")
+    if not MIN_LADDER_RUNGS <= len(s_ladder) <= MAX_LADDER_RUNGS:
+        raise InputError(
+            f"s ladder needs at least {MIN_LADDER_RUNGS} and at most {MAX_LADDER_RUNGS} rungs"
+        )
     if s_ladder[0] <= 0 or any(b <= a for a, b in zip(s_ladder, s_ladder[1:])):
         raise InputError("s ladder must be positive and strictly increasing")
     ratios = [s_ladder[i + 1] / s_ladder[i] for i in range(len(s_ladder) - 1)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LeafSolveError, NotElliptic
-from .polyalg import Polynomial
+from .polyalg import DEGREE_CAP, Polynomial
 from .quadform import QuadricModel, default_radii, is_normal_form, q_polynomial
 
 NEWTON_TOL = 1e-13
@@ -48,7 +48,6 @@ class LeafParametrization:
     """One hull leaf of an n = 1 model, sampled on an equispaced theta grid."""
 
     lam: float
-    rho: Polynomial | None
     r: float
     level: float  # value of w on the leaf
     theta: np.ndarray
@@ -140,7 +139,6 @@ def solve_leaf(
     phi_theta.setflags(write=False)
     return LeafParametrization(
         lam=lam,
-        rho=q_polynomial(model),
         r=r,
         level=r * r,
         theta=theta,
@@ -220,15 +218,20 @@ def check_moments(
     """Evaluate all moments with ell <= Lmax on a ladder of leaves.
 
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
-    Passes iff every moment modulus is below tol; leaf_tol is solve_leaf's
-    residual tolerance.
+    Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
+    that a pass always rests on some moments.  Passes iff every moment
+    modulus is below tol; leaf_tol is solve_leaf's residual tolerance.
     """
     if Lmax is None:
         Lmax = max(f.degree(), 0) + 4
+    if not 0 <= Lmax <= DEGREE_CAP + 4:
+        raise InputError(f"check_moments: Lmax must be in [0, {DEGREE_CAP + 4}], got {Lmax}")
     if leaves is None:
         delta_z, _ = default_radii(model)
         leaves = tuple(c * delta_z for c in DEFAULT_LEAF_FRACTIONS)
     leaves = tuple(sorted(float(r) for r in leaves))
+    if not leaves:
+        raise InputError("check_moments: need at least one leaf")
     entries = []
     max_mod = 0.0
     for r in leaves:

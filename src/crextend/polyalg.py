@@ -295,7 +295,11 @@ class Polynomial:
         return Polynomial(self.n, picked)
 
     def substitute_w(self, q: "Polynomial"):
-        """Replace w by the w-free polynomial q and expand."""
+        """Replace w by the w-free polynomial q and expand.
+
+        Each q^k is built once; every product of a term c z^alpha zbar^beta w^k
+        with a term of q^k is summed into one dict at the shifted exponent.
+        """
         self._require_same_dim(q)
         if q.has_w_terms():
             raise InputError("substitute_w: replacement polynomial contains w")
@@ -304,17 +308,16 @@ class Polynomial:
             worst = max(e.degree() - e.k + e.k * qdeg for e in self._terms)
             if worst > DEGREE_CAP:
                 raise InputError("substitute_w: expanded degree exceeds cap")
-        powers = {0: Polynomial.constant(self.n, 1.0)}
-        result = Polynomial.zero(self.n)
+        powers = [Polynomial.constant(self.n, 1.0)]
+        out = {}
         for e, c in self._terms.items():
-            if e.k not in powers:
-                p = powers[max(powers)]
-                for m in range(max(powers) + 1, e.k + 1):
-                    p = p * q
-                    powers[m] = p
-            mono = Polynomial.monomial(self.n, e.alpha, e.beta, 0, c)
-            result = result + mono * powers[e.k]
-        return result
+            while len(powers) <= e.k:
+                powers.append(powers[-1] * q)
+            for e2, c2 in powers[e.k]._terms.items():
+                alpha = tuple(a + b for a, b in zip(e.alpha, e2.alpha))
+                key = Exponent(alpha, tuple(a + b for a, b in zip(e.beta, e2.beta)), 0)
+                out[key] = out.get(key, 0.0) + c * c2
+        return Polynomial(self.n, out)
 
     def involution_pullback(self, lam):
         """Substitute zbar <- -z/lam - zbar (n = 1 only, lam > 0).
@@ -425,8 +428,8 @@ class Polynomial:
         for field in ("n", "terms"):
             if field not in doc:
                 raise InputError(f"polynomial document missing field {field!r}")
-        n = doc["n"]
-        if not isinstance(n, int) or n < 1:
+        n = real_from_json(doc["n"], "polynomial field 'n'", integer=True)
+        if n < 1:
             raise InputError(f"polynomial field 'n' must be a positive integer, got {n!r}")
         if not isinstance(doc["terms"], list):
             raise InputError("polynomial field 'terms' must be a list")
@@ -444,6 +447,8 @@ class Polynomial:
             if not isinstance(t["k"], int):
                 raise InputError(f"terms[{i}]: k must be an integer")
             e = _as_exponent(n, t["alpha"], t["beta"], t["k"])
+            if e.degree() > DEGREE_CAP:
+                raise InputError(f"terms[{i}]: degree {e.degree()} exceeds cap {DEGREE_CAP}")
             c = complex_from_json(t, f"terms[{i}]")
             if e in terms:
                 raise InputError(f"terms[{i}]: duplicate exponent {tuple(e)}")
@@ -462,6 +467,24 @@ def complex_from_json(v, where):
     if not cmath.isfinite(c):
         raise InputError(f"{where}: non-finite number {c}")
     return c
+
+
+def real_from_json(v, where, integer=False):
+    """A JSON number as a finite float, or as an int when integer is set.
+
+    Strings, bools, null, lists and non-finite values are input errors.
+    """
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise InputError(f"{where} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    if integer:
+        return v
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{where}: non-finite number {x}")
+    return x
 
 
 def monomials(n, d) -> Iterable[tuple]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
-from .polyalg import Exponent, Polynomial, complex_from_json
+from .polyalg import Exponent, Polynomial, complex_from_json, real_from_json
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -97,8 +97,8 @@ class QuadricModel:
         for key in ("n", "A", "B"):
             if key not in doc:
                 raise InputError(f"model document missing field {key!r}")
-        n = doc["n"]
-        if not isinstance(n, int) or n < 1:
+        n = real_from_json(doc["n"], "model field 'n'", integer=True)
+        if n < 1:
             raise InputError(f"model field 'n' must be a positive integer, got {n!r}")
         A = _matrix_from_json(doc["A"], n, "A")
         B = _matrix_from_json(doc["B"], n, "B")

@@ -358,3 +358,85 @@ def test_cli_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["status"] == "Extended"
+
+
+# -- malformed scalars and oversized inputs ----------------------------------------------
+
+
+def _leaf_extend_doc(**changes):
+    doc = {
+        "model": model_doc([0.2]),
+        "data": {"builtin": "constant", "value": 1.0},
+        "r": 0.3,
+        "points": [{"re": 0.1, "im": 0.0}],
+    }
+    return {**doc, **changes}
+
+
+def _probe_doc(**ladder_changes):
+    return {
+        "family": {"kind": "radial", "power": 4},
+        "data": {"builtin": "sqrt-re-w"},
+        "ladder": {"start": 1e-4, "ratio": 2.0, "count": 8, **ladder_changes},
+    }
+
+
+def _check_doc(f=None, **changes):
+    f = f if f is not None else poly_doc(Polynomial.zbar(1) ** 3)
+    return {"model": model_doc([0.2]), "f": f, **changes}
+
+
+def _z_power(n, d):
+    return {"n": n, "terms": [{"alpha": [d] + [0] * (n - 1), "beta": [0] * n, "k": 0, "re": 1.0, "im": 0.0}]}
+
+
+MALFORMED = {
+    "value-string": ("leaf-extend", _leaf_extend_doc(data={"builtin": "constant", "value": "abc"}), None),
+    "value-nan": ("leaf-extend", _leaf_extend_doc(data={"builtin": "constant", "value": float("nan")}), None),
+    "r-string": ("leaf-extend", _leaf_extend_doc(r="abc"), None),
+    "r-list": ("leaf-extend", _leaf_extend_doc(r=[1]), None),
+    "r-infinity": ("leaf-extend", _leaf_extend_doc(r=float("inf")), None),
+    "r-bool": ("leaf-extend", _leaf_extend_doc(r=True), None),
+    "ladder-start-string": ("probe-degenerate", _probe_doc(start="abc"), None),
+    "ladder-count-string": ("probe-degenerate", _probe_doc(count="x"), None),
+    "ladder-count-huge": ("probe-degenerate", _probe_doc(count=10**9), None),
+    "ladder-overflow": ("probe-degenerate", _probe_doc(start=1.0, ratio=1e300), None),
+    "ladder-list-string": ("probe-degenerate", {**_probe_doc(), "ladder": ["a"]}, None),
+    "power-string": ("probe-degenerate", {**_probe_doc(), "family": {"kind": "radial", "power": "abc"}}, None),
+    "Lmax-string": ("check", _check_doc(Lmax="x"), None),
+    "Lmax-negative": ("check", _check_doc(Lmax=-1), None),
+    "Lmax-above-cap": ("check", _check_doc(Lmax=69), None),
+    "leaves-string": ("check", _check_doc(leaves=["x"]), None),
+    "leaves-empty": ("check", _check_doc(leaves=[]), None),
+    "leaf-ladder-empty": ("check", _check_doc(), {"leaf_ladder": []}),
+    "leaf-ladder-number": ("check", _check_doc(), {"leaf_ladder": 5}),
+    "tol-string": ("check", _check_doc(tol="x"), None),
+    "check-z^70": ("check", _check_doc(f=_z_power(1, 70)), None),
+    "check-z^1e8": ("check", _check_doc(f=_z_power(1, 10**8)), None),
+    "extend-z^1e8": ("extend", {"model": model_doc([0.2, 0.1]), "f": _z_power(2, 10**8)}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_scalar_is_input_error(tmp_path, capsys, name):
+    command, doc_in, config = MALFORMED[name]
+    argv = [command, write_json(tmp_path / "in.json", doc_in)]
+    if config is not None:
+        argv += ["--config", write_json(tmp_path / "cfg.json", config)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("crextend: input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"n": ' + "1" * 5000 + "}"])
+def test_cli_unparseable_json_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 2 and out == "" and "malformed JSON" in err
+
+
+def test_cli_check_default_run_fails_where_empty_inputs_passed(tmp_path, capsys):
+    # zbar^3 at lambda = 0.2 is not extendible; empty leaves or Lmax = -1 used to pass it
+    code, out, _ = run(capsys, ["check", write_json(tmp_path / "in.json", _check_doc())])
+    assert code == 0 and json.loads(out)["passed"] is False

@@ -10,6 +10,7 @@ from conftest import (
     random_polynomial,
     random_unit_vector,
 )
+from crextend.polyalg import Exponent, monomials
 from crextend import (
     InputError,
     NotElliptic,
@@ -282,3 +283,74 @@ def test_verify_extension_matches_loop_reference():
             assert ref > 1e-8  # the perturbation is seen
             assert verify_extension(P, f, m, samples=50, seed=seed) == pytest.approx(ref, rel=1e-10)
     assert verify_extension(P, f, m, samples=0) == 0.0
+
+
+def reference_graded_solve(f, model, tol=1e-9):
+    """The graded solve with every column built as monomial(alpha) * Q**k and P summed per degree.
+
+    Returns (P or None, [(degree, residual, condition), ...]).
+    """
+    Q = q_polynomial(model)
+    n = f.n
+    threshold = tol * (1.0 + f.max_coeff())
+    P, reports = Polynomial.zero(n), []
+    for d in range(f.degree() + 1):
+        fd = f.homogeneous_part(d)
+        if fd.is_zero():
+            continue
+        basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
+        images = [mono(n, alpha) * Q**k for alpha, k in basis]
+        row_index = {}
+        for img in images:
+            for e in img.terms:
+                row_index.setdefault(e, len(row_index))
+        for e, _ in fd.sorted_terms():
+            row_index.setdefault(e, len(row_index))
+        M = np.zeros((len(row_index), len(basis)), dtype=complex)
+        for col, img in enumerate(images):
+            for e, c in img.terms.items():
+                M[row_index[e], col] = c
+        b = np.zeros(len(row_index), dtype=complex)
+        for e, c in fd.terms.items():
+            b[row_index[e]] = c
+        x, _, _, sv = np.linalg.lstsq(M, b, rcond=None)
+        residual = float(np.linalg.norm(M @ x - b))
+        reports.append((d, residual, float(sv[0] / sv[-1])))
+        if residual >= threshold:
+            return None, reports
+        P = P + Polynomial(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
+    return P, reports
+
+
+def test_extend_general_bit_identical_to_column_reference():
+    rng = np.random.default_rng(43)
+    statuses = set()
+    for n in (1, 2, 3):
+        for i in range(4):
+            lambdas = random_lambdas(rng, n)
+            # odd i: A = 2I is not normal form, so no named certificate is looked for
+            m = normal_form_model(lambdas) if i % 2 == 0 else QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas))
+            f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
+            if i >= 2:
+                f = f + 1e-3 * random_polynomial(rng, n, 4)
+            res = extend_general(f, m)
+            ref_P, ref_reports = reference_graded_solve(f, m)
+            statuses.add(res.status)
+            assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
+            if ref_P is None:
+                assert res.P is None
+            else:
+                assert list(res.P.terms.items()) == list(ref_P.terms.items())
+    assert statuses == {"Extended", "NotExtendible"}
+
+
+def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
+    # n = 3, degree 14, obstruction at degree 2: only Q^1 = Q^0 * Q may be built
+    m = QuadricModel(A=2 * np.eye(3), B=np.diag([0.1, 0.2, 0.3]))
+    f = mono(3, (14, 0, 0)) + mono(3, (0, 0, 0), (2, 0, 0))
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(other) or mul(self, other))
+    res = extend_general(f, m)
+    assert res.status == "NotExtendible" and res.certificate.degree == 2
+    assert calls == [q_polynomial(m)]

@@ -167,6 +167,26 @@ def test_substitute_w_rejects_w_in_replacement():
         Polynomial.w(1).substitute_w(Polynomial.w(1))
 
 
+def test_substitute_w_matches_term_by_term_reference():
+    # reference: the sum over terms of c z^alpha zbar^beta * q**k, one Polynomial each;
+    # the sums run in another order, so agreement is to 1e-12 of the largest coefficient
+    rng = np.random.default_rng(41)
+    top_k = 0
+    for n in (1, 2, 3):
+        for _ in range(8):
+            p = random_polynomial(rng, n, 8, nterms=10, with_w=True)
+            q = random_polynomial(rng, n, 2)
+            ref = Polynomial.zero(n)
+            for e, c in p.terms.items():
+                ref = ref + Polynomial.monomial(n, e.alpha, e.beta, 0, c) * q**e.k
+                top_k = max(top_k, e.k)
+            s = p.substitute_w(q)
+            tol = 1e-12 * ref.max_coeff()
+            for e in set(s.terms) | set(ref.terms):
+                assert abs(s.coefficient(e) - ref.coefficient(e)) <= tol
+    assert top_k == 4
+
+
 # -- homogeneous parts ----------------------------------------------------------
 
 
