@@ -1,10 +1,15 @@
 """Command line front end.
 
-Subcommands: classify, extend, check, leaf-extend, probe-degenerate.
-Inputs are JSON documents (path or '-' for stdin); reports are JSON with
-the effective run configuration embedded.  Exit codes: 0 for any
+One parser: `crextend COMMAND INPUT [options]`, where COMMAND is one of
+classify, extend, check, leaf-extend, probe-degenerate and every command
+takes the same options, before or after its name.  INPUT is a JSON
+document (path or '-' for stdin), read once by `main`.  Each command maps
+the document and the run configuration to its own report fields; `main`
+prepends the envelope {"command", "config"}.  The fields of `RunConfig`
+are the only list of configuration names.  Exit codes: 0 for any
 completed run (including NotExtendible or failed-check verdicts), 2 for
-input validation problems, 3 for numerical failures.
+input validation problems, 3 for numerical failures (including numpy's
+LinAlgError and float overflow).
 
 Output is byte-deterministic: given the same input and seed, the report
 is identical.  Floats are printed with 17 significant digits.
@@ -16,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -82,7 +87,7 @@ class RunConfig:
     tol_moment: float = 1e-8
     tol_leaf: float = 1e-12
     grid_n: int = 512
-    leaf_ladder: tuple | None = None
+    leaf_ladder: list | None = None
     seed: int = 0
     out: str | None = None
 
@@ -96,51 +101,32 @@ class RunConfig:
             raise InputError(
                 f"config grid_n must be a power of two in [{GRID_MIN}, {GRID_MAX}], got {N!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        if not 0 <= real_from_json(self.seed, "config seed", integer=True) < 2**64:
             raise InputError(f"config seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise InputError(f"config out must be a path string, got {self.out!r}")
         if self.leaf_ladder is not None:
             if not all(r > 0 for r in _number_list(self.leaf_ladder, "config leaf_ladder")):
                 raise InputError("config leaf_ladder must contain positive numbers")
         return self
 
     def to_json_dict(self):
-        return {
-            "tol_extend": self.tol_extend,
-            "tol_moment": self.tol_moment,
-            "tol_leaf": self.tol_leaf,
-            "grid_n": self.grid_n,
-            "leaf_ladder": list(self.leaf_ladder) if self.leaf_ladder is not None else None,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
+    names = {f.name for f in fields(RunConfig)}
     if args.config is not None:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise InputError("config file must contain a JSON object")
-        known = {"tol_extend", "tol_moment", "tol_leaf", "grid_n", "leaf_ladder", "seed", "out"}
-        unknown = set(doc) - known
+        unknown = set(doc) - names
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(doc.get("leaf_ladder"), list):
-            doc = dict(doc, leaf_ladder=tuple(doc["leaf_ladder"]))
         cfg = replace(cfg, **doc)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tol_extend is not None:
-        overrides["tol_extend"] = args.tol_extend
-    if args.tol_moment is not None:
-        overrides["tol_moment"] = args.tol_moment
-    if args.grid_n is not None:
-        overrides["grid_n"] = args.grid_n
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return replace(cfg, **flags).validate()
 
 
 # -- input parsing -----------------------------------------------------------
@@ -209,16 +195,17 @@ def _parse_ladder(doc):
     raise InputError("ladder: expected a list of levels or {start, ratio, count}")
 
 
-# -- subcommands -------------------------------------------------------------
+# -- commands ----------------------------------------------------------------
+# Each command maps the input document and the run configuration to its own
+# report fields; its docstring is its line in `crextend --help`.
 
 
-def _cmd_classify(args, cfg: RunConfig):
-    model = quadform.QuadricModel.from_json_dict(_read_json(args.input))
+def _cmd_classify(doc, cfg: RunConfig):
+    """classify a quadric model and compute its Bishop normal form"""
+    model = quadform.QuadricModel.from_json_dict(doc)
     result = quadform.classify(model)
     nf = result.normal_form
     return {
-        "command": "classify",
-        "config": cfg.to_json_dict(),
         "classification": result.classification,
         "elliptic_oracle": quadform.ellipticity_oracle(model),
         "nondegenerate": result.nondegeneracy.ok,
@@ -232,36 +219,17 @@ def _cmd_classify(args, cfg: RunConfig):
     }
 
 
-def _certificate_dict(cert):
-    if cert is None:
-        return None
-    detail = {}
-    for key, value in cert.detail.items():
-        if isinstance(value, tuple):
-            detail[key] = list(value)
-        else:
-            detail[key] = value
-    return {
-        "degree": cert.degree,
-        "residual": cert.residual,
-        "condition": cert.condition,
-        "detail": detail,
-    }
-
-
-def _cmd_extend(args, cfg: RunConfig):
-    doc = _read_json(args.input)
+def _cmd_extend(doc, cfg: RunConfig):
+    """holomorphic polynomial extension of boundary data"""
     model = quadform.QuadricModel.from_json_dict(_require(doc, "model", "extend input"))
     f = Polynomial.from_json_dict(_require(doc, "f", "extend input"))
     result = extend_mod.extend_general(f, model, tol=cfg.tol_extend)
     report = {
-        "command": "extend",
-        "config": cfg.to_json_dict(),
         "status": result.status,
         "P": result.P.to_json_dict() if result.P is not None else None,
         "P_pretty": result.P.pretty() if result.P is not None else None,
         "residual": result.residual,
-        "certificate": _certificate_dict(result.certificate),
+        "certificate": asdict(result.certificate) if result.certificate is not None else None,
         "degrees": [
             {
                 "degree": r.degree,
@@ -278,8 +246,8 @@ def _cmd_extend(args, cfg: RunConfig):
     return report
 
 
-def _cmd_check(args, cfg: RunConfig):
-    doc = _read_json(args.input)
+def _cmd_check(doc, cfg: RunConfig):
+    """moment conditions (n = 1) or CR field check (n >= 2)"""
     model = quadform.QuadricModel.from_json_dict(_require(doc, "model", "check input"))
     f = Polynomial.from_json_dict(_require(doc, "f", "check input"))
     if model.n == 1:
@@ -295,13 +263,9 @@ def _cmd_check(args, cfg: RunConfig):
         report = moments.check_moments(
             f, model, leaves=leaves, Lmax=Lmax, tol=tol, N=cfg.grid_n, leaf_tol=cfg.tol_leaf
         )
-        out = report.to_json_dict()
-        out = {"command": "check", "config": cfg.to_json_dict(), "mode": "moments", **out}
-        return out
+        return {"mode": "moments", **report.to_json_dict()}
     violations = moments.cr_check(f, model)
     return {
-        "command": "check",
-        "config": cfg.to_json_dict(),
         "mode": "cr-fields",
         "passed": not violations,
         "violations": [
@@ -315,8 +279,8 @@ def _cmd_check(args, cfg: RunConfig):
     }
 
 
-def _cmd_leaf_extend(args, cfg: RunConfig):
-    doc = _read_json(args.input)
+def _cmd_leaf_extend(doc, cfg: RunConfig):
+    """Cauchy extension of boundary data on one hull leaf"""
     model = quadform.QuadricModel.from_json_dict(_require(doc, "model", "leaf-extend input"))
     data = _parse_boundary_data(_require(doc, "data", "leaf-extend input"))
     r = real_from_json(_require(doc, "r", "leaf-extend input"), "leaf-extend input 'r'")
@@ -327,8 +291,6 @@ def _cmd_leaf_extend(args, cfg: RunConfig):
     leaf = moments.solve_leaf(model, r, N=cfg.grid_n, tol=cfg.tol_leaf)
     ext = leafcauchy.cauchy_extend(data, leaf, points)
     return {
-        "command": "leaf-extend",
-        "config": cfg.to_json_dict(),
         "r": r,
         "level": leaf.level,
         "data": data.description,
@@ -337,8 +299,8 @@ def _cmd_leaf_extend(args, cfg: RunConfig):
     }
 
 
-def _cmd_probe_degenerate(args, cfg: RunConfig):
-    doc = _read_json(args.input)
+def _cmd_probe_degenerate(doc, cfg: RunConfig):
+    """growth exponent of the transverse derivative at the singularity"""
     family_doc = _require(doc, "family", "probe-degenerate input")
     kind = _require(family_doc, "kind", "family")
     if kind == "quadric":
@@ -355,8 +317,6 @@ def _cmd_probe_degenerate(args, cfg: RunConfig):
     ladder = _parse_ladder(_require(doc, "ladder", "probe-degenerate input"))
     report = leafcauchy.normal_derivative_probe(data, family, ladder)
     return {
-        "command": "probe-degenerate",
-        "config": cfg.to_json_dict(),
         "family": kind,
         "data": data.description,
         "exponent": report.exponent,
@@ -381,36 +341,26 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Holomorphic extension at elliptic, holomorphically flat CR singularities.",
+        epilog="commands:\n" + "\n".join(f"  {name:18}{cmd.__doc__}" for name, cmd in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("classify", "classify a quadric model and compute its Bishop normal form"),
-        ("extend", "holomorphic polynomial extension of boundary data"),
-        ("check", "moment conditions (n = 1) or CR field check (n >= 2)"),
-        ("leaf-extend", "Cauchy extension of boundary data on one hull leaf"),
-        ("probe-degenerate", "growth exponent of the transverse derivative at the singularity"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="input JSON document (path or '-' for stdin)")
-        p.add_argument("--config", help="JSON file with run configuration defaults")
-        p.add_argument("--seed", type=int, help="seed for all sampling (default 0)")
-        p.add_argument("--tol-extend", type=float, dest="tol_extend", help="extension residual tolerance")
-        p.add_argument("--tol-moment", type=float, dest="tol_moment", help="moment modulus tolerance")
-        p.add_argument("--grid-n", type=int, dest="grid_n", help="theta grid size (power of two in [64, 4096])")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-    return parser
-
-
-def main(argv=None):
-    parser = _build_parser()
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="the command to run (listed below)")
+    parser.add_argument("input", help="input JSON document (path or '-' for stdin)")
+    parser.add_argument("--config", help="JSON file with run configuration defaults")
+    parser.add_argument("--seed", type=int, help="seed for all sampling (default 0)")
+    parser.add_argument("--tol-extend", type=float, help="extension residual tolerance")
+    parser.add_argument("--tol-moment", type=float, help="moment modulus tolerance")
+    parser.add_argument("--grid-n", type=int, help="theta grid size (power of two in [64, 4096])")
+    parser.add_argument("--out", help="write the report to this path instead of stdout")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        report = _COMMANDS[args.command](args, cfg)
+        doc = _read_json(args.input)
+        report = {"command": args.command, "config": cfg.to_json_dict(), **_COMMANDS[args.command](doc, cfg)}
         text = dumps_canonical(report) + "\n"
         if cfg.out is not None:
             with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -421,7 +371,7 @@ def main(argv=None):
     except InputError as exc:
         sys.stderr.write(f"{PROG}: input error: {exc}\n")
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError, OverflowError) as exc:
         sys.stderr.write(f"{PROG}: numerical failure: {exc}\n")
         return 3
 

@@ -12,6 +12,7 @@ the structural obstruction behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_p
 DEFAULT_EXTEND_TOL = 1e-9
 CONDITIONING_WARN_FLOOR = 1e-11
 INVOLUTION_TOL = 1e-10
+# Largest graded block extend_general forms, in entries (rows x columns):
+# 2**24 complex entries are 256 MiB.  n = 3, degree 16 (20349 x 525) fits.
+MAX_GRADED_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,9 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     k <= d // 2 is first solved.  The solve is rank revealing (SVD) and the
     per-degree condition number is reported.  Failure threshold for the
     graded residual is tol * (1 + max |coeff f|); residuals inside
-    (1e-11, tol) of that scale pass with a conditioning warning.
+    (1e-11, tol) of that scale pass with a conditioning warning.  A degree
+    whose block could exceed MAX_GRADED_ENTRIES is refused (InputError)
+    before any Q power for it is formed.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -209,6 +215,14 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
         fd = f.homogeneous_part(d)
         if fd.is_zero():
             continue
+        # Counted, not enumerated: at n = 10, degree 40 the basis alone has 10^9 entries.
+        rows = comb(d + 2 * n - 1, 2 * n - 1)
+        cols = sum(comb(d - 2 * k + n - 1, n - 1) for k in range(d // 2 + 1))
+        if rows * cols > MAX_GRADED_ENTRIES:
+            raise InputError(
+                f"extend_general: the degree-{d} block at n = {n} has up to {rows} x {cols} "
+                f"entries, more than {MAX_GRADED_ENTRIES}"
+            )
         while len(qpowers) <= d // 2:
             qpowers.append(qpowers[-1] * Q)
         basis = _graded_basis(n, d)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crextend import Polynomial, normal_form_model
-from crextend.cli import dumps_canonical, main
+from crextend.cli import _COMMANDS, dumps_canonical, main
 
 
 def write_json(path, doc):
@@ -127,6 +127,15 @@ def test_cli_extend_deterministic_bytes(tmp_path, capsys):
     assert json.loads(out3)["verify"]["seed"] == 8
 
 
+def test_cli_options_before_or_after_command(tmp_path, capsys):
+    f = Polynomial.z(1) * Polynomial.zbar(1)
+    path = write_json(tmp_path / "in.json", {"model": model_doc([0.0]), "f": poly_doc(f)})
+    code1, out1, _ = run(capsys, ["--seed", "3", "extend", path])
+    code2, out2, _ = run(capsys, ["extend", path, "--seed", "3"])
+    assert code1 == code2 == 0 and out1 == out2
+    assert json.loads(out1)["verify"]["seed"] == 3
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -240,6 +249,19 @@ def test_cli_probe_degenerate_quadric(tmp_path, capsys):
 # -- errors and configuration ----------------------------------------------------------
 
 
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert len(_COMMANDS) == 5
+    for name, cmd in _COMMANDS.items():
+        assert cmd.__doc__ and f"  {name}" in text and cmd.__doc__ in text
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out == text
+
+
 def test_cli_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "A": [[}')
@@ -300,6 +322,30 @@ def test_cli_overflowing_report_is_numerical_failure(tmp_path, capsys, sign):
     code, out, err = run(capsys, ["extend", path])
     assert code == 3 and out == ""
     assert "non-finite" in err
+
+
+_HUGE = {"re": 1e308, "im": 0.0}
+NUMERICAL = {
+    # eigvalsh of the real form of a 1e308 model does not converge (LinAlgError)
+    "classify-1e308": (
+        "classify",
+        {"n": 2, "A": [[_HUGE, {"re": -1e308, "im": 0.0}], [{"re": -1e308, "im": 0.0}, _HUGE]], "B": [[_HUGE] * 2] * 2},
+    ),
+    # r ** (ell + 1) of a leaf at 1e9 overflows a Python float (OverflowError)
+    "check-leaf-1e9": (
+        "check",
+        {"model": model_doc([0.2]), "f": poly_doc(Polynomial.zbar(1) ** 3), "leaves": [1e9], "Lmax": 40},
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NUMERICAL))
+def test_cli_numpy_and_overflow_errors_are_numerical_failures(tmp_path, capsys, name):
+    command, doc_in = NUMERICAL[name]
+    code, out, err = run(capsys, [command, write_json(tmp_path / "in.json", doc_in)])
+    assert code == 3 and out == ""
+    assert err.startswith("crextend: numerical failure:") and "Traceback" not in err
 
 
 def test_cli_tol_leaf_gates_leaf_residual(tmp_path, capsys):
@@ -414,6 +460,16 @@ MALFORMED = {
     "check-z^70": ("check", _check_doc(f=_z_power(1, 70)), None),
     "check-z^1e8": ("check", _check_doc(f=_z_power(1, 10**8)), None),
     "extend-z^1e8": ("extend", {"model": model_doc([0.2, 0.1]), "f": _z_power(2, 10**8)}, None),
+    "extend-n10-zbar^40": (
+        "extend",
+        {"model": model_doc([0.1] * 10), "f": poly_doc(Polynomial.monomial(10, (0,) * 10, (40,) + (0,) * 9, 0))},
+        None,
+    ),
+    # refused before open(), which would take an integer as a file descriptor
+    "config-out-int": ("check", _check_doc(), {"out": 12345}),
+    "config-out-bool": ("check", _check_doc(), {"out": True}),
+    "config-out-list": ("check", _check_doc(), {"out": ["r.json"]}),
+    "config-seed-bool": ("check", _check_doc(), {"seed": True}),
 }
 
 

@@ -1,4 +1,4 @@
-"""Property test: a document with one scalar replaced ends in exit 0, 2 or 3, the same way twice."""
+"""Property test: a document or config file with one scalar replaced ends in exit 0, 2 or 3, the same way twice."""
 
 import contextlib
 import io
@@ -33,6 +33,11 @@ DOCUMENTS = {
     },
 }
 
+# A small config file, run with a check document that reads leaf_ladder, tol_moment,
+# tol_leaf and grid_n from it; `out` is left out, since a mutated path would write files.
+CONFIG = {"tol_extend": 1e-9, "tol_moment": 1e-8, "tol_leaf": 1e-12, "grid_n": 64, "leaf_ladder": [0.1, 0.2], "seed": 0}
+CONFIG_CHECK = {"model": MODEL, "f": F, "Lmax": 4}
+
 MUTATIONS = ["abc", True, False, None, [1], float("nan"), float("inf"), float("-inf"), 0, -1, 10**9]
 
 
@@ -55,6 +60,7 @@ def _replaced(doc, path, value):
 
 
 TARGETS = [(command, path) for command, doc in DOCUMENTS.items() for path in _scalar_paths(doc)]
+TARGETS += [("config", path) for path in _scalar_paths(CONFIG)]
 
 
 def _run(argv):
@@ -68,9 +74,15 @@ def _run(argv):
 @given(target=st.sampled_from(TARGETS), value=st.sampled_from(MUTATIONS))
 def test_mutated_scalar_ends_in_a_known_exit_code(tmp_path_factory, target, value):
     command, path = target
-    doc_path = tmp_path_factory.mktemp("doc") / "in.json"
-    doc_path.write_text(json.dumps(_replaced(DOCUMENTS[command], path, value)))
-    argv = [command, str(doc_path), "--grid-n", "64"]
+    tmp = tmp_path_factory.mktemp("doc")
+    doc_path = tmp / "in.json"
+    if command == "config":
+        doc_path.write_text(json.dumps(CONFIG_CHECK))
+        (tmp / "cfg.json").write_text(json.dumps(_replaced(CONFIG, path, value)))
+        argv = ["check", str(doc_path), "--config", str(tmp / "cfg.json")]
+    else:
+        doc_path.write_text(json.dumps(_replaced(DOCUMENTS[command], path, value)))
+        argv = [command, str(doc_path), "--grid-n", "64"]
     first = _run(argv)
     assert first[0] in (0, 2, 3)
     assert _run(argv) == first
