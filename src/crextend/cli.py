@@ -363,8 +363,11 @@ def main(argv=None):
         report = {"command": args.command, "config": cfg.to_json_dict(), **_COMMANDS[args.command](doc, cfg)}
         text = dumps_canonical(report) + "\n"
         if cfg.out is not None:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(cfg.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write the report to {cfg.out}: {exc.strerror or exc}") from exc
         else:
             sys.stdout.write(text)
         return 0

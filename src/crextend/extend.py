@@ -18,12 +18,18 @@ import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
 from .moments import cr_check
-from .polyalg import Exponent, Polynomial, monomials, term_sort_key
+from .polyalg import Polynomial, monomials, sorted_runs
 from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_polynomial
 
 DEFAULT_EXTEND_TOL = 1e-9
 CONDITIONING_WARN_FLOOR = 1e-11
 INVOLUTION_TOL = 1e-10
+# A solved coefficient of modulus below NOISE_ULPS * eps * cond * |x|_2 (a
+# margin over the forward error of the least-squares solve) is rounding
+# noise and is left out of P.  On benchmark-corpus and dense degree-16
+# inputs the noise stays below 16 of these units and true coefficients
+# exceed 4e8 of them.
+NOISE_ULPS = 256
 # Largest graded block extend_general forms, in entries (rows x columns):
 # 2**24 complex entries are 256 MiB.  n = 3, degree 16 (20349 x 525) fits.
 MAX_GRADED_ENTRIES = 2**24
@@ -88,11 +94,8 @@ def extend_lambda0(f: Polynomial) -> ExtensionResult:
             residual=residual,
             certificate=_monomial_certificate(d, residual, offending),
         )
-    terms = {}
-    for e, c in f.terms.items():
-        j, k = e.alpha[0], e.beta[0]
-        terms[Exponent((j - k,), (0,), k)] = c
-    P = Polynomial(1, terms)
+    j, k = f.exps[:, 0], f.exps[:, 1]
+    P = Polynomial.from_arrays(1, np.stack((j - k, np.zeros_like(j), k), axis=1), f.coeffs)
     rho = Polynomial.monomial(1, (1,), (1,), 0)
     residual = (P.substitute_w(rho) - f).max_coeff()
     return ExtensionResult(status="Extended", P=P, residual=residual)
@@ -130,12 +133,14 @@ def check_involution_invariance(f: Polynomial, lam):
 
 
 def _graded_basis(n, d):
-    """Holomorphic monomials z^alpha w^k of weighted degree |alpha| + 2k = d."""
-    basis = []
-    for k in range(d // 2, -1, -1):
-        for alpha in monomials(n, d - 2 * k):
-            basis.append((alpha, k))
-    return basis
+    """Rows alpha | 0 | k of the holomorphic monomials z^alpha w^k with |alpha| + 2k = d.
+
+    k runs from d // 2 down to 0 and alpha in monomials() order.
+    """
+    rows = [
+        (*alpha, *(0,) * n, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)
+    ]
+    return np.array(rows, dtype=np.int64)
 
 
 def _structural_certificate(f, model, degree, residual):
@@ -182,8 +187,12 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
     the degree-d part of f.  The column of z^alpha w^k is Q^k with every
     z-exponent raised by alpha; Q^k is computed once, when a degree d with
-    k <= d // 2 is first solved.  The solve is rank revealing (SVD) and the
-    per-degree condition number is reported.  Failure threshold for the
+    k <= d // 2 is first solved.  Each block is filled from Q^k's arrays by
+    broadcasting the basis exponents onto them, and its rows (the distinct
+    exponents met, in order of first appearance) come from one
+    polyalg.sorted_runs grouping.  The solve is rank revealing (SVD) and the
+    per-degree condition number is reported; solved coefficients below the
+    solve's own rounding noise (NOISE_ULPS) are left out of P.  Failure threshold for the
     graded residual is tol * (1 + max |coeff f|); residuals inside
     (1e-11, tol) of that scale pass with a conditioning warning.  A degree
     whose block could exceed MAX_GRADED_ENTRIES is refused (InputError)
@@ -204,44 +213,60 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
             f"extend_general: model is {verdict.classification}, not elliptic"
         )
     Q = q_polynomial(model)
+    # a real Q (every normal form) gives real blocks, solved in real
+    # arithmetic with Re f_d and Im f_d as two right-hand sides
+    dtype = complex if Q.coeffs.imag.any() else float
     scale = 1.0 + f.max_coeff()
     threshold = tol * scale
     n = f.n
 
+    # f has no w-terms, so its rows are sorted by total degree: one slice per degree
+    bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
     qpowers = [Polynomial.constant(n, 1.0)]
     reports = []
-    P_terms = {}
+    P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for d in range(f.degree() + 1):
-        fd = f.homogeneous_part(d)
-        if fd.is_zero():
+        lo, hi = bounds[d], bounds[d + 1]
+        if lo == hi:
             continue
         # Counted, not enumerated: at n = 10, degree 40 the basis alone has 10^9 entries.
-        rows = comb(d + 2 * n - 1, 2 * n - 1)
-        cols = sum(comb(d - 2 * k + n - 1, n - 1) for k in range(d // 2 + 1))
-        if rows * cols > MAX_GRADED_ENTRIES:
+        nrows = comb(d + 2 * n - 1, 2 * n - 1)
+        ncols = sum(comb(d - 2 * k + n - 1, n - 1) for k in range(d // 2 + 1))
+        if nrows * ncols > MAX_GRADED_ENTRIES:
             raise InputError(
-                f"extend_general: the degree-{d} block at n = {n} has up to {rows} x {cols} "
+                f"extend_general: the degree-{d} block at n = {n} has up to {nrows} x {ncols} "
                 f"entries, more than {MAX_GRADED_ENTRIES}"
             )
         while len(qpowers) <= d // 2:
             qpowers.append(qpowers[-1] * Q)
         basis = _graded_basis(n, d)
-        row_index = {}
-        rows, cols, vals = [], [], []
-        for col, (alpha, k) in enumerate(basis):
-            for e, c in qpowers[k].terms.items():
-                shifted = Exponent(tuple(a + b for a, b in zip(alpha, e.alpha)), e.beta, 0)
-                rows.append(row_index.setdefault(shifted, len(row_index)))
-                cols.append(col)
-                vals.append(c)
-        for e, _ in fd.sorted_terms():
-            row_index.setdefault(e, len(row_index))
-        M = np.zeros((len(row_index), len(basis)), dtype=complex)
-        M[rows, cols] = vals
-        b = np.zeros(len(row_index), dtype=complex)
-        for e, c in fd.terms.items():
-            b[row_index[e]] = c
-        x, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
+        # the entries of column z^alpha w^k: Q^k's rows plus alpha, Q^k's coefficients
+        shifted, cols, vals = [], [], []
+        for k in range(d // 2, -1, -1):
+            Qk = qpowers[k]
+            in_k = np.flatnonzero(basis[:, -1] == k)
+            alphas = basis[in_k]
+            alphas[:, -1] = 0
+            shifted.append((alphas[:, None, :] + Qk.exps[None, :, :]).reshape(-1, 2 * n + 1))
+            cols.append(np.repeat(in_k, len(Qk.coeffs)))
+            vals.append(np.tile(Qk.coeffs if dtype is complex else Qk.coeffs.real, len(in_k)))
+        # one row per distinct exponent, numbered in order of first appearance,
+        # f_d's own exponents last
+        entries = np.concatenate(shifted + [f.exps[lo:hi]])
+        order, starts = sorted_runs(entries)
+        first_seen = np.empty(len(starts), dtype=np.int64)
+        first_seen[np.argsort(order[starts])] = np.arange(len(starts))
+        row_of = np.empty(len(entries), dtype=np.int64)
+        row_of[order] = np.repeat(first_seen, np.diff(np.append(starts, len(entries))))
+        nnz = len(entries) - (hi - lo)
+        M = np.zeros((len(starts), len(basis)), dtype=dtype)
+        M[row_of[:nnz], np.concatenate(cols)] = np.concatenate(vals)
+        b = np.zeros(len(starts), dtype=complex)
+        b[row_of[nnz:]] = f.coeffs[lo:hi]
+        rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
+        x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
+        if dtype is float:
+            x = x[:, 0] + 1j * x[:, 1]
         residual = float(np.linalg.norm(M @ x - b))
         condition = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
         warning = None
@@ -264,9 +289,10 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
         reports.append(
             DegreeReport(degree=d, residual=residual, condition=condition, warning=warning)
         )
-        for (alpha, k), coeff in zip(basis, x):
-            P_terms[Exponent(alpha, (0,) * n, k)] = coeff
-    P = Polynomial(n, P_terms)
+        noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
+        P_exps.append(basis)
+        P_coeffs.append(np.where(np.abs(x) < noise, 0, x))
+    P = Polynomial.from_arrays(n, np.concatenate(P_exps), np.concatenate(P_coeffs))
     final_residual = (P.substitute_w(Q) - f).max_coeff()
     return ExtensionResult(
         status="Extended",
@@ -294,21 +320,16 @@ def restrict_to_plane(P: Polynomial, v) -> Polynomial:
 
 def _restrict(p: Polynomial, v, rotation=0.0):
     """p(xi v, conj(xi v), w) with xi = exp(i rotation) * eta, as a polynomial in (eta, w)."""
-    vb = np.conj(v)
-    terms = {}
-    for e, c in p.terms.items():
-        factor = c
-        for j, a in enumerate(e.alpha):
-            if a:
-                factor *= v[j] ** a
-        for j, b in enumerate(e.beta):
-            if b:
-                factor *= vb[j] ** b
-        ja, kb = sum(e.alpha), sum(e.beta)
-        factor *= np.exp(1j * rotation * (ja - kb))
-        key = Exponent((ja,), (kb,), e.k)
-        terms[key] = terms.get(key, 0.0) + factor
-    return Polynomial(1, terms)
+    n = p.n
+    alpha, beta, k = p.exps[:, :n], p.exps[:, n : 2 * n], p.exps[:, -1]
+    ja, kb = alpha.sum(axis=1), beta.sum(axis=1)
+    factor = (
+        p.coeffs
+        * np.prod(v**alpha, axis=1)
+        * np.prod(np.conj(v) ** beta, axis=1)
+        * np.exp(1j * rotation * (ja - kb))
+    )
+    return Polynomial.from_arrays(1, np.stack((ja, kb, k), axis=1), factor)
 
 
 def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, tol=DEFAULT_EXTEND_TOL):
@@ -346,12 +367,8 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
         if not result.extended:
             return float("inf")
         expected = restrict_to_plane(P, v)
-        rotated = Polynomial(
-            1,
-            {
-                e: c * np.exp(1j * rotation * e.alpha[0])
-                for e, c in expected.terms.items()
-            },
+        rotated = Polynomial.from_arrays(
+            1, expected.exps, expected.coeffs * np.exp(1j * rotation * expected.exps[:, 0])
         )
         dev = (result.P - rotated).max_coeff()
         max_dev = max(max_dev, dev)

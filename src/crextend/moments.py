@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, LeafSolveError, NotElliptic
+from .errors import InputError, LeafSolveError, NotElliptic, NumericalError
 from .polyalg import DEGREE_CAP, Polynomial
 from .quadform import QuadricModel, default_radii, is_normal_form, q_polynomial
 
@@ -177,7 +177,13 @@ def _moment_from_values(fvals, leaf, ell):
         * (leaf.phi_theta + 1j * leaf.phi)
         * np.exp(1j * (ell + 1) * leaf.theta)
     )
-    return complex(leaf.r ** (ell + 1) * (2 * np.pi / leaf.N) * np.sum(integrand))
+    try:
+        scale = leaf.r ** (ell + 1)
+    except OverflowError as exc:
+        raise NumericalError(
+            f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
+        ) from exc
+    return complex(scale * (2 * np.pi / leaf.N) * np.sum(integrand))
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,9 @@ def check_moments(
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
     that a pass always rests on some moments.  Passes iff every moment
-    modulus is below tol; leaf_tol is solve_leaf's residual tolerance.
+    modulus is below tol; leaf_tol is solve_leaf's residual tolerance.  A
+    moment whose scale r^(ell + 1) overflows is a NumericalError naming r
+    and ell.
     """
     if Lmax is None:
         Lmax = max(f.degree(), 0) + 4

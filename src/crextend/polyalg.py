@@ -1,20 +1,37 @@
-"""Sparse polynomial arithmetic in z_1..z_n, zbar_1..zbar_n and w.
+"""Sparse polynomials in z_1..z_n, zbar_1..zbar_n and w, stored as two arrays.
 
-Terms are keyed by an exponent triple (alpha, beta, k) meaning
-z^alpha * zbar^beta * w^k, with complex double coefficients.  zbar is
-treated as an independent symbol during arithmetic; evaluate() plugs in
-the actual conjugate.  All operations are pure: they return new
-Polynomial objects and never mutate their arguments.
+A Polynomial holds ``exps``, an int64 matrix of shape (m, 2n + 1) whose row
+alpha | beta | k is the term z^alpha * zbar^beta * w^k, and ``coeffs``, the
+m complex double coefficients of those rows.  zbar is an independent symbol
+during arithmetic; evaluate() plugs in the actual conjugate.  Both arrays
+are read-only and canonical: the rows are distinct and sorted by
+term_sort_key (weighted degree, then alpha, beta and k lexicographically),
+and no coefficient has modulus below ZERO_THRESHOLD, so "is zero" means
+"has no rows" and equal polynomials have equal arrays.  ``terms`` is a
+read-only Exponent -> complex view of the rows in that order.
 
-Coefficients with modulus below ZERO_THRESHOLD are pruned after every
-arithmetic operation, so "is zero" means "has no stored terms".
+Every operation that can reorder rows or make two rows equal (sums,
+products, substitution, conjugation, construction) ends in one merge: a
+stable sort of the rows into term_sort_key order, a sum over each run of
+equal rows (np.add.reduceat, in the order the rows were produced), and
+pruning of the sums below ZERO_THRESHOLD.  The sort is one np.lexsort
+keyed on the weighted degree, then the columns.  Operations that keep the
+rows distinct and in order (negation, scalar multiples, derivatives,
+homogeneous parts) only prune.  A zero real or imaginary part is stored as
++0.0, never -0.0.
+
+A product allocates one row per pair of terms, so __mul__ and substitute_w
+refuse (InputError) a product of more than MAX_TERM_PAIRS pairs before
+allocating it, and from_json_dict refuses a document of more than MAX_TERMS
+terms.  All operations are pure: they return new Polynomial objects.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,6 +39,12 @@ from .errors import InputError
 
 ZERO_THRESHOLD = 1e-14
 DEGREE_CAP = 64
+# Largest term list from_json_dict reads.
+MAX_TERMS = 2**16
+# Largest product (pairs of terms) __mul__ and substitute_w form: at n = 3 a
+# pair takes 72 bytes of exponents and coefficient, 2**22 pairs about 300 MB,
+# the size of extend.MAX_GRADED_ENTRIES complex entries.
+MAX_TERM_PAIRS = 2**22
 
 
 class Exponent(NamedTuple):
@@ -54,39 +77,129 @@ def _as_exponent(n, alpha, beta, k):
 
 
 def term_sort_key(e: Exponent):
-    """Graded lexicographic order used for serialization and display."""
+    """Graded lexicographic order used for storage, serialization and display."""
     return (e.weighted_degree(), e.alpha, e.beta, e.k)
+
+
+def sorted_runs(exps):
+    """(order, starts): a stable sort of the rows into term_sort_key order and
+    the position in it of the first row of each run of equal rows."""
+    wdeg = exps.sum(axis=1) + exps[:, -1]
+    order = np.lexsort(np.vstack((exps[:, ::-1].T, wdeg)))
+    rows = exps[order]
+    new = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, np.flatnonzero(np.concatenate(([True], new)))
+
+
+def _prune(exps, coeffs):
+    """Drop coefficients below ZERO_THRESHOLD; turn -0.0 parts into +0.0."""
+    coeffs = coeffs + 0.0
+    keep = np.abs(coeffs) >= ZERO_THRESHOLD
+    if not keep.all():
+        exps, coeffs = exps[keep], coeffs[keep]
+    return exps, coeffs
+
+
+def _merge(exps, coeffs):
+    """Canonical arrays of the sum of the rows: sorted, equal rows summed, pruned."""
+    if len(coeffs) > 1:
+        order, starts = sorted_runs(exps)
+        coeffs = np.add.reduceat(coeffs[order], starts)
+        exps = exps[order[starts]]
+    return _prune(exps, coeffs)
+
+
+def _check_pairs(pairs, what):
+    if pairs > MAX_TERM_PAIRS:
+        raise InputError(f"{what} has {pairs} pairs of terms, more than {MAX_TERM_PAIRS}")
+
+
+class _TermView(Mapping):
+    """Read-only Exponent -> complex view of a Polynomial's rows, in term_sort_key order.
+
+    len() reads the row count; the first lookup or iteration builds the dict.
+    """
+
+    __slots__ = ("_poly", "_dict")
+
+    def __init__(self, poly):
+        self._poly = poly
+        self._dict = None
+
+    def _items(self):
+        if self._dict is None:
+            p, n = self._poly, self._poly.n
+            self._dict = {
+                Exponent(tuple(row[:n]), tuple(row[n : 2 * n]), row[2 * n]): c
+                for row, c in zip(p.exps.tolist(), p.coeffs.tolist())
+            }
+        return self._dict
+
+    def __len__(self):
+        return len(self._poly.coeffs)
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+
+_setattr = object.__setattr__
 
 
 class Polynomial:
     """Immutable sparse polynomial in z, zbar and w over the complex doubles."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "exps", "coeffs", "_view")
 
     def __init__(self, n, terms=None):
         n = int(n)
         if n < 1:
             raise InputError(f"dimension n must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not isinstance(key, Exponent):
-                    key = _as_exponent(n, key[0], key[1], key[2])
-                elif len(key.alpha) != n or len(key.beta) != n:
-                    raise InputError("exponent length does not match dimension")
-                c = complex(coeff)
-                if abs(c) < ZERO_THRESHOLD:
-                    continue
-                clean[key] = clean.get(key, 0.0) + c
-                if abs(clean[key]) < ZERO_THRESHOLD:
-                    del clean[key]
-        object.__setattr__(self, "_terms", clean)
+        rows, values = [], []
+        for key, coeff in (terms or {}).items():
+            if not isinstance(key, Exponent):
+                key = _as_exponent(n, key[0], key[1], key[2])
+            elif len(key.alpha) != n or len(key.beta) != n:
+                raise InputError("exponent length does not match dimension")
+            rows.append((*key.alpha, *key.beta, key.k))
+            values.append(complex(coeff))
+        exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n + 1)
+        self._set(n, *_merge(exps, np.array(values, dtype=complex)))
+
+    def _set(self, n, exps, coeffs):
+        exps.setflags(write=False)
+        coeffs.setflags(write=False)
+        _setattr(self, "n", n)
+        _setattr(self, "exps", exps)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "_view", None)
+
+    @classmethod
+    def _wrap(cls, n, exps, coeffs):
+        """A Polynomial on arrays that are already canonical."""
+        p = object.__new__(cls)
+        p._set(n, exps, coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_arrays(cls, n, exps, coeffs):
+        """The sum of the terms coeffs[i] * (row i of exps), rows alpha | beta | k."""
+        exps = np.asarray(exps, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if exps.shape != (len(coeffs), 2 * n + 1):
+            raise InputError(
+                f"from_arrays: exponent rows of shape {exps.shape} for {len(coeffs)} terms, n = {n}"
+            )
+        if (exps < 0).any():
+            raise InputError("from_arrays: negative exponent")
+        return cls._wrap(n, *_merge(exps, coeffs))
 
     @classmethod
     def zero(cls, n):
@@ -120,61 +233,61 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponent, complex]:
-        return self._terms
+    def terms(self) -> Mapping:
+        if self._view is None:
+            _setattr(self, "_view", _TermView(self))
+        return self._view
 
     def coefficient(self, alpha, beta=None, k=0):
         if isinstance(alpha, Exponent):
-            return self._terms.get(alpha, 0.0)
+            return self.terms.get(alpha, 0.0)
         if beta is None:
             beta = (0,) * self.n
-        return self._terms.get(_as_exponent(self.n, alpha, beta, k), 0.0)
+        return self.terms.get(_as_exponent(self.n, alpha, beta, k), 0.0)
 
     def sorted_terms(self) -> Iterator[tuple]:
-        for e in sorted(self._terms, key=term_sort_key):
-            yield e, self._terms[e]
+        return iter(self.terms.items())
 
     def is_zero(self):
-        return not self._terms
+        return not len(self.coeffs)
 
     def degree(self):
         """Total degree (w counted once); -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(e.degree() for e in self._terms)
+        return int(self.exps.sum(axis=1).max()) if len(self.coeffs) else -1
 
     def weighted_degree(self):
-        if not self._terms:
-            return -1
-        return max(e.weighted_degree() for e in self._terms)
+        """Weighted degree of the last row, the largest in term_sort_key order."""
+        return int(self.exps[-1].sum() + self.exps[-1, -1]) if len(self.coeffs) else -1
 
     def max_coeff(self):
         """Largest coefficient modulus, 0 for the zero polynomial."""
-        if not self._terms:
-            return 0.0
-        return max(abs(c) for c in self._terms.values())
+        return float(np.abs(self.coeffs).max()) if len(self.coeffs) else 0.0
 
     def has_w_terms(self):
-        return any(e.k > 0 for e in self._terms)
+        return bool(self.exps[:, -1].any())
 
     def is_holomorphic(self):
         """True when no zbar appears (w-terms allowed)."""
-        return all(sum(e.beta) == 0 for e in self._terms)
+        return not self.exps[:, self.n : 2 * self.n].any()
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return (
+            self.n == other.n
+            and np.array_equal(self.exps, other.exps)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, self.exps.tobytes(), self.coeffs.tobytes()))
 
     def __repr__(self):
         return f"Polynomial(n={self.n}, {self.pretty()!r})"
 
     def pretty(self):
         """Deterministic human-readable form, e.g. 'z^2 w + 2 z'."""
-        if not self._terms:
+        if self.is_zero():
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -207,53 +320,46 @@ class Polynomial:
         if self.n != other.n:
             raise InputError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if isinstance(other, (int, float, complex)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Polynomial(self.n, out)
+        coeffs = other.coeffs if sign > 0 else -other.coeffs
+        exps = np.concatenate((self.exps, other.exps))
+        return Polynomial._wrap(self.n, *_merge(exps, np.concatenate((self.coeffs, coeffs))))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._wrap(self.n, *_prune(self.exps, -self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Polynomial.constant(self.n, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            c = complex(other)
-            return Polynomial(self.n, {e: c * v for e, v in self._terms.items()})
+            return Polynomial._wrap(self.n, *_prune(self.exps, self.coeffs * complex(other)))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_dim(other)
-        if self._terms and other._terms:
+        if len(self.coeffs) and len(other.coeffs):
             if self.degree() + other.degree() > DEGREE_CAP:
                 raise InputError(
                     f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}"
                 )
-        out = {}
-        n = self.n
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = Exponent(
-                    tuple(a + b for a, b in zip(e1.alpha, e2.alpha)),
-                    tuple(a + b for a, b in zip(e1.beta, e2.beta)),
-                    e1.k + e2.k,
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(n, out)
+            _check_pairs(len(self.coeffs) * len(other.coeffs), "product")
+        # one row per pair of terms, self's terms outermost
+        exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(-1, 2 * self.n + 1)
+        coeffs = np.multiply.outer(self.coeffs, other.coeffs).ravel()
+        return Polynomial._wrap(self.n, *_merge(exps, coeffs))
 
     __rmul__ = __mul__
 
@@ -276,10 +382,9 @@ class Polynomial:
         """
         if self.has_w_terms():
             raise InputError("conjugate: polynomial has w-terms")
-        return Polynomial(
-            self.n,
-            {Exponent(e.beta, e.alpha, 0): c.conjugate() for e, c in self._terms.items()},
-        )
+        n = self.n
+        exps = self.exps[:, np.r_[n : 2 * n, :n, 2 * n]]
+        return Polynomial._wrap(n, *_merge(exps, self.coeffs.conj()))
 
     def homogeneous_part(self, d, weighted=False):
         """Terms of exact degree d.
@@ -288,36 +393,42 @@ class Polynomial:
         weighted=True it is |alpha| + |beta| + 2k (deg w = 2).  Summing the
         parts over all d recovers the polynomial exactly.
         """
+        degrees = self.exps.sum(axis=1)
         if weighted:
-            picked = {e: c for e, c in self._terms.items() if e.weighted_degree() == d}
-        else:
-            picked = {e: c for e, c in self._terms.items() if e.degree() == d}
-        return Polynomial(self.n, picked)
+            degrees += self.exps[:, -1]
+        picked = degrees == d
+        return Polynomial._wrap(self.n, self.exps[picked], self.coeffs[picked])
 
     def substitute_w(self, q: "Polynomial"):
         """Replace w by the w-free polynomial q and expand.
 
-        Each q^k is built once; every product of a term c z^alpha zbar^beta w^k
-        with a term of q^k is summed into one dict at the shifted exponent.
+        Each q^k is built once; the terms with w^k are multiplied by q^k as
+        one block of pairs, and all blocks are merged at once.
         """
         self._require_same_dim(q)
         if q.has_w_terms():
             raise InputError("substitute_w: replacement polynomial contains w")
-        if self._terms:
+        n = self.n
+        k = self.exps[:, -1]
+        if len(k):
             qdeg = max(q.degree(), 0)
-            worst = max(e.degree() - e.k + e.k * qdeg for e in self._terms)
-            if worst > DEGREE_CAP:
+            if int((self.exps.sum(axis=1) + k * (qdeg - 1)).max()) > DEGREE_CAP:
                 raise InputError("substitute_w: expanded degree exceeds cap")
-        powers = [Polynomial.constant(self.n, 1.0)]
-        out = {}
-        for e, c in self._terms.items():
-            while len(powers) <= e.k:
-                powers.append(powers[-1] * q)
-            for e2, c2 in powers[e.k]._terms.items():
-                alpha = tuple(a + b for a, b in zip(e.alpha, e2.alpha))
-                key = Exponent(alpha, tuple(a + b for a, b in zip(e.beta, e2.beta)), 0)
-                out[key] = out.get(key, 0.0) + c * c2
-        return Polynomial(self.n, out)
+        powers = [Polynomial.constant(n, 1.0)]
+        while len(powers) <= (int(k.max()) if len(k) else 0):
+            powers.append(powers[-1] * q)
+        ks, counts = np.unique(k, return_counts=True)
+        ks, counts = ks.tolist(), counts.tolist()
+        _check_pairs(sum(c * len(powers[kk].coeffs) for kk, c in zip(ks, counts)), "substitute_w")
+        exps, coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
+        w_free = self.exps.copy()
+        w_free[:, -1] = 0
+        for kk in ks:
+            rows = k == kk
+            qk = powers[kk]
+            exps.append((w_free[rows][:, None, :] + qk.exps[None, :, :]).reshape(-1, 2 * n + 1))
+            coeffs.append(np.multiply.outer(self.coeffs[rows], qk.coeffs).ravel())
+        return Polynomial._wrap(n, *_merge(np.concatenate(exps), np.concatenate(coeffs)))
 
     def involution_pullback(self, lam):
         """Substitute zbar <- -z/lam - zbar (n = 1 only, lam > 0).
@@ -331,49 +442,33 @@ class Polynomial:
             raise InputError(f"involution_pullback: lambda must be positive, got {lam}")
         if self.has_w_terms():
             raise InputError("involution_pullback: polynomial has w-terms")
-        out = {}
-        for e, c in self._terms.items():
-            j, kk = e.alpha[0], e.beta[0]
-            # (-z/lam - zbar)^kk expanded binomially
-            for m in range(kk + 1):
-                coeff = c * math.comb(kk, m) * (-1.0) ** kk * lam ** (m - kk)
-                key = Exponent((j + kk - m,), (m,), 0)
-                out[key] = out.get(key, 0.0) + coeff
-        return Polynomial(1, out)
+        # (-z/lam - zbar)^kk expanded binomially: a term with zbar^kk gives kk + 1 terms, m = 0..kk
+        counts = self.exps[:, 1] + 1
+        term = np.repeat(np.arange(len(counts)), counts)
+        m = np.arange(len(term)) - np.repeat(np.cumsum(counts) - counts, counts)
+        j, kk = self.exps[term, 0], self.exps[term, 1]
+        binom = np.array([math.comb(a, b) for a, b in zip(kk.tolist(), m.tolist())], dtype=float)
+        coeffs = self.coeffs[term] * binom * (-1.0) ** kk * lam ** (m - kk)
+        exps = np.stack((j + kk - m, m, np.zeros_like(m)), axis=1)
+        return Polynomial._wrap(1, *_merge(exps, coeffs))
 
     def partial_derivative(self, var, index=0):
         """Formal partial derivative with respect to z_index, zbar_index or w.
 
         var is one of "z", "zbar", "w"; zbar is differentiated as an
-        independent symbol.
+        independent symbol.  Lowering one exponent of every row that has it
+        keeps the rows distinct and in order, so no merge is needed.
         """
         if var not in ("z", "zbar", "w"):
             raise InputError(f"partial_derivative: unknown symbol {var!r}")
         if var != "w" and not 0 <= index < self.n:
             raise InputError(f"partial_derivative: index {index} out of range for n={self.n}")
-        out = {}
-        for e, c in self._terms.items():
-            if var == "z":
-                m = e.alpha[index]
-                if m == 0:
-                    continue
-                alpha = list(e.alpha)
-                alpha[index] -= 1
-                key = Exponent(tuple(alpha), e.beta, e.k)
-            elif var == "zbar":
-                m = e.beta[index]
-                if m == 0:
-                    continue
-                beta = list(e.beta)
-                beta[index] -= 1
-                key = Exponent(e.alpha, tuple(beta), e.k)
-            else:
-                m = e.k
-                if m == 0:
-                    continue
-                key = Exponent(e.alpha, e.beta, e.k - 1)
-            out[key] = out.get(key, 0.0) + m * c
-        return Polynomial(self.n, out)
+        col = {"z": index, "zbar": self.n + index, "w": 2 * self.n}[var]
+        power = self.exps[:, col]
+        keep = power > 0
+        exps = self.exps[keep]
+        exps[:, col] -= 1
+        return Polynomial._wrap(self.n, *_prune(exps, power[keep] * self.coeffs[keep]))
 
     def evaluate(self, z, w=0.0):
         """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
@@ -382,42 +477,38 @@ class Polynomial:
         Returns a complex for one point, else an array.  Terms are summed one
         at a time as c * z^alpha * zbar^beta * w^k: no points x terms array.
         """
+        n = self.n
         z = np.asarray(z, dtype=complex)
-        if self.n == 1 and z.ndim == 0:
+        if n == 1 and z.ndim == 0:
             z = z[None]
-        if z.ndim == 0 or z.shape[-1] != self.n:
+        if z.ndim == 0 or z.shape[-1] != n:
             raise InputError(
-                f"evaluate: expected points with {self.n} coordinates, got shape {z.shape}"
+                f"evaluate: expected points with {n} coordinates, got shape {z.shape}"
             )
         zb = np.conj(z)
         w = np.asarray(w, dtype=complex)
         total = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape), dtype=complex)
-        for e, c in self._terms.items():
+        for row, c in zip(self.exps.tolist(), self.coeffs.tolist()):
             val = c
-            for j in range(self.n):
-                if e.alpha[j]:
-                    val = val * z[..., j] ** e.alpha[j]
-                if e.beta[j]:
-                    val = val * zb[..., j] ** e.beta[j]
-            if e.k:
-                val = val * w**e.k
+            for j in range(n):
+                if row[j]:
+                    val = val * z[..., j] ** row[j]
+                if row[n + j]:
+                    val = val * zb[..., j] ** row[n + j]
+            if row[-1]:
+                val = val * w ** row[-1]
             total = total + val
         return complex(total) if total.ndim == 0 else total
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self):
+        n = self.n
         return {
-            "n": self.n,
+            "n": n,
             "terms": [
-                {
-                    "alpha": list(e.alpha),
-                    "beta": list(e.beta),
-                    "k": e.k,
-                    "re": c.real,
-                    "im": c.imag,
-                }
-                for e, c in self.sorted_terms()
+                {"alpha": row[:n], "beta": row[n : 2 * n], "k": row[-1], "re": c.real, "im": c.imag}
+                for row, c in zip(self.exps.tolist(), self.coeffs.tolist())
             ],
         }
 
@@ -433,27 +524,44 @@ class Polynomial:
             raise InputError(f"polynomial field 'n' must be a positive integer, got {n!r}")
         if not isinstance(doc["terms"], list):
             raise InputError("polynomial field 'terms' must be a list")
-        terms = {}
+        if len(doc["terms"]) > MAX_TERMS:
+            raise InputError(f"polynomial has {len(doc['terms'])} terms, more than {MAX_TERMS}")
+        rows, values = [], []
         for i, t in enumerate(doc["terms"]):
             if not isinstance(t, dict):
                 raise InputError(f"terms[{i}] must be an object")
             for field in ("alpha", "beta", "k", "re", "im"):
                 if field not in t:
                     raise InputError(f"terms[{i}] missing field {field!r}")
-            if not isinstance(t["alpha"], list) or not isinstance(t["beta"], list):
+            alpha, beta, k = t["alpha"], t["beta"], t["k"]
+            if not isinstance(alpha, list) or not isinstance(beta, list):
                 raise InputError(f"terms[{i}]: alpha and beta must be lists")
-            if not all(isinstance(a, int) for a in t["alpha"] + t["beta"]):
+            if not all(isinstance(a, int) for a in alpha + beta):
                 raise InputError(f"terms[{i}]: exponents must be integers")
-            if not isinstance(t["k"], int):
+            if not isinstance(k, int):
                 raise InputError(f"terms[{i}]: k must be an integer")
-            e = _as_exponent(n, t["alpha"], t["beta"], t["k"])
-            if e.degree() > DEGREE_CAP:
-                raise InputError(f"terms[{i}]: degree {e.degree()} exceeds cap {DEGREE_CAP}")
-            c = complex_from_json(t, f"terms[{i}]")
-            if e in terms:
-                raise InputError(f"terms[{i}]: duplicate exponent {tuple(e)}")
-            terms[e] = c
-        return cls(n, terms)
+            if len(alpha) != n or len(beta) != n:
+                raise InputError(
+                    f"exponent vectors must have length n={n}, got {len(alpha)} and {len(beta)}"
+                )
+            row = [*alpha, *beta, k]
+            if min(row) < 0:
+                raise InputError(f"negative exponent in term ({tuple(alpha)}, {tuple(beta)}, {k})")
+            if sum(row) > DEGREE_CAP:
+                raise InputError(f"terms[{i}]: degree {sum(row)} exceeds cap {DEGREE_CAP}")
+            rows.append(row)
+            values.append(complex_from_json(t, f"terms[{i}]"))
+        exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n + 1)
+        coeffs = np.array(values, dtype=complex)
+        if len(rows) > 1:
+            order, starts = sorted_runs(exps)
+            if len(starts) < len(order):
+                # the first term that is not first in its run repeats an earlier one
+                i = int(np.setdiff1d(order, order[starts]).min())
+                e = (tuple(rows[i][:n]), tuple(rows[i][n:-1]), rows[i][-1])
+                raise InputError(f"terms[{i}]: duplicate exponent {e}")
+            exps, coeffs = exps[order], coeffs[order]
+        return cls._wrap(n, *_prune(exps, coeffs))
 
 
 def complex_from_json(v, where):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
-from .polyalg import Exponent, Polynomial, complex_from_json, real_from_json
+from .polyalg import Polynomial, complex_from_json, real_from_json
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -325,28 +325,19 @@ def ellipticity_oracle(model: QuadricModel) -> bool:
 def q_polynomial(model: QuadricModel) -> Polynomial:
     """The defining function rho = Q + E as a Polynomial in z, zbar."""
     n = model.n
-    terms = {}
-
-    def bump(alpha, beta, c):
-        key = Exponent(tuple(alpha), tuple(beta), 0)
-        terms[key] = terms.get(key, 0.0) + c
-
-    for j in range(n):
-        for k in range(n):
-            alpha = [0] * n
-            beta = [0] * n
-            alpha[j] += 1
-            beta[k] += 1
-            bump(alpha, beta, complex(model.A[j, k]))
-            alpha2 = [0] * n
-            alpha2[j] += 1
-            alpha2[k] += 1
-            bump(alpha2, [0] * n, complex(model.B[j, k]))
-            beta2 = [0] * n
-            beta2[j] += 1
-            beta2[k] += 1
-            bump([0] * n, beta2, complex(model.B[j, k]).conjugate())
-    rho = Polynomial(n, terms)
+    unit = np.eye(n, dtype=np.int64)
+    zj, zk = np.repeat(unit, n, axis=0), np.tile(unit, (n, 1))  # row j * n + k: e_j and e_k
+    none = np.zeros((n * n, n), dtype=np.int64)
+    k0 = np.zeros((n * n, 1), dtype=np.int64)
+    exps = np.concatenate(
+        (
+            np.hstack((zj, zk, k0)),  # A_jk z_j zbar_k
+            np.hstack((zj + zk, none, k0)),  # B_jk z_j z_k
+            np.hstack((none, zj + zk, k0)),  # conj(B_jk) zbar_j zbar_k
+        )
+    )
+    coeffs = np.concatenate((model.A.ravel(), model.B.ravel(), model.B.conj().ravel()))
+    rho = Polynomial.from_arrays(n, exps, coeffs)
     if model.E is not None:
         rho = rho + model.E
     return rho

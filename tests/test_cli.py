@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crextend import Polynomial, normal_form_model
+from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, dumps_canonical, main
 
 
@@ -331,10 +332,12 @@ NUMERICAL = {
         "classify",
         {"n": 2, "A": [[_HUGE, {"re": -1e308, "im": 0.0}], [{"re": -1e308, "im": 0.0}, _HUGE]], "B": [[_HUGE] * 2] * 2},
     ),
-    # r ** (ell + 1) of a leaf at 1e9 overflows a Python float (OverflowError)
+    # r ** (ell + 1) of a leaf at 1e9 overflows a Python float from ell = 34 on;
+    # the message names the leaf radius and ell
     "check-leaf-1e9": (
         "check",
         {"model": model_doc([0.2]), "f": poly_doc(Polynomial.zbar(1) ** 3), "leaves": [1e9], "Lmax": 40},
+        ["radius r = 1e+09", "ell = 34"],
     ),
 }
 
@@ -342,10 +345,12 @@ NUMERICAL = {
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(NUMERICAL))
 def test_cli_numpy_and_overflow_errors_are_numerical_failures(tmp_path, capsys, name):
-    command, doc_in = NUMERICAL[name]
+    command, doc_in, *named = NUMERICAL[name]
     code, out, err = run(capsys, [command, write_json(tmp_path / "in.json", doc_in)])
     assert code == 3 and out == ""
     assert err.startswith("crextend: numerical failure:") and "Traceback" not in err
+    for fragment in named[0] if named else []:
+        assert fragment in err
 
 
 def test_cli_tol_leaf_gates_leaf_residual(tmp_path, capsys):
@@ -406,6 +411,15 @@ def test_cli_out_flag_writes_file(tmp_path, capsys):
     assert doc["status"] == "Extended"
 
 
+def test_cli_unwritable_out_is_input_error(tmp_path, capsys):
+    in_path = write_json(tmp_path / "in.json", {"model": model_doc([0.0]), "f": poly_doc(Polynomial.z(1))})
+    for out_path in (tmp_path / "missing" / "r.json", tmp_path):  # no such directory; a directory
+        code, out, err = run(capsys, ["extend", in_path, "--out", str(out_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("crextend: input error: cannot write the report to") and str(out_path) in err
+        assert "Traceback" not in err
+
+
 # -- malformed scalars and oversized inputs ----------------------------------------------
 
 
@@ -430,6 +444,23 @@ def _probe_doc(**ladder_changes):
 def _check_doc(f=None, **changes):
     f = f if f is not None else poly_doc(Polynomial.zbar(1) ** 3)
     return {"model": model_doc([0.2]), "f": f, **changes}
+
+
+def _many_terms(count):
+    """An n = 2 polynomial document of count distinct terms, each of degree at most 61."""
+    terms = []
+    for i in range(count):
+        a1, a2, b1, b2 = i % 16, i // 16 % 16, i // 256 % 16, i // 4096
+        terms.append({"alpha": [a1, a2], "beta": [b1, b2], "k": 0, "re": 1.0, "im": 0.0})
+    return {"n": 2, "terms": terms}
+
+
+def _dense_real(m):
+    """The real n = 2 polynomial with every term z^alpha zbar^beta of degree >= 3, exponents below m."""
+    rows = np.indices((m,) * 4).reshape(4, -1).T
+    rows = rows[rows.sum(axis=1) >= 3]
+    exps = np.column_stack((rows, np.zeros(len(rows), dtype=int)))
+    return Polynomial.from_arrays(2, exps, np.ones(len(rows)))
 
 
 def _z_power(n, d):
@@ -463,6 +494,14 @@ MALFORMED = {
     "extend-n10-zbar^40": (
         "extend",
         {"model": model_doc([0.1] * 10), "f": poly_doc(Polynomial.monomial(10, (0,) * 10, (40,) + (0,) * 9, 0))},
+        None,
+    ),
+    # more terms than MAX_TERMS, refused before any term is read
+    "check-n2-too-many-terms": ("check", {"model": model_doc([0.1, 0.2]), "f": _many_terms(MAX_TERMS + 1)}, None),
+    # cr_check multiplies rho_zbar (E has 4096 terms) by f_zbar (4096 terms): 12.8M pairs
+    "check-n2-product-too-large": (
+        "check",
+        {"model": model_doc([0.1, 0.2], E=_dense_real(8)), "f": poly_doc(_dense_real(8))},
         None,
     ),
     # refused before open(), which would take an integer as a file descriptor

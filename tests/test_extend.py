@@ -10,6 +10,7 @@ from conftest import (
     random_polynomial,
     random_unit_vector,
 )
+from crextend.extend import NOISE_ULPS
 from crextend.polyalg import Exponent, monomials
 from crextend import (
     InputError,
@@ -313,11 +314,19 @@ def reference_graded_solve(f, model, tol=1e-9):
         b = np.zeros(len(row_index), dtype=complex)
         for e, c in fd.terms.items():
             b[row_index[e]] = c
-        x, _, _, sv = np.linalg.lstsq(M, b, rcond=None)
+        if M.imag.any():
+            x, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
+        else:
+            # a real block is solved in real arithmetic, Re b and Im b as two right-hand sides
+            M = M.real.copy()
+            xr, _, rank, sv = np.linalg.lstsq(M, np.column_stack((b.real, b.imag)), rcond=None)
+            x = xr[:, 0] + 1j * xr[:, 1]
         residual = float(np.linalg.norm(M @ x - b))
         reports.append((d, residual, float(sv[0] / sv[-1])))
         if residual >= threshold:
             return None, reports
+        noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
+        x[np.abs(x) < noise] = 0
         P = P + Polynomial(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
     return P, reports
 
@@ -342,6 +351,33 @@ def test_extend_general_bit_identical_to_column_reference():
             else:
                 assert list(res.P.terms.items()) == list(ref_P.terms.items())
     assert statuses == {"Extended", "NotExtendible"}
+
+
+def test_extend_general_complex_q_matches_column_reference():
+    # B with complex entries makes Q, and so every graded block, complex
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        B = np.diag(rng.uniform(0.05, 0.45, n)) * np.exp(0.7j)
+        m = QuadricModel(A=np.eye(n), B=B)
+        assert q_polynomial(m).coeffs.imag.any()
+        f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
+        res = extend_general(f, m)
+        ref_P, ref_reports = reference_graded_solve(f, m)
+        assert res.extended
+        assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
+        assert list(res.P.terms.items()) == list(ref_P.terms.items())
+
+
+def test_extend_general_leaves_rounding_noise_out_of_P():
+    # f = P(z, Q) carries rounding error, and seeds 4 and 7 solve it with
+    # noise coefficients of about 1e-14 in columns that P does not have
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = normal_form_model(random_lambdas(rng, 2))
+        P = random_holomorphic(rng, 2, 12)
+        res = extend_general(P.substitute_w(q_polynomial(m)), m)
+        assert set(res.P.terms) == set(P.terms)
+        assert (res.P - P).max_coeff() < 1e-12
 
 
 def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
