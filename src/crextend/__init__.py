@@ -16,7 +16,6 @@ from .extend import (
     ExtensionResult,
     check_involution_invariance,
     extend_general,
-    extend_lambda0,
     restrict_to_plane,
     slice_oracle,
     verify_extension,
@@ -40,7 +39,7 @@ from .moments import (
     moment_integral,
     solve_leaf,
 )
-from .polyalg import Exponent, Polynomial
+from .polyalg import Polynomial
 from .quadform import (
     BishopNormalForm,
     QuadricModel,
@@ -61,7 +60,6 @@ __all__ = [
     "BishopNormalForm",
     "BoundaryData",
     "Certificate",
-    "Exponent",
     "ExtensionResult",
     "InputError",
     "LeafExtension",
@@ -85,7 +83,6 @@ __all__ = [
     "ellipticity_oracle",
     "eval_on_grid",
     "extend_general",
-    "extend_lambda0",
     "is_normal_form",
     "moment_integral",
     "normal_derivative_probe",

@@ -68,43 +68,10 @@ class ExtensionResult:
         return self.status == "Extended"
 
 
-def extend_lambda0(f: Polynomial) -> ExtensionResult:
-    """Extension on the sphere quadric w = z*zbar (n = 1, lambda = 0).
-
-    Monomial by monomial, z^j zbar^k maps to z^(j-k) w^k; this works
-    exactly when every term has j >= k, and the first term (in graded
-    order) violating that is the certificate.
-    """
-    if f.n != 1:
-        raise InputError("extend_lambda0: f must have n = 1")
-    if f.has_w_terms():
-        raise InputError("extend_lambda0: f must not contain w")
-    offending = _offending_monomial(f)
-    if offending is not None:
-        d = sum(offending)
-        bad = [
-            abs(c)
-            for e, c in f.terms.items()
-            if e.alpha[0] < e.beta[0] and e.degree() == d
-        ]
-        residual = float(np.sqrt(sum(b * b for b in bad)))
-        return ExtensionResult(
-            status="NotExtendible",
-            P=None,
-            residual=residual,
-            certificate=_monomial_certificate(d, residual, offending),
-        )
-    j, k = f.exps[:, 0], f.exps[:, 1]
-    P = Polynomial.from_arrays(1, np.stack((j - k, np.zeros_like(j), k), axis=1), f.coeffs)
-    rho = Polynomial.monomial(1, (1,), (1,), 0)
-    residual = (P.substitute_w(rho) - f).max_coeff()
-    return ExtensionResult(status="Extended", P=P, residual=residual)
-
-
 def _offending_monomial(f: Polynomial):
     """(j, k) of the first term z^j zbar^k with j < k in graded order, else None."""
-    bad = ((e.alpha[0], e.beta[0]) for e, _ in f.sorted_terms() if e.alpha[0] < e.beta[0])
-    return next(bad, None)
+    bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])
+    return tuple(f.exps[bad[0], :2].tolist()) if len(bad) else None
 
 
 def _monomial_certificate(degree, residual, offending):
@@ -292,7 +259,7 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
         noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
         P_exps.append(basis)
         P_coeffs.append(np.where(np.abs(x) < noise, 0, x))
-    P = Polynomial.from_arrays(n, np.concatenate(P_exps), np.concatenate(P_coeffs))
+    P = Polynomial(n, np.concatenate(P_exps), np.concatenate(P_coeffs))
     final_residual = (P.substitute_w(Q) - f).max_coeff()
     return ExtensionResult(
         status="Extended",
@@ -329,7 +296,7 @@ def _restrict(p: Polynomial, v, rotation=0.0):
         * np.prod(np.conj(v) ** beta, axis=1)
         * np.exp(1j * rotation * (ja - kb))
     )
-    return Polynomial.from_arrays(1, np.stack((ja, kb, k), axis=1), factor)
+    return Polynomial(1, np.stack((ja, kb, k), axis=1), factor)
 
 
 def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, tol=DEFAULT_EXTEND_TOL):
@@ -367,7 +334,7 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
         if not result.extended:
             return float("inf")
         expected = restrict_to_plane(P, v)
-        rotated = Polynomial.from_arrays(
+        rotated = Polynomial(
             1, expected.exps, expected.coeffs * np.exp(1j * rotation * expected.exps[:, 0])
         )
         dev = (result.P - rotated).max_coeff()

@@ -228,8 +228,10 @@ def check_moments(
     that a pass always rests on some moments.  Passes iff every moment
     modulus is below tol; leaf_tol is solve_leaf's residual tolerance.  A
     moment whose scale r^(ell + 1) overflows is a NumericalError naming r
-    and ell.
+    and ell.  f must not contain w.
     """
+    if f.has_w_terms():
+        raise InputError("check_moments: f must not contain w")
     if Lmax is None:
         Lmax = max(f.degree(), 0) + 4
     if not 0 <= Lmax <= DEGREE_CAP + 4:

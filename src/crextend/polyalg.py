@@ -4,16 +4,17 @@ A Polynomial holds ``exps``, an int64 matrix of shape (m, 2n + 1) whose row
 alpha | beta | k is the term z^alpha * zbar^beta * w^k, and ``coeffs``, the
 m complex double coefficients of those rows.  zbar is an independent symbol
 during arithmetic; evaluate() plugs in the actual conjugate.  Both arrays
-are read-only and canonical: the rows are distinct and sorted by
-term_sort_key (weighted degree, then alpha, beta and k lexicographically),
-and no coefficient has modulus below ZERO_THRESHOLD, so "is zero" means
-"has no rows" and equal polynomials have equal arrays.  ``terms`` is a
-read-only Exponent -> complex view of the rows in that order.
+are read-only and canonical: the rows are distinct and sorted in graded
+order (weighted degree |alpha| + |beta| + 2k, then alpha, beta and k
+lexicographically), and no coefficient has modulus below ZERO_THRESHOLD, so
+"is zero" means "has no rows" and equal polynomials have equal arrays.
+``terms`` lists the (row, coefficient) pairs in that order.
 
-Every operation that can reorder rows or make two rows equal (sums,
-products, substitution, conjugation, construction) ends in one merge: a
-stable sort of the rows into term_sort_key order, a sum over each run of
-equal rows (np.add.reduceat, in the order the rows were produced), and
+Polynomial(n, exps, coeffs) is the one constructor: it checks the shape and
+signs of the rows and merges them.  Every operation that can reorder rows or
+make two rows equal (sums, products, substitution, conjugation) ends in the
+same merge: a stable sort of the rows into graded order, a sum over each run
+of equal rows (np.add.reduceat, in the order the rows were produced), and
 pruning of the sums below ZERO_THRESHOLD.  The sort is one np.lexsort
 keyed on the weighted degree, then the columns.  Operations that keep the
 rows distinct and in order (negation, scalar multiples, derivatives,
@@ -30,8 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -47,42 +47,8 @@ MAX_TERMS = 2**16
 MAX_TERM_PAIRS = 2**22
 
 
-class Exponent(NamedTuple):
-    """Exponent triple of a single term z^alpha * zbar^beta * w^k."""
-
-    alpha: tuple
-    beta: tuple
-    k: int
-
-    def degree(self):
-        """Total degree with w counted once."""
-        return sum(self.alpha) + sum(self.beta) + self.k
-
-    def weighted_degree(self):
-        """Graded degree with deg z_j = deg zbar_j = 1 and deg w = 2."""
-        return sum(self.alpha) + sum(self.beta) + 2 * self.k
-
-
-def _as_exponent(n, alpha, beta, k):
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
-    k = int(k)
-    if len(alpha) != n or len(beta) != n:
-        raise InputError(
-            f"exponent vectors must have length n={n}, got {len(alpha)} and {len(beta)}"
-        )
-    if any(a < 0 for a in alpha) or any(b < 0 for b in beta) or k < 0:
-        raise InputError(f"negative exponent in term ({alpha}, {beta}, {k})")
-    return Exponent(alpha, beta, k)
-
-
-def term_sort_key(e: Exponent):
-    """Graded lexicographic order used for storage, serialization and display."""
-    return (e.weighted_degree(), e.alpha, e.beta, e.k)
-
-
 def sorted_runs(exps):
-    """(order, starts): a stable sort of the rows into term_sort_key order and
+    """(order, starts): a stable sort of the rows into graded order and
     the position in it of the first row of each run of equal rows."""
     wdeg = exps.sum(axis=1) + exps[:, -1]
     order = np.lexsort(np.vstack((exps[:, ::-1].T, wdeg)))
@@ -114,59 +80,28 @@ def _check_pairs(pairs, what):
         raise InputError(f"{what} has {pairs} pairs of terms, more than {MAX_TERM_PAIRS}")
 
 
-class _TermView(Mapping):
-    """Read-only Exponent -> complex view of a Polynomial's rows, in term_sort_key order.
-
-    len() reads the row count; the first lookup or iteration builds the dict.
-    """
-
-    __slots__ = ("_poly", "_dict")
-
-    def __init__(self, poly):
-        self._poly = poly
-        self._dict = None
-
-    def _items(self):
-        if self._dict is None:
-            p, n = self._poly, self._poly.n
-            self._dict = {
-                Exponent(tuple(row[:n]), tuple(row[n : 2 * n]), row[2 * n]): c
-                for row, c in zip(p.exps.tolist(), p.coeffs.tolist())
-            }
-        return self._dict
-
-    def __len__(self):
-        return len(self._poly.coeffs)
-
-    def __getitem__(self, key):
-        return self._items()[key]
-
-    def __iter__(self):
-        return iter(self._items())
-
-
 _setattr = object.__setattr__
 
 
 class Polynomial:
     """Immutable sparse polynomial in z, zbar and w over the complex doubles."""
 
-    __slots__ = ("n", "exps", "coeffs", "_view")
+    __slots__ = ("n", "exps", "coeffs")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, exps, coeffs):
+        """The sum of the terms coeffs[i] * (row i of exps), rows alpha | beta | k."""
         n = int(n)
         if n < 1:
             raise InputError(f"dimension n must be >= 1, got {n}")
-        rows, values = [], []
-        for key, coeff in (terms or {}).items():
-            if not isinstance(key, Exponent):
-                key = _as_exponent(n, key[0], key[1], key[2])
-            elif len(key.alpha) != n or len(key.beta) != n:
-                raise InputError("exponent length does not match dimension")
-            rows.append((*key.alpha, *key.beta, key.k))
-            values.append(complex(coeff))
-        exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n + 1)
-        self._set(n, *_merge(exps, np.array(values, dtype=complex)))
+        exps = np.asarray(exps, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if exps.shape != (len(coeffs), 2 * n + 1):
+            raise InputError(
+                f"exponent rows of shape {exps.shape} for {len(coeffs)} terms, n = {n}"
+            )
+        if (exps < 0).any():
+            raise InputError("negative exponent")
+        self._set(n, *_merge(exps, coeffs))
 
     def _set(self, n, exps, coeffs):
         exps.setflags(write=False)
@@ -174,7 +109,6 @@ class Polynomial:
         _setattr(self, "n", n)
         _setattr(self, "exps", exps)
         _setattr(self, "coeffs", coeffs)
-        _setattr(self, "_view", None)
 
     @classmethod
     def _wrap(cls, n, exps, coeffs):
@@ -189,21 +123,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, n, exps, coeffs):
-        """The sum of the terms coeffs[i] * (row i of exps), rows alpha | beta | k."""
-        exps = np.asarray(exps, dtype=np.int64)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if exps.shape != (len(coeffs), 2 * n + 1):
-            raise InputError(
-                f"from_arrays: exponent rows of shape {exps.shape} for {len(coeffs)} terms, n = {n}"
-            )
-        if (exps < 0).any():
-            raise InputError("from_arrays: negative exponent")
-        return cls._wrap(n, *_merge(exps, coeffs))
-
-    @classmethod
     def zero(cls, n):
-        return cls(n, {})
+        return cls(n, np.zeros((0, 2 * n + 1), dtype=np.int64), ())
 
     @classmethod
     def constant(cls, n, value):
@@ -211,8 +132,11 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n, alpha, beta, k, coeff=1.0):
-        e = _as_exponent(n, alpha, beta, k)
-        return cls(n, {e: complex(coeff)})
+        if len(alpha) != n or len(beta) != n:
+            raise InputError(
+                f"exponent vectors must have length n={n}, got {len(alpha)} and {len(beta)}"
+            )
+        return cls(n, [[*alpha, *beta, k]], [coeff])
 
     @classmethod
     def z(cls, n, j=0):
@@ -233,20 +157,9 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping:
-        if self._view is None:
-            _setattr(self, "_view", _TermView(self))
-        return self._view
-
-    def coefficient(self, alpha, beta=None, k=0):
-        if isinstance(alpha, Exponent):
-            return self.terms.get(alpha, 0.0)
-        if beta is None:
-            beta = (0,) * self.n
-        return self.terms.get(_as_exponent(self.n, alpha, beta, k), 0.0)
-
-    def sorted_terms(self) -> Iterator[tuple]:
-        return iter(self.terms.items())
+    def terms(self):
+        """The (row, coefficient) pairs in graded order, row the list alpha + beta + [k]."""
+        return list(zip(self.exps.tolist(), self.coeffs.tolist()))
 
     def is_zero(self):
         return not len(self.coeffs)
@@ -256,7 +169,7 @@ class Polynomial:
         return int(self.exps.sum(axis=1).max()) if len(self.coeffs) else -1
 
     def weighted_degree(self):
-        """Weighted degree of the last row, the largest in term_sort_key order."""
+        """Weighted degree of the last row, the largest in graded order."""
         return int(self.exps[-1].sum() + self.exps[-1, -1]) if len(self.coeffs) else -1
 
     def max_coeff(self):
@@ -289,19 +202,11 @@ class Polynomial:
         """Deterministic human-readable form, e.g. 'z^2 w + 2 z'."""
         if self.is_zero():
             return "0"
+        names = [s if self.n == 1 else f"{s}{j + 1}" for s in ("z", "zb") for j in range(self.n)]
+        names.append("w")
         parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for j, a in enumerate(e.alpha):
-                if a:
-                    name = "z" if self.n == 1 else f"z{j + 1}"
-                    factors.append(name if a == 1 else f"{name}^{a}")
-            for j, b in enumerate(e.beta):
-                if b:
-                    name = "zb" if self.n == 1 else f"zb{j + 1}"
-                    factors.append(name if b == 1 else f"{name}^{b}")
-            if e.k:
-                factors.append("w" if e.k == 1 else f"w^{e.k}")
+        for row, c in self.terms:
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, row) if e]
             if c == 1 and factors:
                 coeff = ""
             elif c.imag == 0:
@@ -488,7 +393,7 @@ class Polynomial:
         zb = np.conj(z)
         w = np.asarray(w, dtype=complex)
         total = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape), dtype=complex)
-        for row, c in zip(self.exps.tolist(), self.coeffs.tolist()):
+        for row, c in self.terms:
             val = c
             for j in range(n):
                 if row[j]:
@@ -508,7 +413,7 @@ class Polynomial:
             "n": n,
             "terms": [
                 {"alpha": row[:n], "beta": row[n : 2 * n], "k": row[-1], "re": c.real, "im": c.imag}
-                for row, c in zip(self.exps.tolist(), self.coeffs.tolist())
+                for row, c in self.terms
             ],
         }
 
@@ -536,9 +441,9 @@ class Polynomial:
             alpha, beta, k = t["alpha"], t["beta"], t["k"]
             if not isinstance(alpha, list) or not isinstance(beta, list):
                 raise InputError(f"terms[{i}]: alpha and beta must be lists")
-            if not all(isinstance(a, int) for a in alpha + beta):
+            if not all(isinstance(a, int) and not isinstance(a, bool) for a in alpha + beta):
                 raise InputError(f"terms[{i}]: exponents must be integers")
-            if not isinstance(k, int):
+            if isinstance(k, bool) or not isinstance(k, int):
                 raise InputError(f"terms[{i}]: k must be an integer")
             if len(alpha) != n or len(beta) != n:
                 raise InputError(

@@ -68,7 +68,7 @@ class QuadricModel:
             if E.has_w_terms():
                 raise InputError("E must not contain w")
             if not E.is_zero():
-                if min(e.degree() for e in E.terms) < 3:
+                if E.exps.sum(axis=1).min() < 3:
                     raise InputError("E must contain only terms of total degree >= 3")
                 dev = (E.conjugate() - E).max_coeff()
                 if dev > HERMITIAN_TOL:
@@ -337,7 +337,7 @@ def q_polynomial(model: QuadricModel) -> Polynomial:
         )
     )
     coeffs = np.concatenate((model.A.ravel(), model.B.ravel(), model.B.conj().ravel()))
-    rho = Polynomial.from_arrays(n, exps, coeffs)
+    rho = Polynomial(n, exps, coeffs)
     if model.E is not None:
         rho = rho + model.E
     return rho

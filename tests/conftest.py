@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from crextend import Polynomial, QuadricModel
-from crextend.polyalg import Exponent, monomials
+from crextend.polyalg import monomials
+from dictref import Exponent, from_terms, term_dict
 
 LAMBDA_CHOICES = (0.0, 0.1, 0.3, 0.45)
 
@@ -27,7 +28,7 @@ def random_polynomial(rng, n, max_degree, nterms=8, with_w=False):
         alpha = _random_exponent_vector(rng, n, split)
         beta = _random_exponent_vector(rng, n, left - split)
         terms[Exponent(alpha, beta, k)] = random_coeff(rng)
-    return Polynomial(n, terms)
+    return from_terms(n, terms)
 
 
 def random_holomorphic(rng, n, max_weighted_degree, nterms=8):
@@ -38,7 +39,7 @@ def random_holomorphic(rng, n, max_weighted_degree, nterms=8):
         k = int(rng.integers(0, d // 2 + 1))
         alpha = _random_exponent_vector(rng, n, d - 2 * k)
         terms[Exponent(alpha, (0,) * n, k)] = random_coeff(rng)
-    return Polynomial(n, terms)
+    return from_terms(n, terms)
 
 
 def _random_exponent_vector(rng, n, total):
@@ -67,7 +68,7 @@ def random_unit_vector(rng, n):
 def loop_evaluate(p, z, w=0.0):
     """Reference evaluation at one point, term by term in Python complex arithmetic."""
     total = 0j
-    for e, c in p.terms.items():
+    for e, c in term_dict(p).items():
         val = c
         for j in range(p.n):
             val *= complex(z[j]) ** e.alpha[j] * complex(z[j]).conjugate() ** e.beta[j]

@@ -3,14 +3,89 @@
 These are the dict loops crextend.polyalg used before its array core: every
 operation walks the terms in Python, sums products into a dict at the
 resulting exponent and prunes sums below ZERO_THRESHOLD.  The property tests
-compare the array core against them.
+compare the array core against them.  from_terms, term_dict and coefficient
+convert between term dicts and Polynomial, and extend_lambda0 is the exact
+monomial route on the sphere quadric that the graded solve is checked
+against.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from crextend.polyalg import ZERO_THRESHOLD, Exponent
+import numpy as np
+
+from crextend import InputError, Polynomial
+from crextend.extend import ExtensionResult, _monomial_certificate
+from crextend.polyalg import ZERO_THRESHOLD
+
+
+class Exponent(NamedTuple):
+    """Exponent triple of a single term z^alpha * zbar^beta * w^k."""
+
+    alpha: tuple
+    beta: tuple
+    k: int
+
+    def degree(self):
+        """Total degree with w counted once."""
+        return sum(self.alpha) + sum(self.beta) + self.k
+
+    def weighted_degree(self):
+        """Graded degree with deg z_j = deg zbar_j = 1 and deg w = 2."""
+        return sum(self.alpha) + sum(self.beta) + 2 * self.k
+
+
+def term_sort_key(e: Exponent):
+    """The graded order of Polynomial's rows: weighted degree, then alpha, beta and k."""
+    return (e.weighted_degree(), e.alpha, e.beta, e.k)
+
+
+def from_terms(n, terms):
+    """The Polynomial of a term dict {(alpha, beta, k): coeff}."""
+    rows = np.array([(*alpha, *beta, k) for alpha, beta, k in terms], dtype=np.int64)
+    return Polynomial(n, rows.reshape(len(terms), 2 * n + 1), list(terms.values()))
+
+
+def term_dict(p):
+    """p's terms as {Exponent: complex}, in p's graded order."""
+    n = p.n
+    return {Exponent(tuple(row[:n]), tuple(row[n : 2 * n]), row[2 * n]): c for row, c in p.terms}
+
+
+def coefficient(p, e):
+    """p's coefficient of the term with exponent triple e, 0 when absent."""
+    return term_dict(p).get(Exponent(*e), 0.0)
+
+
+def extend_lambda0(f):
+    """Extension on the sphere quadric w = z*zbar (n = 1, lambda = 0).
+
+    Monomial by monomial, z^j zbar^k maps to z^(j-k) w^k; this works
+    exactly when every term has j >= k, and the first term (in graded
+    order) violating that is the certificate.
+    """
+    if f.n != 1:
+        raise InputError("extend_lambda0: f must have n = 1")
+    if f.has_w_terms():
+        raise InputError("extend_lambda0: f must not contain w")
+    terms = term_dict(f)
+    offending = next(((e.alpha[0], e.beta[0]) for e in terms if e.alpha[0] < e.beta[0]), None)
+    if offending is not None:
+        d = sum(offending)
+        bad = [abs(c) for e, c in terms.items() if e.alpha[0] < e.beta[0] and e.degree() == d]
+        residual = float(np.sqrt(sum(b * b for b in bad)))
+        return ExtensionResult(
+            status="NotExtendible",
+            P=None,
+            residual=residual,
+            certificate=_monomial_certificate(d, residual, offending),
+        )
+    P = from_terms(1, {((e.alpha[0] - e.beta[0],), (0,), e.beta[0]): c for e, c in terms.items()})
+    rho = Polynomial.monomial(1, (1,), (1,), 0)
+    residual = (P.substitute_w(rho) - f).max_coeff()
+    return ExtensionResult(status="Extended", P=P, residual=residual)
 
 
 def prune(terms):

@@ -37,6 +37,7 @@ from crextend import (
     solve_leaf,
     zderiv_bound_check,
 )
+from dictref import term_dict
 
 MOMENT_LEAVES = [0.1, 0.2, 0.3, 0.4]  # large enough for moments above 1e-8
 
@@ -91,7 +92,7 @@ def test_criterion_3_weighted_degree_law():
                 if not res.extended:
                     violations += 1
                     continue
-                for e in res.P.terms:
+                for e in term_dict(res.P):
                     if e.weighted_degree() != d:
                         violations += 1
     verdict(3, "weighted degree law, zero violations", violations == 0)

@@ -460,11 +460,16 @@ def _dense_real(m):
     rows = np.indices((m,) * 4).reshape(4, -1).T
     rows = rows[rows.sum(axis=1) >= 3]
     exps = np.column_stack((rows, np.zeros(len(rows), dtype=int)))
-    return Polynomial.from_arrays(2, exps, np.ones(len(rows)))
+    return Polynomial(2, exps, np.ones(len(rows)))
 
 
 def _z_power(n, d):
     return {"n": n, "terms": [{"alpha": [d] + [0] * (n - 1), "beta": [0] * n, "k": 0, "re": 1.0, "im": 0.0}]}
+
+
+def _bool_term(**changes):
+    """The n = 1 document of z zbar with JSON booleans put in place of some exponents."""
+    return {"n": 1, "terms": [{"alpha": [1], "beta": [1], "k": 0, "re": 1.0, "im": 0.0, **changes}]}
 
 
 MALFORMED = {
@@ -491,6 +496,14 @@ MALFORMED = {
     "check-z^70": ("check", _check_doc(f=_z_power(1, 70)), None),
     "check-z^1e8": ("check", _check_doc(f=_z_power(1, 10**8)), None),
     "extend-z^1e8": ("extend", {"model": model_doc([0.2, 0.1]), "f": _z_power(2, 10**8)}, None),
+    # w is a coordinate of the ambient space, not boundary data
+    "check-w-term": (
+        "check",
+        {"model": model_doc([0.1]), "f": poly_doc(Polynomial.zbar(1) * Polynomial.w(1))},
+        None,
+    ),
+    "exponent-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(alpha=[True])}, None),
+    "k-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(k=False)}, None),
     "extend-n10-zbar^40": (
         "extend",
         {"model": model_doc([0.1] * 10), "f": poly_doc(Polynomial.monomial(10, (0,) * 10, (40,) + (0,) * 9, 0))},

@@ -11,7 +11,8 @@ from conftest import (
     random_unit_vector,
 )
 from crextend.extend import NOISE_ULPS
-from crextend.polyalg import Exponent, monomials
+from crextend.polyalg import monomials
+from dictref import Exponent, extend_lambda0, from_terms, term_dict
 from crextend import (
     InputError,
     NotElliptic,
@@ -20,7 +21,6 @@ from crextend import (
     check_involution_invariance,
     default_radii,
     extend_general,
-    extend_lambda0,
     normal_form_model,
     q_polynomial,
     restrict_to_plane,
@@ -139,13 +139,14 @@ def test_extend_general_weighted_degree_law():
     m = normal_form_model([0.3, 0.1])
     Q = q_polynomial(m)
     for d in (2, 4, 7, 10):
-        P = Polynomial(2, {e: c for e, c in random_holomorphic(rng, 2, d, nterms=12).terms.items() if e.weighted_degree() == d})
+        full = term_dict(random_holomorphic(rng, 2, d, nterms=12))
+        P = from_terms(2, {e: c for e, c in full.items() if e.weighted_degree() == d})
         if P.is_zero():
             P = mono(2, (d - 2,), k=1)
         f = P.substitute_w(Q)
         res = extend_general(f, m)
         assert res.extended
-        for e in res.P.terms:
+        for e in term_dict(res.P):
             assert e.weighted_degree() == d
 
 
@@ -303,16 +304,16 @@ def reference_graded_solve(f, model, tol=1e-9):
         images = [mono(n, alpha) * Q**k for alpha, k in basis]
         row_index = {}
         for img in images:
-            for e in img.terms:
+            for e in term_dict(img):
                 row_index.setdefault(e, len(row_index))
-        for e, _ in fd.sorted_terms():
+        for e in term_dict(fd):
             row_index.setdefault(e, len(row_index))
         M = np.zeros((len(row_index), len(basis)), dtype=complex)
         for col, img in enumerate(images):
-            for e, c in img.terms.items():
+            for e, c in term_dict(img).items():
                 M[row_index[e], col] = c
         b = np.zeros(len(row_index), dtype=complex)
-        for e, c in fd.terms.items():
+        for e, c in term_dict(fd).items():
             b[row_index[e]] = c
         if M.imag.any():
             x, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
@@ -327,7 +328,7 @@ def reference_graded_solve(f, model, tol=1e-9):
             return None, reports
         noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
         x[np.abs(x) < noise] = 0
-        P = P + Polynomial(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
+        P = P + from_terms(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
     return P, reports
 
 
@@ -349,7 +350,7 @@ def test_extend_general_bit_identical_to_column_reference():
             if ref_P is None:
                 assert res.P is None
             else:
-                assert list(res.P.terms.items()) == list(ref_P.terms.items())
+                assert list(term_dict(res.P).items()) == list(term_dict(ref_P).items())
     assert statuses == {"Extended", "NotExtendible"}
 
 
@@ -365,7 +366,7 @@ def test_extend_general_complex_q_matches_column_reference():
         ref_P, ref_reports = reference_graded_solve(f, m)
         assert res.extended
         assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
-        assert list(res.P.terms.items()) == list(ref_P.terms.items())
+        assert list(term_dict(res.P).items()) == list(term_dict(ref_P).items())
 
 
 def test_extend_general_leaves_rounding_noise_out_of_P():
@@ -376,7 +377,7 @@ def test_extend_general_leaves_rounding_noise_out_of_P():
         m = normal_form_model(random_lambdas(rng, 2))
         P = random_holomorphic(rng, 2, 12)
         res = extend_general(P.substitute_w(q_polynomial(m)), m)
-        assert set(res.P.terms) == set(P.terms)
+        assert set(term_dict(res.P)) == set(term_dict(P))
         assert (res.P - P).max_coeff() < 1e-12
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import loop_evaluate, random_polynomial
 from crextend import InputError, Polynomial
-from crextend.polyalg import DEGREE_CAP, Exponent, ZERO_THRESHOLD, complex_from_json, monomials
+from crextend.polyalg import DEGREE_CAP, ZERO_THRESHOLD, complex_from_json, monomials
+from dictref import Exponent, coefficient, from_terms, term_dict
 
 
 def z(n=1, j=0):
@@ -37,7 +38,7 @@ def test_zero_and_constant():
 
 
 def test_pruning_below_threshold():
-    p = Polynomial(1, {Exponent((1,), (0,), 0): ZERO_THRESHOLD / 10})
+    p = from_terms(1, {Exponent((1,), (0,), 0): ZERO_THRESHOLD / 10})
     assert p.is_zero()
     q = z() + (-1) * z()
     assert q.is_zero()
@@ -48,6 +49,15 @@ def test_dimension_mismatch_rejected():
         z(1) + z(2)
     with pytest.raises(InputError):
         z(1) * z(2)
+    with pytest.raises(InputError):
+        Polynomial(0, np.zeros((0, 1), dtype=np.int64), [])
+    with pytest.raises(InputError):
+        Polynomial(2, np.zeros((1, 4), dtype=np.int64), [1.0])  # rows of 2n, not 2n + 1
+    with pytest.raises(InputError):
+        Polynomial(1, np.zeros((2, 3), dtype=np.int64), [1.0])  # two rows, one coefficient
+    with pytest.raises(InputError):
+        # three plus one entries make a row of 2n + 1 = 5, but alpha must have length n
+        Polynomial.monomial(2, (1, 0, 0), (1,), 0)
 
 
 def test_negative_exponent_rejected():
@@ -55,6 +65,8 @@ def test_negative_exponent_rejected():
         Polynomial.monomial(1, (-1,), (0,), 0)
     with pytest.raises(InputError):
         Polynomial.monomial(1, (0,), (0,), -2)
+    with pytest.raises(InputError):
+        Polynomial(1, [[1, -1, 0]], [1.0])
 
 
 def test_degree_cap_refused():
@@ -63,6 +75,27 @@ def test_degree_cap_refused():
         big * big
     with pytest.raises(InputError):
         Polynomial.w(1).substitute_w(Polynomial.monomial(1, (DEGREE_CAP + 1,), (0,), 0))
+
+
+@pytest.mark.parametrize(
+    "p, text",
+    [
+        (z() * z() * zbar(), "z^2 zb"),
+        (Polynomial.constant(1, 1.0), "1"),
+        (2.5 * z() + Polynomial.constant(1, -3.0), "-3 + 2.5 z"),
+        (Polynomial.monomial(1, (0,), (2,), 0, -0.5j), "-0.5i zb^2"),
+        (Polynomial.monomial(1, (1,), (0,), 1, 1.5 - 2j), "(1.5-2i) z w"),
+        (
+            Polynomial.monomial(2, (2, 1), (0, 1), 0)
+            + Polynomial.monomial(2, (0, 0), (1, 0), 0, 0.25 + 1e-7j),
+            "(0.25+1e-07i) zb1 + z1^2 z2 zb2",
+        ),
+        (Polynomial.w(1) ** 3 + Polynomial.w(1) + z(), "z + w + w^3"),
+        (Polynomial.zero(2), "0"),
+    ],
+)
+def test_pretty(p, text):
+    assert p.pretty() == text
 
 
 # -- ring axioms against the evaluation oracle --------------------------------
@@ -177,13 +210,13 @@ def test_substitute_w_matches_term_by_term_reference():
             p = random_polynomial(rng, n, 8, nterms=10, with_w=True)
             q = random_polynomial(rng, n, 2)
             ref = Polynomial.zero(n)
-            for e, c in p.terms.items():
+            for e, c in term_dict(p).items():
                 ref = ref + Polynomial.monomial(n, e.alpha, e.beta, 0, c) * q**e.k
                 top_k = max(top_k, e.k)
             s = p.substitute_w(q)
             tol = 1e-12 * ref.max_coeff()
-            for e in set(s.terms) | set(ref.terms):
-                assert abs(s.coefficient(e) - ref.coefficient(e)) <= tol
+            for e in set(term_dict(s)) | set(term_dict(ref)):
+                assert abs(coefficient(s, e) - coefficient(ref, e)) <= tol
     assert top_k == 4
 
 

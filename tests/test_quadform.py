@@ -19,6 +19,7 @@ from crextend import (
     takagi,
 )
 from crextend.quadform import is_normal_form, real_quadratic_form
+from dictref import coefficient
 
 
 def maxabs(M):
@@ -265,7 +266,7 @@ def test_q_polynomial_is_real_valued():
 def test_q_polynomial_includes_perturbation():
     E = Polynomial.monomial(1, (2,), (2,), 0, 1.0)
     rho = q_polynomial(QuadricModel(A=np.eye(1), B=np.zeros((1, 1)), E=E))
-    assert rho.coefficient((2,), (2,), 0) == pytest.approx(1.0)
+    assert coefficient(rho, ((2,), (2,), 0)) == pytest.approx(1.0)
 
 
 # -- helpers -----------------------------------------------------------------------
