@@ -163,7 +163,8 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     graded residual is tol * (1 + max |coeff f|); residuals inside
     (1e-11, tol) of that scale pass with a conditioning warning.  A degree
     whose block could exceed MAX_GRADED_ENTRIES is refused (InputError)
-    before any Q power for it is formed.
+    before any Q power for it is formed.  The reported residual is the
+    largest coefficient of P(z, Q) - f, read off the blocks already solved.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -191,6 +192,7 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
     qpowers = [Polynomial.constant(n, 1.0)]
     reports = []
+    final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for d in range(f.degree() + 1):
         lo, hi = bounds[d], bounds[d + 1]
@@ -257,10 +259,12 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
             DegreeReport(degree=d, residual=residual, condition=condition, warning=warning)
         )
         noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
+        x = np.where(np.abs(x) < noise, 0, x)
+        # P(z, Q) - f in degree d is exactly M x - b, so the blocks give the final residual
+        final_residual = max(final_residual, float(np.max(np.abs(M @ x - b))))
         P_exps.append(basis)
-        P_coeffs.append(np.where(np.abs(x) < noise, 0, x))
+        P_coeffs.append(x)
     P = Polynomial(n, np.concatenate(P_exps), np.concatenate(P_coeffs))
-    final_residual = (P.substitute_w(Q) - f).max_coeff()
     return ExtensionResult(
         status="Extended",
         P=P,

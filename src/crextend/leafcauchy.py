@@ -98,10 +98,6 @@ def _cauchy_at(z, zeta, dzeta, fvals):
     return complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * len(zeta)))
 
 
-def _winding_number(z, zeta, dzeta):
-    return complex(np.sum(dzeta / (zeta - z)) / (1j * len(zeta)))
-
-
 def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
     """Trapezoidal Cauchy integral of the data over one leaf.
 
@@ -120,7 +116,7 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
                 f"point {z} is within {NEAR_BOUNDARY_FACTOR} * inradius of the leaf curve",
                 point=z,
             )
-        winding = _winding_number(z, zeta, dzeta)
+        winding = _cauchy_at(z, zeta, dzeta, 1.0)
         if abs(winding - 1.0) > WINDING_TOL:
             raise NearBoundary(
                 f"point {z} is not inside the leaf curve (winding number {winding:.3f})",
@@ -266,7 +262,7 @@ class ZDerivReport:
 
 
 def zderiv_bound_check(
-    data: BoundaryData, leaf: LeafParametrization, interior_points, model=None, slack=1e-6
+    data: BoundaryData, leaf: LeafParametrization, interior_points, slack=1e-6
 ) -> ZDerivReport:
     """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + slack.
 

@@ -14,7 +14,7 @@ perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class ClassificationResult:
 
 def check_nondegenerate(model: QuadricModel) -> NondegeneracyReport:
     """A is nonsingular relative to its scale (smallest singular value test)."""
-    return _nondegeneracy(np.linalg.eigvalsh(model.A))
+    return _nondegeneracy(np.linalg.eigh(model.A)[0])
 
 
 def _nondegeneracy(eigs):
@@ -164,66 +164,26 @@ def _nondegeneracy(eigs):
     return NondegeneracyReport(ok=ok, sigma_min=sigma_min, sigma_max=sigma_max)
 
 
-def takagi(S, zero_tol=1e-12):
-    """Factor a complex symmetric S as U diag(sigma) U^T, sigma >= 0.
+def takagi(S):
+    """Factor a complex symmetric S as U diag(sigma) U^T, U unitary, 0 <= sigma ascending.
 
-    Works through the eigen-decomposition of the Hermitian matrix
-    conj(S) @ S, whose eigenvalues are sigma_j^2.  Within each eigenspace
-    the antilinear map x -> conj(S x) squares to sigma^2; its fixed
-    vectors x (conj(S x) = sigma x) are built one at a time and deflated,
-    which handles repeated singular values, and U gets their conjugates.
+    With S = R + iI, a unit vector u = a + ib satisfies S conj(u) = sigma u
+    exactly when (a, b) is an eigenvector of the real symmetric matrix
+    K = [[R, I], [I, -R]] with eigenvalue sigma; multiplying u by i maps it to
+    the eigenvalue -sigma, so the spectrum of K is +-sigma_j and the upper
+    half of one eigh call gives the Takagi vectors in ascending order.  Their
+    polar factor keeps U unitary where those vectors are not orthogonal as
+    complex vectors: inside a kernel of S, and where +sigma and -sigma nearly
+    meet.  The sign of each column is free; U diag(sigma) U^T does not see it.
     """
     S = np.asarray(S, dtype=complex)
     m = S.shape[0]
     if _maxabs(S - S.T) > HERMITIAN_TOL * max(_maxabs(S), 1.0):
         raise InputError("takagi: matrix is not symmetric")
-    evals, V = np.linalg.eigh(S.conj() @ S)
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
-    scale = max(float(sigma[-1]) if m else 0.0, 1.0)
-    U = np.zeros((m, m), dtype=complex)
-    i = 0
-    while i < m:
-        j = i + 1
-        while j < m and sigma[j] - sigma[i] <= 1e-8 * scale:
-            j += 1
-        cluster = list(range(i, j))
-        E = V[:, cluster]
-        if sigma[i] <= zero_tol * scale:
-            # S annihilates these columns; conjugates keep U unitary
-            U[:, cluster] = E.conj()
-        else:
-            sig = float(np.mean(sigma[cluster]))
-            basis = E.copy()
-            cols = []
-            for _ in cluster:
-                y = basis[:, 0]
-                x = np.conj(S @ y) + sig * y
-                nx = np.linalg.norm(x)
-                if nx < 1e-6 * sig:
-                    # y is nearly anti-fixed; multiplying by i flips the sign
-                    x = 1j * y
-                    nx = np.linalg.norm(x)
-                x = x / nx
-                # keep x inside the eigenspace before deflating
-                x = E @ (E.conj().T @ x)
-                x = x / np.linalg.norm(x)
-                cols.append(x)
-                rem = basis - np.outer(x, x.conj() @ basis)
-                if rem.shape[1] > 1:
-                    # orthonormal basis of the deflated space, staying inside E
-                    uu, ss, _ = np.linalg.svd(rem, full_matrices=False)
-                    basis = uu[:, : rem.shape[1] - 1]
-                else:
-                    basis = rem[:, :0]
-            U[:, cluster] = np.column_stack(cols).conj()
-        i = j
-    # sign canonicalization: flipping a column preserves U diag U^T
-    for col in range(m):
-        lead = int(np.argmax(np.abs(U[:, col])))
-        v = U[lead, col]
-        if v.real < 0 or (v.real == 0 and v.imag < 0):
-            U[:, col] = -U[:, col]
-    return U, sigma
+    R, I = S.real, S.imag
+    evals, X = np.linalg.eigh(np.block([[R, I], [I, -R]]))
+    W, _, Zh = np.linalg.svd(X[:m, m:] + 1j * X[m:, m:])
+    return W @ Zh, np.clip(evals[m:], 0.0, None)
 
 
 def _classify_lambdas(lambdas):
@@ -238,23 +198,27 @@ def _classify_lambdas(lambdas):
 def normalize(model: QuadricModel) -> BishopNormalForm:
     """Bishop normal form for positive definite A.
 
-    Cholesky A = L L^H gives T0 = (L^H)^{-1} with T0^H A T0 = I; a Takagi
-    factorization of T0^T B T0 = U diag(lambda) U^T then yields
-    T = T0 conj(U).  Both congruences are re-checked a posteriori.
+    One eigendecomposition A = V diag(e) V^H gives T0 = V diag(e)^(-1/2) with
+    T0^H A T0 = I; a Takagi factorization of T0^T B T0 = U diag(lambda) U^T
+    then yields T = T0 conj(U), with lambda ascending.  Each column of T is
+    signed so that its first entry of largest modulus has positive real part
+    (or, if that is 0, positive imaginary part); for distinct nonzero lambdas T
+    then depends only on (A, B).  Both congruences are re-checked a posteriori.
     """
-    eigs = np.linalg.eigvalsh(model.A)
+    return _normal_form(model, *np.linalg.eigh(model.A))
+
+
+def _normal_form(model, eigs, V):
     if eigs[0] <= DEGENERACY_TOL:
         raise NotElliptic(
             f"A is not positive definite (eigenvalue {eigs[0]:.3e})", eigenvalue=float(eigs[0])
         )
-    L = np.linalg.cholesky(model.A)
-    T0 = np.linalg.inv(L.conj().T)
+    T0 = V / np.sqrt(eigs)
     Bp = T0.T @ model.B @ T0
-    Bp = (Bp + Bp.T) / 2
-    U, sigma = takagi(Bp)
-    order = np.argsort(sigma, kind="stable")
-    lambdas = sigma[order]
-    T = (T0 @ U.conj())[:, order]
+    U, lambdas = takagi((Bp + Bp.T) / 2)
+    T = T0 @ U.conj()
+    lead = T[np.argmax(np.abs(T), axis=0), np.arange(model.n)]
+    T *= np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
     residual_a = _maxabs(T.conj().T @ model.A @ T - np.eye(model.n))
     residual_b = _maxabs(T.T @ model.B @ T - np.diag(lambdas))
     if max(residual_a, residual_b) > RESIDUAL_FAIL:
@@ -274,8 +238,12 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
 
 
 def classify(model: QuadricModel) -> ClassificationResult:
-    """Total classification: degenerate, elliptic, parabolic or hyperbolic."""
-    eigs = np.linalg.eigvalsh(model.A)
+    """Total classification: degenerate, elliptic, parabolic or hyperbolic.
+
+    One eigendecomposition of A serves the nondegeneracy report, the
+    positive definiteness test and the normal form.
+    """
+    eigs, V = np.linalg.eigh(model.A)
     report = _nondegeneracy(eigs)
     if not report.ok:
         return ClassificationResult(
@@ -292,7 +260,7 @@ def classify(model: QuadricModel) -> ClassificationResult:
             note="A is nonsingular but not positive definite; "
             "Bishop invariants in the elliptic sense are undefined",
         )
-    nf = normalize(model)
+    nf = _normal_form(model, eigs, V)
     return ClassificationResult(
         classification=nf.classification,
         lambdas=nf.lambdas,

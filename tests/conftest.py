@@ -56,6 +56,21 @@ def random_model(rng, n, posdef_shift=0.5):
     return QuadricModel(A=A, B=B)
 
 
+def congruent_model(rng, lambdas):
+    """A = S^H S, B = S^T diag(lambdas) S for a random well-conditioned S.
+
+    Its Bishop invariants are exactly lambdas.  Draws and rounding follow
+    perfbench/corpus.py's congruent(), so a seed gives the same matrices.
+    """
+    n = len(lambdas)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    U, _ = np.linalg.qr(G)
+    S = np.diag(rng.uniform(0.7, 1.4, n)) @ U
+    A = S.conj().T @ S
+    B = S.T @ np.diag(np.asarray(lambdas, dtype=complex)) @ S
+    return QuadricModel(A=(A + A.conj().T) / 2, B=(B + B.T) / 2)
+
+
 def random_lambdas(rng, n):
     return [LAMBDA_CHOICES[int(rng.integers(0, len(LAMBDA_CHOICES)))] for _ in range(n)]
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from crextend import Polynomial, normal_form_model
+from conftest import congruent_model
+from crextend import Polynomial, normal_form_model, q_polynomial
 from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, dumps_canonical, main
 
@@ -81,6 +82,23 @@ def test_cli_classify_hyperbolic_note(tmp_path, capsys):
     assert doc["classification"] == "hyperbolic"
     assert doc["lambdas"] is None
     assert doc["note"]
+
+
+def test_cli_classify_and_extend_zero_invariants(tmp_path, capsys):
+    # a congruent n = 4 model with lambda = (0, 0, 0.151, 0.409)
+    lams = [0.0, 0.0, 0.151, 0.409]
+    m = congruent_model(np.random.default_rng(311), lams)
+    path = write_json(tmp_path / "model.json", m.to_json_dict())
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["classification"] == "elliptic"
+    assert doc["lambdas"] == pytest.approx(lams, abs=1e-12)
+    f = (Polynomial.w(4) + Polynomial.z(4, 2)).substitute_w(q_polynomial(m))
+    path = write_json(tmp_path / "in.json", {"model": m.to_json_dict(), "f": poly_doc(f)})
+    code, out, err = run(capsys, ["extend", path])
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "Extended"
 
 
 # -- extend ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import congruent_model, random_model
 from crextend import (
     InputError,
     NotElliptic,
@@ -116,6 +116,42 @@ def test_takagi_zero_and_mixed_kernel():
     assert maxabs(U.conj().T @ U - np.eye(3)) < 1e-13
 
 
+TAKAGI_SPECTRA = ["generic", "half zero", "tiny", "zero and repeated", "rounded"]
+
+
+def _takagi_spectrum(rng, n, kind):
+    if kind == "generic":
+        return rng.uniform(0.0, 1.0, n)
+    if kind == "half zero":
+        s = rng.uniform(0.0, 1.0, n)
+        s[: (n + 1) // 2] = 0.0
+        return s
+    if kind == "tiny":
+        return 10.0 ** rng.uniform(-16, -8, n)
+    if kind == "zero and repeated":
+        s = np.full(n, rng.uniform(0.1, 1.0))
+        s[0] = 0.0
+        return s
+    return np.round(rng.uniform(0.0, 1.0, n), 1)  # ties at multiples of 0.1
+
+
+@pytest.mark.parametrize("kind", TAKAGI_SPECTRA)
+def test_takagi_sweep_kernels_ties_and_tiny_values(kind):
+    # S = Q diag(s) Q^T with Q unitary has Takagi values s
+    rng = np.random.default_rng(TAKAGI_SPECTRA.index(kind))
+    for n in range(1, 6):
+        for _ in range(120):
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            Q, _ = np.linalg.qr(G)
+            s = _takagi_spectrum(rng, n, kind)
+            S = Q @ np.diag(s) @ Q.T
+            U, sig = takagi(S)
+            assert maxabs(U @ np.diag(sig) @ U.T - S) <= 1e-13
+            assert maxabs(U.conj().T @ U - np.eye(n)) <= 1e-13
+            assert np.all(sig >= 0) and np.all(np.diff(sig) >= 0)
+            assert maxabs(sig - np.sort(s)) <= 1e-13
+
+
 def test_takagi_rejects_asymmetric():
     with pytest.raises(InputError):
         takagi(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -147,6 +183,55 @@ def test_normalize_invariants_random():
         assert maxabs(nf.T.T @ m.B @ nf.T - np.diag(nf.lambdas)) < 1e-10
         assert np.all(nf.lambdas >= 0)
         assert np.all(np.diff(nf.lambdas) >= 0)
+
+
+def _lead_entries(T):
+    """Per column, the first entry of largest modulus."""
+    return np.array([T[int(np.argmax(np.abs(T[:, j]))), j] for j in range(T.shape[1])])
+
+
+def test_normal_form_columns_are_canonically_signed():
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        lead = _lead_entries(normalize(random_model(rng, n)).T)
+        assert np.all((lead.real > 0) | ((lead.real == 0) & (lead.imag > 0)))
+
+
+def test_normal_form_t_does_not_depend_on_the_route_to_t0():
+    # With distinct nonzero lambdas each column of T is fixed up to sign, so
+    # T from a Cholesky T0 = (L^H)^-1, signed by the same rule, is the same T.
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        m = random_model(rng, n)
+        nf = normalize(m)
+        T0 = np.linalg.inv(np.linalg.cholesky(m.A).conj().T)
+        Bp = T0.T @ m.B @ T0
+        U, sig = takagi((Bp + Bp.T) / 2)
+        T = T0 @ U.conj()
+        lead = _lead_entries(T)
+        T = T * np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
+        assert np.min(np.diff(sig), initial=1.0) > 1e-3 and sig[0] > 1e-3
+        assert maxabs(T - nf.T) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lambdas",
+    [[0.0, 0.2], [0.0, 0.0, 0.151, 0.409], [0.0, 1e-10, 0.3], [1e-13, 0.25], "tiny"],
+    ids=str,
+)
+def test_classify_congruent_models_with_zero_or_tiny_invariants(lambdas):
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        lams = lambdas
+        if lams == "tiny":  # two invariants in [1e-12, 1e-9]
+            lams = sorted([*10.0 ** rng.uniform(-12, -9, 2), rng.uniform(0.05, 0.45)])
+        res = classify(congruent_model(rng, lams))  # raises NumericalFailure on a bad factorization
+        assert res.classification == "elliptic"
+        assert maxabs(res.lambdas - lams) <= 1e-12
+        assert res.normal_form.residual_a <= 1e-12
+        assert res.normal_form.residual_b <= 1e-12
 
 
 def test_normalize_requires_positive_definite():
