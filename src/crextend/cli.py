@@ -268,14 +268,7 @@ def _cmd_check(doc, cfg: RunConfig):
     return {
         "mode": "cr-fields",
         "passed": not violations,
-        "violations": [
-            {
-                "pair": [v.j, v.ell],
-                "field_applied": v.field_applied.to_json_dict(),
-                "field_applied_pretty": v.field_applied.pretty(),
-            }
-            for v in violations
-        ],
+        "violations": [v.to_json_dict() for v in violations],
     }
 
 

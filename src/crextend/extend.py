@@ -118,16 +118,11 @@ def _structural_certificate(f, model, degree, residual):
     if model.n >= 2:
         violations = cr_check(f, model)
         if violations:
-            v = violations[0]
             return Certificate(
                 degree=degree,
                 residual=residual,
                 condition="CR field X f != 0",
-                detail={
-                    "pair": (v.j, v.ell),
-                    "field_applied": v.field_applied.to_json_dict(),
-                    "field_applied_pretty": v.field_applied.pretty(),
-                },
+                detail=violations[0].to_json_dict(),
             )
         return Certificate(degree=degree, residual=residual)
     lam = float(lambdas[0])
@@ -309,9 +304,11 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
     For each unit direction v, the model restricted to z = xi v is an
     n = 1 quadric with invariant lambda' = |sum_j lambda_j v_j^2| after a
     rotation of xi; the restricted data is extended from scratch there and
-    compared with restrict_to_plane(P, v).  Returns the maximum coefficient
-    deviation over all directions.
+    compared with P restricted to the same rotated line.  Returns the
+    maximum coefficient deviation over all directions.
     """
+    if not P.is_holomorphic():
+        raise InputError("slice_oracle: P must be holomorphic (no zbar terms)")
     ok, lambdas = is_normal_form(model)
     if not ok:
         raise InputError("slice_oracle: model must be in Bishop normal form")
@@ -337,11 +334,7 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
         result = extend_general(f_v, sliced_model, tol=tol)
         if not result.extended:
             return float("inf")
-        expected = restrict_to_plane(P, v)
-        rotated = Polynomial(
-            1, expected.exps, expected.coeffs * np.exp(1j * rotation * expected.exps[:, 0])
-        )
-        dev = (result.P - rotated).max_coeff()
+        dev = (result.P - _restrict(P, v, rotation)).max_coeff()
         max_dev = max(max_dev, dev)
     return max_dev
 

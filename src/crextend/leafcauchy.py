@@ -27,6 +27,7 @@ NEAR_BOUNDARY_FACTOR = 0.05
 WINDING_TOL = 0.01
 MIN_LADDER_RUNGS = 6
 MAX_LADDER_RUNGS = 64
+ZDERIV_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,18 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     return LeafExtension(leaf=leaf, interior_values=values, boundary_sup_error=float(sup_err))
 
 
-def continuity_probe(data: BoundaryData, model: QuadricModel, radii, f0=None, N=512):
-    """sup over each leaf of |f - f(0)|, certifying continuity as r -> 0.
+def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=512):
+    """sup over each leaf of |f - f0|, certifying continuity as r -> 0.
 
-    f0 defaults to the average of the data over the smallest leaf.
+    f0 is the average of the data over the smallest leaf.
     """
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise InputError("continuity_probe: need at least one leaf radius")
     leaves = [solve_leaf(model, r, N) for r in radii]
-    if f0 is None:
-        _, _, fvals = _cauchy_values(data, leaves[0])
-        f0 = complex(np.mean(fvals))
-    rows = []
-    for leaf in leaves:
-        _, _, fvals = _cauchy_values(data, leaf)
-        rows.append((leaf.r, float(np.max(np.abs(fvals - f0)))))
-    return f0, rows
+    values = [data.evaluator(leaf.points(), leaf.level) for leaf in leaves]
+    f0 = complex(np.mean(values[0]))
+    return f0, [(leaf.r, float(np.max(np.abs(fvals - f0)))) for leaf, fvals in zip(leaves, values)]
 
 
 def radial_leaf_family(radius_fn: Callable, N=512):
@@ -166,9 +162,7 @@ def radial_leaf_family(radius_fn: Callable, N=512):
         r = float(radius_fn(s))
         if not r > 0:
             raise InputError(f"radial leaf radius must be positive, got {r} at s = {s}")
-        return LeafParametrization(
-            lam=0.0, r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros
-        )
+        return LeafParametrization(r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros)
 
     return family
 
@@ -210,47 +204,34 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
         raise InputError(
             f"s ladder needs at least {MIN_LADDER_RUNGS} and at most {MAX_LADDER_RUNGS} rungs"
         )
-    if s_ladder[0] <= 0 or any(b <= a for a, b in zip(s_ladder, s_ladder[1:])):
+    s = np.array(s_ladder)
+    h = np.diff(s)
+    if s[0] <= 0 or np.any(h <= 0):
         raise InputError("s ladder must be positive and strictly increasing")
-    ratios = [s_ladder[i + 1] / s_ladder[i] for i in range(len(s_ladder) - 1)]
-    if max(ratios) / min(ratios) > 1.0 + 1e-6:
+    ratios = s[1:] / s[:-1]
+    if ratios.max() / ratios.min() > 1.0 + 1e-6:
         raise InputError("s ladder must be geometric (constant ratio)")
 
-    F0 = []
-    for s in s_ladder:
-        leaf = leaf_family(s)
-        ext = cauchy_extend(data, leaf, [0.0])
-        F0.append(ext.interior_values[0.0])
-
-    rows = []
-    fs_values = []
-    floors = []
+    F0 = np.array(
+        [cauchy_extend(data, leaf_family(v), [0.0]).interior_values[0.0] for v in s_ladder]
+    )
+    h1, h2 = h[:-1], h[1:]
+    Fs = (
+        -h2 / (h1 * (h1 + h2)) * F0[:-2]
+        + (h2 - h1) / (h1 * h2) * F0[1:-1]
+        + h1 / (h2 * (h1 + h2)) * F0[2:]
+    )
+    rows = tuple(zip(s_ladder, F0.tolist(), [None, *Fs.tolist(), None]))
+    # roundoff in F0 is amplified by the 1/h quotient; below this the
+    # difference cannot resolve a derivative at all
     eps = float(np.finfo(float).eps)
-    scale = max(1.0, max(abs(v) for v in F0))
-    for i in range(len(s_ladder)):
-        if i == 0 or i == len(s_ladder) - 1:
-            rows.append((s_ladder[i], F0[i], None))
-            continue
-        h1 = s_ladder[i] - s_ladder[i - 1]
-        h2 = s_ladder[i + 1] - s_ladder[i]
-        fs = (
-            -h2 / (h1 * (h1 + h2)) * F0[i - 1]
-            + (h2 - h1) / (h1 * h2) * F0[i]
-            + h1 / (h2 * (h1 + h2)) * F0[i + 1]
-        )
-        fs_values.append((s_ladder[i], fs))
-        # roundoff in F0 is amplified by the 1/h quotient; below this the
-        # difference cannot resolve a derivative at all
-        floors.append(1e-13 * scale + 32 * eps * scale * (1.0 / h1 + 1.0 / h2))
-        rows.append((s_ladder[i], F0[i], fs))
-
-    mags = np.array([abs(fs) for _, fs in fs_values])
-    if np.all(mags < np.array(floors)):
-        return DerivativeProbeReport(exponent=None, label="bounded (≈0)", rows=tuple(rows))
-    logs = np.log(np.array([s for s, _ in fs_values]))
-    logm = np.log(mags)
-    slope = float(np.polyfit(logs, logm, 1)[0])
-    return DerivativeProbeReport(exponent=slope, label="power-law", rows=tuple(rows))
+    scale = max(1.0, float(np.max(np.abs(F0))))
+    floors = 1e-13 * scale + 32 * eps * scale * (1.0 / h1 + 1.0 / h2)
+    mags = np.abs(Fs)
+    if np.all(mags < floors):
+        return DerivativeProbeReport(exponent=None, label="bounded (≈0)", rows=rows)
+    slope = float(np.polyfit(np.log(s[1:-1]), np.log(mags), 1)[0])
+    return DerivativeProbeReport(exponent=slope, label="power-law", rows=rows)
 
 
 @dataclass(frozen=True)
@@ -261,10 +242,8 @@ class ZDerivReport:
     margin: float
 
 
-def zderiv_bound_check(
-    data: BoundaryData, leaf: LeafParametrization, interior_points, slack=1e-6
-) -> ZDerivReport:
-    """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + slack.
+def zderiv_bound_check(data: BoundaryData, leaf: LeafParametrization, interior_points) -> ZDerivReport:
+    """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + ZDERIV_SLACK.
 
     F_z is estimated by central finite differences of the Cauchy integral
     at the interior samples; the tangential derivatives of f come from the
@@ -286,8 +265,8 @@ def zderiv_bound_check(
         fm = _cauchy_at(z - h, zeta, dzeta, fvals)
         max_fz = max(max_fz, abs((fp - fm) / (2 * h)))
     return ZDerivReport(
-        ok=max_fz <= sup_bound + slack,
+        ok=max_fz <= sup_bound + ZDERIV_SLACK,
         max_fz=max_fz,
         sup_bound=sup_bound,
-        margin=sup_bound + slack - max_fz,
+        margin=sup_bound + ZDERIV_SLACK - max_fz,
     )

@@ -47,7 +47,6 @@ def eval_on_grid(p: Polynomial, z):
 class LeafParametrization:
     """One hull leaf of an n = 1 model, sampled on an equispaced theta grid."""
 
-    lam: float
     r: float
     level: float  # value of w on the leaf
     theta: np.ndarray
@@ -82,10 +81,11 @@ def solve_leaf(
 ) -> LeafParametrization:
     """Solve for the leaf profile phi at level r^2 by vectorized Newton iteration.
 
-    The model must be n = 1 in Bishop normal form with lam < 1/2.  For
-    E = 0 the closed form phi = (1 + 2 lam cos 2theta)^(-1/2) is exact and
-    Newton terminates immediately; with E present it is the initial guess.
-    A leaf whose defining-equation residual is not below tol is a
+    The model must be n = 1 in Bishop normal form with lam < 1/2.  Newton
+    starts from the closed form phi = (1 + 2 lam cos 2theta)^(-1/2), which
+    is exact for E = 0, so then the loop stops after its first defect.  E
+    is real, so E_zbar = conj(E_z) and dE/dphi = 2 r Re(E_z e^(i theta)).
+    The last defect's sup is the leaf residual: not below tol is a
     LeafSolveError.
     """
     if model.n != 1:
@@ -102,34 +102,28 @@ def solve_leaf(
     _check_grid_size(N)
 
     theta = 2 * np.pi * np.arange(N) / N
-    c2 = np.cos(2 * theta)
-    base = 1.0 + 2.0 * lam * c2
+    base = 1.0 + 2.0 * lam * np.cos(2 * theta)
     phi = base**-0.5
-
     E = model.E
     if E is not None:
         eit = np.exp(1j * theta)
         Ez = E.partial_derivative("z")
-        Ezb = E.partial_derivative("zbar")
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER):
+        g = phi**2 * base - 1.0
+        if E is not None:
             z = r * phi * eit
-            g = phi**2 * base + eval_on_grid(E, z).real / r**2 - 1.0
-            if np.max(np.abs(g)) < NEWTON_TOL:
-                converged = True
-                break
-            dEdphi = (eval_on_grid(Ez, z) * eit + eval_on_grid(Ezb, z) * np.conj(eit)).real * r
-            gp = 2 * phi * base + dEdphi / r**2
-            phi = phi - g / gp
-        if not converged:
-            raise LeafSolveError(
-                f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
-                "(leaf may be outside the model's validity radius)"
-            )
+            g += eval_on_grid(E, z).real / r**2
+        residual = float(np.max(np.abs(g)))
+        if E is None or residual < NEWTON_TOL:
+            break
+        phi = phi - g / (2 * phi * base + 2 * (eval_on_grid(Ez, z) * eit).real / r)
+    else:
+        raise LeafSolveError(
+            f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
+            "(leaf may be outside the model's validity radius)"
+        )
     if np.any(phi <= 0):
         raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
-
-    residual = _leaf_residual(lam, E, r, theta, phi)
     if residual >= tol:
         raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
 
@@ -137,53 +131,44 @@ def solve_leaf(
     theta.setflags(write=False)
     phi.setflags(write=False)
     phi_theta.setflags(write=False)
-    return LeafParametrization(
-        lam=lam,
-        r=r,
-        level=r * r,
-        theta=theta,
-        phi=phi,
-        phi_theta=phi_theta,
-    )
-
-
-def _leaf_residual(lam, E, r, theta, phi):
-    g = phi**2 * (1.0 + 2.0 * lam * np.cos(2 * theta)) - 1.0
-    if E is not None:
-        z = r * phi * np.exp(1j * theta)
-        g = g + eval_on_grid(E, z).real / r**2
-    return float(np.max(np.abs(g)))
+    return LeafParametrization(r=r, level=r * r, theta=theta, phi=phi, phi_theta=phi_theta)
 
 
 def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
     """Trapezoidal value of the leaf moment integral of f * zeta^ell d(zeta).
 
-    The integrand in theta is f(zeta, conj zeta) * phi^ell * (phi_theta + i phi)
-    * exp(i (ell+1) theta), scaled by r^(ell+1); the trapezoid rule is
-    spectrally accurate for these periodic analytic integrands.
+    With zeta = r u, u = phi e^(i theta), the integral is r^(ell+1) times
+    the sum of u^ell * f * (phi_theta + i phi) e^(i theta) * 2pi/N over the
+    grid; the trapezoid rule is spectrally accurate for these periodic
+    analytic integrands.
     """
     if ell < 0:
         raise InputError(f"moment order ell must be >= 0, got {ell}")
     if f.has_w_terms():
         raise InputError("moment_integral: f must not contain w")
-    fvals = eval_on_grid(f, leaf.points())
-    return _moment_from_values(fvals, leaf, ell)
+    return _leaf_moments(f, leaf, (ell,))[0]
 
 
-def _moment_from_values(fvals, leaf, ell):
-    integrand = (
-        fvals
-        * leaf.phi**ell
-        * (leaf.phi_theta + 1j * leaf.phi)
-        * np.exp(1j * (ell + 1) * leaf.theta)
-    )
-    try:
-        scale = leaf.r ** (ell + 1)
-    except OverflowError as exc:
-        raise NumericalError(
-            f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
-        ) from exc
-    return complex(scale * (2 * np.pi / leaf.N) * np.sum(integrand))
+def _leaf_moments(f, leaf, ells):
+    """Moments of f of each order in ells on one leaf, from one weight per leaf.
+
+    The weight w = f * (phi_theta + i phi) e^(i theta) * 2pi/N and u = phi
+    e^(i theta) are formed once; each ell costs u**ell and one sum.
+    """
+    eit = np.exp(1j * leaf.theta)
+    u = leaf.phi * eit
+    fvals = eval_on_grid(f, leaf.r * leaf.phi * eit)  # the bits of leaf.points()
+    w = fvals * (leaf.phi_theta + 1j * leaf.phi) * eit * (2 * np.pi / leaf.N)
+    values = []
+    for ell in ells:
+        try:
+            scale = leaf.r ** (ell + 1)
+        except OverflowError as exc:
+            raise NumericalError(
+                f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
+            ) from exc
+        values.append(complex(scale * np.sum(w * u**ell)))
+    return values
 
 
 @dataclass(frozen=True)
@@ -225,8 +210,10 @@ def check_moments(
 
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
-    that a pass always rests on some moments.  Passes iff every moment
-    modulus is below tol; leaf_tol is solve_leaf's residual tolerance.  A
+    that a pass always rests on some moments.  Each leaf is solved once and
+    f evaluated on it once; its weight serves every ell, as in
+    moment_integral.  Passes iff every moment modulus is below tol; leaf_tol
+    is solve_leaf's residual tolerance.  A
     moment whose scale r^(ell + 1) overflows is a NumericalError naming r
     and ell.  f must not contain w.
     """
@@ -246,9 +233,7 @@ def check_moments(
     max_mod = 0.0
     for r in leaves:
         leaf = solve_leaf(model, r, N, leaf_tol)
-        fvals = eval_on_grid(f, leaf.points())
-        for ell in range(Lmax + 1):
-            v = _moment_from_values(fvals, leaf, ell)
+        for ell, v in enumerate(_leaf_moments(f, leaf, range(Lmax + 1))):
             entries.append((r, ell, v))
             max_mod = max(max_mod, abs(v))
     return MomentReport(
@@ -267,6 +252,13 @@ class CRFieldViolation:
     j: int
     ell: int
     field_applied: Polynomial  # X f, nonzero
+
+    def to_json_dict(self):
+        return {
+            "pair": [self.j, self.ell],
+            "field_applied": self.field_applied.to_json_dict(),
+            "field_applied_pretty": self.field_applied.pretty(),
+        }
 
 
 def cr_check(f: Polynomial, model: QuadricModel):

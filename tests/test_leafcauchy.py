@@ -129,6 +129,49 @@ def test_probe_constant_data_reports_bounded():
     assert len(report.rows) == 6
 
 
+def _probe_per_rung(data, family, ladder):
+    """The probe as a loop over rungs: (rows, exponent or None)."""
+    F0 = [cauchy_extend(data, family(s), [0.0]).interior_values[0.0] for s in ladder]
+    scale = max(1.0, max(abs(v) for v in F0))
+    eps = float(np.finfo(float).eps)
+    rows, fit = [(ladder[0], F0[0], None)], []
+    for i in range(1, len(ladder) - 1):
+        h1, h2 = ladder[i] - ladder[i - 1], ladder[i + 1] - ladder[i]
+        fs = (
+            -h2 / (h1 * (h1 + h2)) * F0[i - 1]
+            + (h2 - h1) / (h1 * h2) * F0[i]
+            + h1 / (h2 * (h1 + h2)) * F0[i + 1]
+        )
+        rows.append((ladder[i], F0[i], fs))
+        floor = 1e-13 * scale + 32 * eps * scale * (1.0 / h1 + 1.0 / h2)
+        fit.append((ladder[i], abs(fs), abs(fs) < floor))
+    rows.append((ladder[-1], F0[-1], None))
+    if all(below for _, _, below in fit):
+        return rows, None
+    slope = np.polyfit([np.log(s) for s, _, _ in fit], [np.log(m) for _, m, _ in fit], 1)[0]
+    return rows, float(slope)
+
+
+def test_probe_matches_per_rung_loop():
+    m = normal_form_model([0.3])
+    cases = [
+        (radial_leaf_family(lambda s: s**0.25, N=256), BoundaryData.builtin("sqrt-re-w")),
+        (quadric_leaf_family(m, N=256), BoundaryData.from_polynomial(Polynomial.z(1) * Polynomial.zbar(1))),
+        (quadric_leaf_family(m, N=128), BoundaryData.builtin("constant")),
+    ]
+    for family, data in cases:
+        for rungs in (6, 9):
+            ladder = [3e-4 * 1.5**k for k in range(rungs)]
+            report = normal_derivative_probe(data, family, ladder)
+            rows, exponent = _probe_per_rung(data, family, ladder)
+            assert report.rows == tuple(rows)
+            if exponent is None:
+                assert report.exponent is None and report.label == "bounded (≈0)"
+            else:
+                assert report.label == "power-law"
+                assert abs(report.exponent - exponent) < 1e-12
+
+
 def test_probe_ladder_validation():
     family = quadric_leaf_family(normal_form_model([0.0]), N=128)
     data = BoundaryData.builtin("constant")

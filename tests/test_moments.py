@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_holomorphic, random_polynomial
+from conftest import LAMBDA_CHOICES, random_coeff, random_holomorphic, random_polynomial
 from crextend import (
     InputError,
     LeafSolveError,
@@ -61,6 +61,53 @@ def test_leaf_perturbed_newton_converges():
     z = leaf.points()
     rho_vals = eval_on_grid(q_polynomial(m), z)
     assert np.max(np.abs(rho_vals.real - leaf.level)) < 1e-12
+
+
+def _generic_real_E(rng, lam, nterms=6):
+    """p + conj(p) for random terms z^a zbar^b of degree 3..5, no symmetry imposed."""
+    size = 0.3 * (1 - 2 * lam) ** 2
+    p = Polynomial.zero(1)
+    for _ in range(nterms):
+        d = int(rng.integers(3, 6))
+        a = int(rng.integers(0, d + 1))
+        p = p + Polynomial.monomial(1, (a,), (d - a,), 0, size * random_coeff(rng))
+    return p + p.conjugate()
+
+
+def test_leaf_generic_real_E_matches_per_angle_roots():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(83)
+    N = 512
+    for lam in LAMBDA_CHOICES:
+        E = _generic_real_E(rng, lam)
+        m = normal_form_model([lam], E=E)
+        for r in (0.05, 0.1, 0.2):
+            leaf = solve_leaf(m, r, N)
+            rho = eval_on_grid(q_polynomial(m), leaf.points()).real
+            assert np.max(np.abs(rho - leaf.level)) / leaf.level < 1e-12
+            for j in range(0, N, N // 16):
+                t = leaf.theta[j]
+                base = 1.0 + 2.0 * lam * np.cos(2 * t)
+
+                def defect(phi):
+                    z = np.array([r * phi * np.exp(1j * t)])
+                    return phi**2 * base + eval_on_grid(E, z)[0].real / r**2 - 1.0
+
+                phi0 = base**-0.5
+                root = optimize.brentq(defect, 0.5 * phi0, 2.0 * phi0, xtol=1e-15, rtol=1e-15)
+                assert abs(leaf.phi[j] - root) < 1e-12
+
+
+def test_leaf_E_with_tolerated_imaginary_part_converges():
+    # E is accepted as real within HERMITIAN_TOL; Newton's E_zbar = conj(E_z)
+    # is then off by that much and must still converge
+    rng = np.random.default_rng(89)
+    E = _generic_real_E(rng, 0.1) + Polynomial.monomial(1, (3,), (0,), 0, 1e-13j)
+    m = normal_form_model([0.1], E=E)
+    for r in (0.05, 0.2):
+        leaf = solve_leaf(m, r, 256)
+        rho = eval_on_grid(q_polynomial(m), leaf.points()).real
+        assert np.max(np.abs(rho - leaf.level)) / leaf.level < 1e-12
 
 
 def test_eval_on_grid_is_evaluate():
@@ -165,6 +212,39 @@ def test_moment_homogeneity_scaling():
     v1 = abs(moment_integral(f, solve_leaf(m, 0.2, 256), 1))
     v2 = abs(moment_integral(f, solve_leaf(m, 0.4, 256), 1))
     assert v2 / v1 == pytest.approx(2.0 ** 4, rel=1e-10)
+
+
+def _moment_per_ell(f, leaf, ell):
+    """The moment as once computed: its own power of phi and exponential for each ell."""
+    integrand = (
+        eval_on_grid(f, leaf.points())
+        * leaf.phi**ell
+        * (leaf.phi_theta + 1j * leaf.phi)
+        * np.exp(1j * (ell + 1) * leaf.theta)
+    )
+    return complex(leaf.r ** (ell + 1) * (2 * np.pi / leaf.N) * np.sum(integrand))
+
+
+def test_moments_from_one_weight_match_per_ell_formula():
+    rng = np.random.default_rng(97)
+    radii = (0.01, 0.1, 0.4, 1.0)
+    Lmax = 68
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam])
+        for N in (64, 512, 4096):
+            f = random_polynomial(rng, 1, 6)
+            report = check_moments(f, m, leaves=radii, Lmax=Lmax, N=N)
+            values = {(r, ell): v for r, ell, v in report.entries}
+            for r in radii:
+                leaf = solve_leaf(m, r, N)
+                sup_f = float(np.max(np.abs(eval_on_grid(f, leaf.points()))))
+                sup_phi = float(np.max(leaf.phi))
+                for ell in range(Lmax + 1):
+                    expected = _moment_per_ell(f, leaf, ell)
+                    bound = 1e-13 * r ** (ell + 1) * sup_f * sup_phi**ell
+                    assert abs(values[r, ell] - expected) <= bound
+                    if ell % 17 == 0:
+                        assert abs(moment_integral(f, leaf, ell) - expected) <= bound
 
 
 def test_check_moments_default_ladder():
