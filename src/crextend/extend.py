@@ -12,7 +12,8 @@ the structural obstruction behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from itertools import accumulate
+from math import comb, hypot
 
 import numpy as np
 
@@ -149,17 +150,21 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
     the degree-d part of f.  The column of z^alpha w^k is Q^k with every
     z-exponent raised by alpha; Q^k is computed once, when a degree d with
-    k <= d // 2 is first solved.  Each block is filled from Q^k's arrays by
-    broadcasting the basis exponents onto them, and its rows (the distinct
-    exponents met, in order of first appearance) come from one
-    polyalg.sorted_runs grouping.  The solve is rank revealing (SVD) and the
-    per-degree condition number is reported; solved coefficients below the
-    solve's own rounding noise (NOISE_ULPS) are left out of P.  Failure threshold for the
-    graded residual is tol * (1 + max |coeff f|); residuals inside
-    (1e-11, tol) of that scale pass with a conditioning warning.  A degree
-    whose block could exceed MAX_GRADED_ENTRIES is refused (InputError)
-    before any Q power for it is formed.  The reported residual is the
-    largest coefficient of P(z, Q) - f, read off the blocks already solved.
+    k <= d // 2 is first solved.  When every term of Q has alpha_j + beta_j
+    even (n >= 2), each block is block-diagonal over parity classes: column
+    z^alpha w^k is in class alpha mod 2, row z^alpha' zbar^beta' in class
+    (alpha' + beta') mod 2; any other Q has one class.  Each class is
+    filled from one gather over the stacked Q powers and solved as its own
+    dense block, rank revealing (SVD); the whole block is never formed.  A
+    degree reports over the union of its classes: the residual's 2-norm and
+    max sigma / min sigma over all their singular values.  Solved
+    coefficients below the solve's own rounding noise (NOISE_ULPS) are left
+    out of P.  Failure threshold for the graded residual is
+    tol * (1 + max |coeff f|); residuals inside (1e-11, tol) of that scale
+    pass with a conditioning warning.  A degree whose block could exceed
+    MAX_GRADED_ENTRIES is refused (InputError) before any Q power for it is
+    formed.  The reported residual is the largest coefficient of
+    P(z, Q) - f, read off the blocks already solved.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -182,10 +187,16 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     scale = 1.0 + f.max_coeff()
     threshold = tol * scale
     n = f.n
+    # The parity class of an exponent is sum_j 2^j (alpha_j + beta_j mod 2) when Q is
+    # even in each coordinate (z^alpha Q^k then keeps alpha's parities), else 0.
+    even = n > 1 and not ((Q.exps[:, :n] + Q.exps[:, n : 2 * n]) & 1).any()
+    bits = (1 << np.arange(n)) * even
 
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
-    qpowers = [Polynomial.constant(n, 1.0)]
+    # Q^0, Q^1, ... stacked: Q^k is rows qstart[k] : qstart[k] + qsize[k]
+    Qk = Polynomial.constant(n, 1.0)
+    qexps, qvals, qstart, qsize = Qk.exps, Qk.coeffs, np.zeros(1, np.int64), np.ones(1, np.int64)
     reports = []
     final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
@@ -201,38 +212,58 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
                 f"extend_general: the degree-{d} block at n = {n} has up to {nrows} x {ncols} "
                 f"entries, more than {MAX_GRADED_ENTRIES}"
             )
-        while len(qpowers) <= d // 2:
-            qpowers.append(qpowers[-1] * Q)
+        while len(qsize) <= d // 2:
+            Qk = Qk * Q
+            qstart, qsize = np.append(qstart, len(qvals)), np.append(qsize, len(Qk.coeffs))
+            qexps, qvals = np.concatenate((qexps, Qk.exps)), np.concatenate((qvals, Qk.coeffs))
+        # columns grouped by class, in basis order within a class
         basis = _graded_basis(n, d)
-        # the entries of column z^alpha w^k: Q^k's rows plus alpha, Q^k's coefficients
-        shifted, cols, vals = [], [], []
-        for k in range(d // 2, -1, -1):
-            Qk = qpowers[k]
-            in_k = np.flatnonzero(basis[:, -1] == k)
-            alphas = basis[in_k]
-            alphas[:, -1] = 0
-            shifted.append((alphas[:, None, :] + Qk.exps[None, :, :]).reshape(-1, 2 * n + 1))
-            cols.append(np.repeat(in_k, len(Qk.coeffs)))
-            vals.append(np.tile(Qk.coeffs if dtype is complex else Qk.coeffs.real, len(in_k)))
-        # one row per distinct exponent, numbered in order of first appearance,
-        # f_d's own exponents last
-        entries = np.concatenate(shifted + [f.exps[lo:hi]])
+        colcls = (basis[:, :n] & 1) @ bits
+        basis = basis[colcls.argsort(kind="stable")]
+        # one ragged gather: column z^alpha w^k holds Q^k's rows plus alpha, Q^k's coefficients
+        ks = basis[:, -1]
+        count = qsize[ks]
+        ends = count.cumsum()
+        src = np.arange(ends[-1]) + (qstart[ks] + count - ends).repeat(count)
+        entries = qexps[src]
+        entries[:, :n] += basis[:, :n].repeat(count, axis=0)
+        col = np.arange(len(basis)).repeat(count)
+        vals = (qvals if dtype is complex else qvals.real)[src]
+        # rows: the distinct exponents, f_d's included, grouped by class, graded within a class
+        entries = np.concatenate((entries, f.exps[lo:hi]))
         order, starts = sorted_runs(entries)
-        first_seen = np.empty(len(starts), dtype=np.int64)
-        first_seen[np.argsort(order[starts])] = np.arange(len(starts))
+        rows = entries[order[starts]]
+        rowcls = ((rows[:, :n] + rows[:, n : 2 * n]) & 1) @ bits
+        number = np.empty(len(rows), dtype=np.int64)
+        number[rowcls.argsort(kind="stable")] = np.arange(len(rows))
         row_of = np.empty(len(entries), dtype=np.int64)
-        row_of[order] = np.repeat(first_seen, np.diff(np.append(starts, len(entries))))
-        nnz = len(entries) - (hi - lo)
-        M = np.zeros((len(starts), len(basis)), dtype=dtype)
-        M[row_of[:nnz], np.concatenate(cols)] = np.concatenate(vals)
-        b = np.zeros(len(starts), dtype=complex)
-        b[row_of[nnz:]] = f.coeffs[lo:hi]
+        row_of[order] = number.repeat(np.diff(np.append(starts, len(entries))))
+        b = np.zeros(len(rows), dtype=complex)
+        b[row_of[len(src) :]] = f.coeffs[lo:hi]
         rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
-        x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
-        if dtype is float:
-            x = x[:, 0] + 1j * x[:, 1]
-        residual = float(np.linalg.norm(M @ x - b))
-        condition = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
+        # every column has entries, so a class without rows has no columns either
+        rsizes = np.bincount(rowcls).tolist()
+        csizes = np.bincount(colcls, minlength=len(rsizes)).tolist()
+        ebounds = [0] + ends.tolist()
+        blocks, xs, norms, sigmas, kept = [], [], [], [], []
+        r0 = c0 = 0
+        for r1, c1 in zip(accumulate(rsizes), accumulate(csizes)):
+            if r1 == r0:
+                continue
+            e0, e1 = ebounds[c0], ebounds[c1]
+            M = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
+            M[row_of[e0:e1] - r0, col[e0:e1] - c0] = vals[e0:e1]
+            x, _, rank, sv = np.linalg.lstsq(M, rhs[r0:r1], rcond=None)
+            norms.append(np.linalg.norm(M @ x - rhs[r0:r1]))
+            blocks.append((M, r0, r1, c0, c1))
+            xs.append(x)
+            sv = sv.tolist()
+            sigmas += sv
+            kept += sv[:rank]
+            r0, c0 = r1, c1
+        # the degree's report covers the union of its classes
+        residual = hypot(*norms)
+        condition = max(sigmas) / min(sigmas) if min(sigmas) > 0 else float("inf")
         warning = None
         if residual >= threshold:
             reports.append(DegreeReport(degree=d, residual=residual, condition=condition))
@@ -248,15 +279,19 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
                 f"degree {d} residual {residual:.3e} is close to the threshold; "
                 f"condition number {condition:.3e}"
             )
-        if rank < len(basis):
-            warning = f"degree {d} solve is rank deficient ({rank} < {len(basis)})"
+        if len(kept) < len(basis):
+            warning = f"degree {d} solve is rank deficient ({len(kept)} < {len(basis)})"
         reports.append(
             DegreeReport(degree=d, residual=residual, condition=condition, warning=warning)
         )
-        noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
-        x = np.where(np.abs(x) < noise, 0, x)
-        # P(z, Q) - f in degree d is exactly M x - b, so the blocks give the final residual
-        final_residual = max(final_residual, float(np.max(np.abs(M @ x - b))))
+        X = np.concatenate(xs)
+        x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
+        noise = NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * np.linalg.norm(x)
+        x[np.abs(x) < noise] = 0
+        # P(z, Q) - f in degree d is exactly M x - b, class by class
+        for M, r0, r1, c0, c1 in blocks:
+            R = (M @ X[c0:c1] - rhs[r0:r1]).view(complex)
+            final_residual = max(final_residual, float(np.abs(R).max()))
         P_exps.append(basis)
         P_coeffs.append(x)
     P = Polynomial(n, np.concatenate(P_exps), np.concatenate(P_coeffs))

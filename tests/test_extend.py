@@ -1,9 +1,13 @@
 """Polynomial extension: monomial route, involution, graded solves, slicing."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (
+    congruent_model,
     loop_evaluate,
     random_holomorphic,
     random_lambdas,
@@ -12,7 +16,7 @@ from conftest import (
 )
 from crextend.extend import NOISE_ULPS
 from crextend.polyalg import monomials
-from dictref import Exponent, extend_lambda0, from_terms, term_dict
+from dictref import Exponent, extend_lambda0, from_terms, term_dict, term_sort_key
 from crextend import (
     InputError,
     NotElliptic,
@@ -290,43 +294,58 @@ def test_verify_extension_matches_loop_reference():
 def reference_graded_solve(f, model, tol=1e-9):
     """The graded solve with every column built as monomial(alpha) * Q**k and P summed per degree.
 
-    Returns (P or None, [(degree, residual, condition), ...]).
+    Each degree is split as extend_general splits it: when every term of Q
+    has alpha_j + beta_j even (n >= 2), column z^alpha w^k is in parity class
+    alpha mod 2 and row z^alpha' zbar^beta' in class (alpha' + beta') mod 2,
+    else everything is in one class.  Classes are solved in the order of
+    sum_j parity_j 2^j, each with its rows in graded order and its columns in
+    basis order.  Returns (P or None, [(degree, residual, condition), ...]).
     """
     Q = q_polynomial(model)
     n = f.n
+    even = n > 1 and all((a + b) % 2 == 0 for e in term_dict(Q) for a, b in zip(e.alpha, e.beta))
+
+    def parity_class(alpha, beta):
+        return sum(((a + b) % 2) << j for j, (a, b) in enumerate(zip(alpha, beta))) if even else 0
+
+    real = not Q.coeffs.imag.any()
     threshold = tol * (1.0 + f.max_coeff())
     P, reports = Polynomial.zero(n), []
     for d in range(f.degree() + 1):
-        fd = f.homogeneous_part(d)
-        if fd.is_zero():
+        fd = term_dict(f.homogeneous_part(d))
+        if not fd:
             continue
         basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
-        images = [mono(n, alpha) * Q**k for alpha, k in basis]
-        row_index = {}
-        for img in images:
-            for e in term_dict(img):
-                row_index.setdefault(e, len(row_index))
-        for e in term_dict(fd):
-            row_index.setdefault(e, len(row_index))
-        M = np.zeros((len(row_index), len(basis)), dtype=complex)
-        for col, img in enumerate(images):
-            for e, c in term_dict(img).items():
-                M[row_index[e], col] = c
-        b = np.zeros(len(row_index), dtype=complex)
-        for e, c in term_dict(fd).items():
-            b[row_index[e]] = c
-        if M.imag.any():
-            x, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
-        else:
-            # a real block is solved in real arithmetic, Re b and Im b as two right-hand sides
-            M = M.real.copy()
-            xr, _, rank, sv = np.linalg.lstsq(M, np.column_stack((b.real, b.imag)), rcond=None)
-            x = xr[:, 0] + 1j * xr[:, 1]
-        residual = float(np.linalg.norm(M @ x - b))
-        reports.append((d, residual, float(sv[0] / sv[-1])))
+        basis.sort(key=lambda col: parity_class(col[0], (0,) * n))
+        images = [term_dict(mono(n, alpha) * Q**k) for alpha, k in basis]
+        rows = sorted({e for img in images for e in img} | set(fd), key=term_sort_key)
+        classes = sorted({parity_class(e.alpha, e.beta) for e in rows})
+        x, norms, svs, kept = [], [], [], []
+        for c in classes:
+            cols = [j for j, (alpha, _) in enumerate(basis) if parity_class(alpha, (0,) * n) == c]
+            row_index = {e: i for i, e in enumerate(e for e in rows if parity_class(e.alpha, e.beta) == c)}
+            M = np.zeros((len(row_index), len(cols)), dtype=complex)
+            for j, col in enumerate(cols):
+                for e, coeff in images[col].items():
+                    M[row_index[e], j] = coeff
+            b = np.zeros(len(row_index), dtype=complex)
+            for e, coeff in fd.items():
+                if e in row_index:
+                    b[row_index[e]] = coeff
+            if real:
+                # a real block is solved in real arithmetic, Re b and Im b as two right-hand sides
+                M, b = M.real.copy(), np.column_stack((b.real, b.imag))
+            xc, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
+            norms.append(np.linalg.norm(M @ xc - b))
+            x.extend(xc[:, 0] + 1j * xc[:, 1] if real else xc)
+            svs.extend(sv)
+            kept.extend(sv[:rank])
+        x = np.array(x, dtype=complex)
+        residual = math.hypot(*norms)
+        reports.append((d, residual, float(max(svs) / min(svs))))
         if residual >= threshold:
             return None, reports
-        noise = NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)
+        noise = NOISE_ULPS * np.finfo(float).eps * max(svs) / min(kept) * np.linalg.norm(x)
         x[np.abs(x) < noise] = 0
         P = P + from_terms(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
     return P, reports
@@ -367,6 +386,189 @@ def test_extend_general_complex_q_matches_column_reference():
         assert res.extended
         assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
         assert list(term_dict(res.P).items()) == list(term_dict(ref_P).items())
+
+
+def whole_block_solve(f, model, tol=1e-9):
+    """The graded solve without the parity split: one dense least-squares solve per degree.
+
+    Returns (status, [(degree, basis, x, rank, residual, condition), ...]);
+    x of a passing degree is pruned of rounding noise as extend_general does.
+    """
+    Q = q_polynomial(model)
+    n = f.n
+    real = not Q.coeffs.imag.any()
+    threshold = tol * (1.0 + f.max_coeff())
+    degrees = []
+    for d in range(f.degree() + 1):
+        fd = f.homogeneous_part(d)
+        if fd.is_zero():
+            continue
+        basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
+        images = [mono(n, alpha) * Q**k for alpha, k in basis]
+        row_index = {}
+        for p in images + [fd]:
+            for row in p.exps.tolist():
+                row_index.setdefault(tuple(row), len(row_index))
+        M = np.zeros((len(row_index), len(basis)), dtype=float if real else complex)
+        for j, img in enumerate(images):
+            M[[row_index[tuple(row)] for row in img.exps.tolist()], j] = img.coeffs.real if real else img.coeffs
+        b = np.zeros(len(row_index), dtype=complex)
+        b[[row_index[tuple(row)] for row in fd.exps.tolist()]] = fd.coeffs
+        x, _, rank, sv = np.linalg.lstsq(M, np.column_stack((b.real, b.imag)) if real else b, rcond=None)
+        if real:
+            x = x[:, 0] + 1j * x[:, 1]
+        residual = float(np.linalg.norm(M @ x - b))
+        degrees.append((d, basis, x, int(rank), residual, float(sv[0] / sv[-1])))
+        if residual >= threshold:
+            return "NotExtendible", degrees
+        x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)] = 0
+    return "Extended", degrees
+
+
+def record_lstsq(monkeypatch):
+    """Record (shape, rank) of every np.linalg.lstsq call while monkeypatch holds."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def recorded(M, b, rcond=None):
+        out = lstsq(M, b, rcond=rcond)
+        calls.append((M.shape, int(out[2])))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    return calls
+
+
+def test_parity_split_matches_whole_block_solve(monkeypatch):
+    rng = np.random.default_rng(59)
+    statuses, split = set(), 0
+    for n in (1, 2, 3):
+        lambdas = random_lambdas(rng, n)
+        models = {
+            "normal form": normal_form_model(lambdas),
+            "A = 2I": QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas)),
+            "complex B": QuadricModel(A=np.eye(n), B=np.diag(rng.uniform(0.05, 0.45, n)) * np.exp(0.7j)),
+            "congruent": congruent_model(rng, random_lambdas(rng, n)),
+        }
+        for kind, m in models.items():
+            f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
+            for data in (f, f + 1e-3 * random_polynomial(rng, n, 4)):  # the second one obstructed
+                status, whole = whole_block_solve(data, m)
+                with monkeypatch.context() as patch:
+                    calls = record_lstsq(patch)
+                    res = extend_general(data, m)
+                assert res.status == status, (n, kind)
+                statuses.add(status)
+                assert [r.degree for r in res.degree_reports] == [w[0] for w in whole]
+                coeffs = dict(zip(map(tuple, res.P.exps.tolist()), res.P.coeffs)) if res.P else {}
+                for report, (d, basis, x, rank, residual, condition) in zip(res.degree_reports, whole):
+                    # this degree's solves are the next calls whose columns add up to the basis
+                    cols = ranks = solves = 0
+                    while cols < len(basis):
+                        (_, c), r = calls.pop(0)
+                        cols, ranks, solves = cols + c, ranks + r, solves + 1
+                    assert cols == len(basis) and ranks == rank
+                    assert solves == 1 or (n > 1 and kind != "congruent")
+                    split += solves > 1
+                    assert report.condition == pytest.approx(condition, rel=1e-12, abs=0)
+                    assert abs(report.residual - residual) <= 1e-13 + 1e-12 * residual
+                    if res.P is not None:
+                        got = np.array([coeffs.get((*a, *(0,) * n, k), 0) for a, k in basis])
+                        assert np.max(np.abs(got - x)) <= 1e-13 * np.linalg.norm(x)
+                assert not calls
+    assert statuses == {"Extended", "NotExtendible"} and split
+
+
+def test_parity_classes_set_the_solve_shapes(monkeypatch):
+    # n = 3, degree 16 on a normal form: the even class and the three with two odd coordinates
+    calls = record_lstsq(monkeypatch)
+    res = extend_general(mono(3, (16, 0, 0)), normal_form_model([0.1, 0.2, 0.3]))
+    assert res.extended
+    assert [shape for shape, _ in calls] == [(5301, 165)] + [(3060, 120)] * 3
+    # a congruent model's Q has odd terms: one class, one solve per degree
+    calls.clear()
+    m = congruent_model(np.random.default_rng(61), [0.1, 0.2, 0.3])
+    res = extend_general(random_holomorphic(np.random.default_rng(61), 3, 6).substitute_w(q_polynomial(m)), m)
+    assert res.extended and len(calls) == len(res.degree_reports) > 1
+
+
+def test_graded_solve_memory_stays_below_the_whole_block():
+    # n = 3, degree 14: the whole block would be 11628 x 372 float64, 34.6 MB
+    m = normal_form_model([0.1, 0.2, 0.3])
+    f = mono(3, (14, 0, 0))
+    extend_general(mono(3, (2, 0, 0)), m)  # lazy imports and caches before measuring
+    tracemalloc.start()
+    try:
+        res = extend_general(f, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.extended
+    assert peak < 11628 * 372 * 8
+
+
+def exact_graded_solve(sp, lambdas, f_terms):
+    """The graded solve over the rationals on the normal form with rational lambdas.
+
+    f_terms maps alpha + beta (one exponent tuple) to a Gaussian-rational
+    coefficient.  Returns ("Extended", {(alpha, k): coeff}) or
+    ("NotExtendible", first degree without a solution).
+    """
+    n = len(lambdas)
+    z, zb = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zb1:{n + 1}")
+    Q = sum(z[j] * zb[j] + lambdas[j] * (z[j] ** 2 + zb[j] ** 2) for j in range(n))
+    P = {}
+    for d in sorted({sum(e) for e in f_terms}):
+        fd = {e: c for e, c in f_terms.items() if sum(e) == d}
+        basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
+        images = [sp.Poly(sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * Q**k, *z, *zb).as_dict() for alpha, k in basis]
+        rows = sorted(set(fd).union(*images))
+        M = sp.Matrix([[image.get(e, 0) for image in images] for e in rows])
+        b = sp.Matrix([[sp.re(fd.get(e, 0)), sp.im(fd.get(e, 0))] for e in rows])
+        try:
+            x, free = M.gauss_jordan_solve(b)
+        except ValueError:  # no solution
+            return "NotExtendible", d
+        assert not free.free_symbols
+        P.update({col: x[i, 0] + sp.I * x[i, 1] for i, col in enumerate(basis)})
+    return "Extended", P
+
+
+def test_extend_general_matches_exact_rational_solve():
+    # rational lambda and P(z, Q), and the same f plus z1^a zbar1^b (a < b), for n <= 2 and degree <= 6
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(67)
+    verdicts = set()
+    for n in (1, 2):
+        z, zb, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zb1:{n + 1}"), sp.Symbol("w")
+        for _ in range(4):
+            lambdas = [sp.Rational(int(rng.choice([0, 2, 6, 9])), 20) for _ in range(n)]
+            Q = sum(z[j] * zb[j] + lambdas[j] * (z[j] ** 2 + zb[j] ** 2) for j in range(n))
+            P = 0
+            for _ in range(4):
+                k = int(rng.integers(0, 4))
+                alpha = list(monomials(n, int(rng.integers(0, 7 - 2 * k))))
+                alpha = alpha[int(rng.integers(len(alpha)))]
+                coeff = sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                coeff += sp.I * sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                P += coeff * sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * w**k
+            a = int(rng.integers(0, 3))
+            bad = z[0] ** a * zb[0] ** int(rng.integers(a + 1, 7 - a))
+            for f in (sp.expand(P.subs(w, Q)), sp.expand(P.subs(w, Q)) + bad):
+                f_terms = sp.Poly(f, *z, *zb).as_dict()
+                status, exact = exact_graded_solve(sp, lambdas, f_terms)
+                rows = [(*e, 0) for e in f_terms]
+                data = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in f_terms.values()])
+                res = extend_general(data, normal_form_model([float(lam) for lam in lambdas]))
+                assert res.status == status
+                verdicts.add(status)
+                if status == "NotExtendible":
+                    assert res.certificate.degree == exact
+                    continue
+                rows = [(*alpha, *(0,) * n, k) for alpha, k in exact]
+                expected = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in exact.values()])
+                assert (res.P - expected).max_coeff() <= 1e-12
+    assert verdicts == {"Extended", "NotExtendible"}
 
 
 def test_extend_general_leaves_rounding_noise_out_of_P():
