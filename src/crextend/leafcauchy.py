@@ -99,14 +99,8 @@ def _cauchy_at(z, zeta, dzeta, fvals):
     return complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * len(zeta)))
 
 
-def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
-    """Trapezoidal Cauchy integral of the data over one leaf.
-
-    Every requested point must lie strictly inside the leaf curve and at
-    least 0.05 * inradius away from it; otherwise NearBoundary is raised
-    naming the point (the quadrature is useless there).
-    """
-    zeta, dzeta, fvals = _cauchy_values(data, leaf)
+def _interior_values(zeta, dzeta, fvals, points):
+    """{z: F(z, s)}: cauchy_extend's checks and Cauchy sums, without its diagnostic."""
     inradius = float(np.min(np.abs(zeta)))
     values = {}
     for z in points:
@@ -124,6 +118,18 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
                 point=z,
             )
         values[z] = _cauchy_at(z, zeta, dzeta, fvals)
+    return values
+
+
+def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
+    """Trapezoidal Cauchy integral of the data over one leaf.
+
+    Every requested point must lie strictly inside the leaf curve and at
+    least 0.05 * inradius away from it; otherwise NearBoundary is raised
+    naming the point (the quadrature is useless there).
+    """
+    zeta, dzeta, fvals = _cauchy_values(data, leaf)
+    values = _interior_values(zeta, dzeta, fvals, points)
     # boundary fidelity diagnostic: compare F just inside against f on the curve
     probes = range(0, leaf.N, max(1, leaf.N // 16))
     sup_err = 0.0
@@ -157,6 +163,8 @@ def radial_leaf_family(radius_fn: Callable, N=512):
     theta = 2 * np.pi * np.arange(N) / N
     ones = np.ones(N)
     zeros = np.zeros(N)
+    for shared in (theta, ones, zeros):  # every leaf of the family holds these
+        shared.setflags(write=False)
 
     def family(s):
         r = float(radius_fn(s))
@@ -193,7 +201,8 @@ class DerivativeProbeReport:
 def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder) -> DerivativeProbeReport:
     """Estimate d/ds of F(0, s) on a geometric ladder of leaf levels.
 
-    F(0, s) comes from the Cauchy integral on each leaf; F_s is formed by
+    F(0, s) comes from the Cauchy integral on each leaf, with cauchy_extend's
+    NearBoundary checks but without its boundary diagnostic; F_s is formed by
     3-point central differences on the (non-uniform) ladder and the
     exponent is the least-squares slope of log |F_s| against log s.  A
     blow-up rate of -1/2 is the signature of a degenerate model; 0 means
@@ -213,7 +222,7 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
         raise InputError("s ladder must be geometric (constant ratio)")
 
     F0 = np.array(
-        [cauchy_extend(data, leaf_family(v), [0.0]).interior_values[0.0] for v in s_ladder]
+        [_interior_values(*_cauchy_values(data, leaf_family(v)), [0.0])[0.0] for v in s_ladder]
     )
     h1, h2 = h[:-1], h[1:]
     Fs = (

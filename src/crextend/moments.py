@@ -153,12 +153,15 @@ def _leaf_moments(f, leaf, ells):
     """Moments of f of each order in ells on one leaf, from one weight per leaf.
 
     The weight w = f * (phi_theta + i phi) e^(i theta) * 2pi/N and u = phi
-    e^(i theta) are formed once; each ell costs u**ell and one sum.
+    e^(i theta) are formed once.  ells must ascend: the running product
+    w * u^ell is multiplied by u once per order and summed at each ell, so
+    an ell has the same bits whatever ells come with it.
     """
     eit = np.exp(1j * leaf.theta)
     u = leaf.phi * eit
     fvals = eval_on_grid(f, leaf.r * leaf.phi * eit)  # the bits of leaf.points()
-    w = fvals * (leaf.phi_theta + 1j * leaf.phi) * eit * (2 * np.pi / leaf.N)
+    term = fvals * (leaf.phi_theta + 1j * leaf.phi) * eit * (2 * np.pi / leaf.N)
+    order = 0
     values = []
     for ell in ells:
         try:
@@ -167,7 +170,10 @@ def _leaf_moments(f, leaf, ells):
             raise NumericalError(
                 f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
             ) from exc
-        values.append(complex(scale * np.sum(w * u**ell)))
+        for _ in range(ell - order):
+            term *= u
+        order = ell
+        values.append(complex(scale * np.sum(term)))
     return values
 
 

@@ -80,6 +80,14 @@ def _check_pairs(pairs, what):
         raise InputError(f"{what} has {pairs} pairs of terms, more than {MAX_TERM_PAIRS}")
 
 
+def _powers(x, top):
+    """Entry e is x^e for 1 <= e <= top, by repeated multiplication; entry 0 is unused."""
+    table = [None, x]
+    for _ in range(top - 1):
+        table.append(table[-1] * x)
+    return table
+
+
 _setattr = object.__setattr__
 
 
@@ -379,8 +387,11 @@ class Polynomial:
         """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
 
         For n = 1 a scalar is one point; w broadcasts over the point shape.
-        Returns a complex for one point, else an array.  Terms are summed one
-        at a time as c * z^alpha * zbar^beta * w^k: no points x terms array.
+        Returns a complex for one point, else an array.  Each column z_j,
+        zbar_j, w gets one table of its powers up to the largest exponent in
+        that column, by repeated multiplication; terms are then summed one at
+        a time as c * z^alpha * zbar^beta * w^k from the tables, so memory is
+        those tables plus one term, never a points x terms array.
         """
         n = self.n
         z = np.asarray(z, dtype=complex)
@@ -393,16 +404,15 @@ class Polynomial:
         zb = np.conj(z)
         w = np.asarray(w, dtype=complex)
         total = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape), dtype=complex)
+        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [w]
+        tops = self.exps.max(axis=0, initial=0).tolist()
+        tables = [_powers(x, top) for x, top in zip(columns, tops)]
         for row, c in self.terms:
             val = c
-            for j in range(n):
-                if row[j]:
-                    val = val * z[..., j] ** row[j]
-                if row[n + j]:
-                    val = val * zb[..., j] ** row[n + j]
-            if row[-1]:
-                val = val * w ** row[-1]
-            total = total + val
+            for table, e in zip(tables, row):
+                if e:
+                    val = val * table[e]
+            total += val
         return complex(total) if total.ndim == 0 else total
 
     # -- serialization -------------------------------------------------------

@@ -7,6 +7,7 @@ from conftest import random_holomorphic
 from crextend import (
     BoundaryData,
     InputError,
+    LeafParametrization,
     NearBoundary,
     Polynomial,
     cauchy_extend,
@@ -79,12 +80,30 @@ def test_cauchy_near_boundary_rejection():
         cauchy_extend(data, leaf, [0.5])  # outside, winding 0
 
 
+def _boundary_sup_error(data, leaf):
+    """cauchy_extend's diagnostic, spelled out: sup over 16 probes at 0.9 zeta_j of |F - f_j|."""
+    zeta, dzeta = leaf.points(), leaf.tangent()
+    fvals = data.evaluator(zeta, leaf.level)
+    sup_err = 0.0
+    for j in range(0, leaf.N, max(1, leaf.N // 16)):
+        F = complex(np.sum(fvals * dzeta / (zeta - 0.9 * zeta[j])) / (1j * leaf.N))
+        sup_err = max(sup_err, abs(F - fvals[j]))
+    return sup_err
+
+
 def test_cauchy_boundary_sup_error_diagnostic():
     leaf = solve_leaf(normal_form_model([0.1]), 0.3, 256)
     ext = cauchy_extend(BoundaryData.builtin("constant", 1.0), leaf, [0.0])
     assert ext.boundary_sup_error < 1e-9  # pure quadrature tail at the probes
     ext = cauchy_extend(BoundaryData.builtin("identity"), leaf, [0.0])
     assert 0.0 < ext.boundary_sup_error < 0.1
+    m = normal_form_model([0.3])
+    f = Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.zbar(1) ** 3
+    leaves = (solve_leaf(m, 0.2, 256), solve_leaf(m, 0.45, 4096), radial_leaf_family(np.sqrt)(0.3))
+    for leaf in leaves:
+        for data in (BoundaryData.from_polynomial(f), BoundaryData.builtin("sqrt-re-w")):
+            ext = cauchy_extend(data, leaf, [0.0, 0.01j])
+            assert ext.boundary_sup_error == _boundary_sup_error(data, leaf)
 
 
 # -- continuity and derivative probes --------------------------------------------
@@ -172,6 +191,38 @@ def test_probe_matches_per_rung_loop():
                 assert abs(report.exponent - exponent) < 1e-12
 
 
+def _offset_circle_family(center_from):
+    """Circles of radius rho = sqrt(s), centred at 2 rho once s >= center_from, else at 0.
+
+    The circle about c is r phi e^(i theta) with r = 1 and the complex
+    phi = c e^(-i theta) + rho; an offset circle leaves 0 outside the leaf.
+    """
+    theta = 2 * np.pi * np.arange(256) / 256
+    eit = np.exp(1j * theta)
+
+    def family(s):
+        rho = float(np.sqrt(s))
+        c = 2 * rho if s >= center_from else 0.0
+        return LeafParametrization(
+            r=1.0, level=s, theta=theta, phi=c / eit + rho, phi_theta=-1j * c / eit
+        )
+
+    return family
+
+
+def test_probe_runs_near_boundary_checks():
+    ladder = [1e-3 * 2.0**k for k in range(6)]
+    data = BoundaryData.builtin("constant")
+    family = _offset_circle_family(center_from=ladder[3])
+    assert cauchy_extend(data, family(ladder[2]), [0.0]).interior_values[0.0] == pytest.approx(1.0)
+    with pytest.raises(NearBoundary) as info:
+        cauchy_extend(data, family(ladder[3]), [0.0])
+    assert info.value.point == 0.0
+    with pytest.raises(NearBoundary) as info:
+        normal_derivative_probe(data, family, ladder)
+    assert info.value.point == 0.0
+
+
 def test_probe_ladder_validation():
     family = quadric_leaf_family(normal_form_model([0.0]), N=128)
     data = BoundaryData.builtin("constant")
@@ -254,3 +305,13 @@ def test_leaf_family_levels():
     radial = radial_leaf_family(lambda s: s, N=128)
     with pytest.raises(InputError):
         radial(0.0)
+
+
+def test_radial_leaf_family_arrays_are_read_only():
+    family = radial_leaf_family(lambda s: s**0.25, N=128)
+    leaf, other = family(1e-2), family(4e-2)
+    for name in ("theta", "phi", "phi_theta"):
+        shared = getattr(leaf, name)
+        assert shared is getattr(other, name)  # one array serves every leaf
+        with pytest.raises(ValueError):
+            shared[0] = 1.0

@@ -18,6 +18,7 @@ from crextend import (
     q_polynomial,
     solve_leaf,
 )
+from crextend.polyalg import DEGREE_CAP
 
 
 # -- leaves ------------------------------------------------------------------
@@ -225,16 +226,28 @@ def _moment_per_ell(f, leaf, ell):
     return complex(leaf.r ** (ell + 1) * (2 * np.pi / leaf.N) * np.sum(integrand))
 
 
+def _moment_u_power(f, leaf, ell):
+    """(moment, term mass) from numpy's u**ell for each ell: the running product's reference."""
+    eit = np.exp(1j * leaf.theta)
+    u = leaf.phi * eit
+    w = eval_on_grid(f, leaf.points()) * (leaf.phi_theta + 1j * leaf.phi)
+    w = w * eit * (2 * np.pi / leaf.N)
+    scale = leaf.r ** (ell + 1)
+    return complex(scale * np.sum(w * u**ell)), scale * float(np.sum(np.abs(w) * leaf.phi**ell))
+
+
 def test_moments_from_one_weight_match_per_ell_formula():
     rng = np.random.default_rng(97)
     radii = (0.01, 0.1, 0.4, 1.0)
-    Lmax = 68
+    Lmax = DEGREE_CAP + 4
     for lam in LAMBDA_CHOICES:
         m = normal_form_model([lam])
         for N in (64, 512, 4096):
             f = random_polynomial(rng, 1, 6)
             report = check_moments(f, m, leaves=radii, Lmax=Lmax, N=N)
             values = {(r, ell): v for r, ell, v in report.entries}
+            short = check_moments(f, m, leaves=radii, Lmax=7, N=N)
+            assert all(v == values[r, ell] for r, ell, v in short.entries)
             for r in radii:
                 leaf = solve_leaf(m, r, N)
                 sup_f = float(np.max(np.abs(eval_on_grid(f, leaf.points()))))
@@ -243,8 +256,10 @@ def test_moments_from_one_weight_match_per_ell_formula():
                     expected = _moment_per_ell(f, leaf, ell)
                     bound = 1e-13 * r ** (ell + 1) * sup_f * sup_phi**ell
                     assert abs(values[r, ell] - expected) <= bound
-                    if ell % 17 == 0:
-                        assert abs(moment_integral(f, leaf, ell) - expected) <= bound
+                    # one running product: the same bits whatever ells come with ell
+                    assert moment_integral(f, leaf, ell) == values[r, ell]
+                    old, mass = _moment_u_power(f, leaf, ell)
+                    assert abs(values[r, ell] - old) <= 1e-13 * mass
 
 
 def test_check_moments_default_ladder():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import loop_evaluate, random_polynomial
-from crextend import InputError, Polynomial
+from conftest import loop_evaluate, random_coeff, random_polynomial
+from crextend import InputError, Polynomial, normal_form_model, solve_leaf
 from crextend.polyalg import DEGREE_CAP, ZERO_THRESHOLD, complex_from_json, monomials
 from dictref import Exponent, coefficient, from_terms, term_dict
 
@@ -145,6 +145,41 @@ def test_array_evaluate_matches_pointwise():
                 one = p.evaluate(z[idx], wi)
                 assert type(one) is complex
                 assert abs(one - ref) < 1e-13 * (1 + abs(ref))
+
+
+def test_power_table_evaluate_on_a_leaf_grid():
+    # every column reaches DEGREE_CAP, so each power table is as long as it gets
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(41)
+    grid = solve_leaf(normal_form_model([0.3]), 0.9, 4096).points()
+    for n in (1, 2, 3):
+        cols = 2 * n + 1
+        rows = [np.zeros(cols, dtype=int), *(DEGREE_CAP * np.eye(cols, dtype=int))]
+        for _ in range(10):
+            picks = rng.integers(0, cols, int(rng.integers(1, DEGREE_CAP + 1)))
+            rows.append(np.bincount(picks, minlength=cols))
+        p = Polynomial(n, rows, [random_coeff(rng) for _ in rows])
+        scales = rng.uniform(0.6, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        z = np.stack([np.roll(grid, 97 * j) * scales[j] for j in range(n)], axis=-1)
+        w_grid = rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096)
+        for w in (0.7 - 0.3j, w_grid, np.array([[0.9j], [-0.5]])):
+            vals = p.evaluate(z, w)
+            assert vals.shape == np.broadcast_shapes(z.shape[:-1], np.shape(w))
+            wb = np.broadcast_to(w, vals.shape)
+            zb = np.broadcast_to(z, vals.shape + (n,))
+            # error relative to the term mass sum |c| |z|^|alpha + beta| |w|^k, not to |value|
+            mass = sum(
+                abs(c)
+                * np.prod(np.abs(zb) ** np.add(row[:n], row[n : 2 * n]), axis=-1)
+                * np.abs(wb) ** row[-1]
+                for row, c in p.terms
+            )
+            for idx in np.ndindex(vals.shape):
+                ref = loop_evaluate(p, zb[idx], wb[idx])
+                assert abs(vals[idx] - ref) <= 4 * (DEGREE_CAP + 1) * eps * mass[idx]
+        zero = Polynomial.zero(n)
+        np.testing.assert_array_equal(zero.evaluate(z, w_grid), np.zeros(4096))
+        assert zero.evaluate(z[0]) == 0j and type(zero.evaluate(z[0])) is complex
 
 
 def test_evaluate_point_shapes():
