@@ -18,10 +18,12 @@ is identical.  Floats are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _encode_str  # the bytes json.dumps gives a str
 
 import numpy as np
 
@@ -43,10 +45,8 @@ def _format_float(x):
     return format(float(x), ".17g")
 
 
-def dumps_canonical(obj, indent=0):
-    """JSON text with deterministic layout and 17-significant-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _scalar(obj):
+    """JSON text of a value that is not a list, tuple or dict."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -56,21 +56,54 @@ def dumps_canonical(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps_canonical(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _encode_str(obj)
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _write(obj, out, nl):
+    """Append the chunks of obj to out; nl is the newline and indent of obj's line.
+
+    Each item is appended as "," + newline + indent + (key ": ") + value, and the
+    first item's comma then becomes the opening bracket.  Exact floats, strings
+    and ints are written in the loop; anything else goes through _write.
+    """
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        heads = [f",{inner}{_encode_str(str(k))}: " for k in obj]
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        heads = [f",{inner}"] * len(obj)
+        values = obj
+    else:
+        out.append(_scalar(obj))
+        return
+    if not heads:
+        out.append(brackets)
+        return
+    first = len(out)
+    append = out.append
+    for head, v in zip(heads, values):
+        append(head)
+        t = type(v)
+        if t is float:
+            append("%.17g" % v if math.isfinite(v) else _format_float(v))
+        elif t is str:
+            append(_encode_str(v))
+        elif t is int:
+            append(str(v))
+        else:
+            _write(v, out, inner)
+    out[first] = brackets[0] + out[first][1:]
+    append(nl + brackets[1])
+
+
+def dumps_canonical(obj):
+    """JSON text with deterministic layout and 17-significant-digit floats."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
 
 
 def _cnum(v):
@@ -334,7 +367,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The one argument parser, built on first use: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Holomorphic extension at elliptic, holomorphically flat CR singularities.",
@@ -349,7 +384,11 @@ def main(argv=None):
     parser.add_argument("--tol-moment", type=float, help="moment modulus tolerance")
     parser.add_argument("--grid-n", type=int, help="theta grid size (power of two in [64, 4096])")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         doc = _read_json(args.input)

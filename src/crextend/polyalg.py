@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -429,6 +430,7 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """The Polynomial of a {"n", "terms"} document; InputError names the first bad term."""
         if not isinstance(doc, dict):
             raise InputError("polynomial document must be a JSON object")
         for field in ("n", "terms"):
@@ -437,46 +439,112 @@ class Polynomial:
         n = real_from_json(doc["n"], "polynomial field 'n'", integer=True)
         if n < 1:
             raise InputError(f"polynomial field 'n' must be a positive integer, got {n!r}")
-        if not isinstance(doc["terms"], list):
+        terms = doc["terms"]
+        if not isinstance(terms, list):
             raise InputError("polynomial field 'terms' must be a list")
-        if len(doc["terms"]) > MAX_TERMS:
-            raise InputError(f"polynomial has {len(doc['terms'])} terms, more than {MAX_TERMS}")
-        rows, values = [], []
-        for i, t in enumerate(doc["terms"]):
-            if not isinstance(t, dict):
-                raise InputError(f"terms[{i}] must be an object")
-            for field in ("alpha", "beta", "k", "re", "im"):
-                if field not in t:
-                    raise InputError(f"terms[{i}] missing field {field!r}")
-            alpha, beta, k = t["alpha"], t["beta"], t["k"]
-            if not isinstance(alpha, list) or not isinstance(beta, list):
-                raise InputError(f"terms[{i}]: alpha and beta must be lists")
-            if not all(isinstance(a, int) and not isinstance(a, bool) for a in alpha + beta):
-                raise InputError(f"terms[{i}]: exponents must be integers")
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise InputError(f"terms[{i}]: k must be an integer")
-            if len(alpha) != n or len(beta) != n:
-                raise InputError(
-                    f"exponent vectors must have length n={n}, got {len(alpha)} and {len(beta)}"
-                )
-            row = [*alpha, *beta, k]
-            if min(row) < 0:
-                raise InputError(f"negative exponent in term ({tuple(alpha)}, {tuple(beta)}, {k})")
-            if sum(row) > DEGREE_CAP:
-                raise InputError(f"terms[{i}]: degree {sum(row)} exceeds cap {DEGREE_CAP}")
-            rows.append(row)
-            values.append(complex_from_json(t, f"terms[{i}]"))
-        exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n + 1)
-        coeffs = np.array(values, dtype=complex)
-        if len(rows) > 1:
+        if len(terms) > MAX_TERMS:
+            raise InputError(f"polynomial has {len(terms)} terms, more than {MAX_TERMS}")
+        if not terms:
+            try:
+                exps = np.zeros((0, 2 * n + 1), dtype=np.int64)
+            except ValueError as exc:  # with terms, the rows themselves hold 2n + 1 numbers each
+                raise InputError(f"polynomial field 'n' is too large, got {n}") from exc
+            return cls._wrap(n, exps, np.zeros(0, dtype=complex))
+        exps, coeffs = _term_arrays(terms, n) or _checked_term_arrays(terms, n)
+        if len(coeffs) > 1:
             order, starts = sorted_runs(exps)
             if len(starts) < len(order):
                 # the first term that is not first in its run repeats an earlier one
                 i = int(np.setdiff1d(order, order[starts]).min())
-                e = (tuple(rows[i][:n]), tuple(rows[i][n:-1]), rows[i][-1])
+                row = exps[i].tolist()
+                e = (tuple(row[:n]), tuple(row[n:-1]), row[-1])
                 raise InputError(f"terms[{i}]: duplicate exponent {e}")
             exps, coeffs = exps[order], coeffs[order]
         return cls._wrap(n, *_prune(exps, coeffs))
+
+
+def _term_arrays(terms, n):
+    """(exps, coeffs) of a non-empty list of well-formed terms, read as whole arrays.
+
+    None on any anomaly: a missing field, exponents that are not lists of n
+    exact ints (bool is not), coefficients that are not exact ints or floats,
+    a number out of range, or a negative exponent or degree above DEGREE_CAP.
+    _checked_term_arrays then finds the first bad term.
+    """
+    if set(map(type, terms)) != {dict}:
+        return None
+    try:
+        alphas = [t["alpha"] for t in terms]
+        betas = [t["beta"] for t in terms]
+        ks = [t["k"] for t in terms]
+        res = [t["re"] for t in terms]
+        ims = [t["im"] for t in terms]
+    except KeyError:
+        return None
+    vectors = alphas + betas
+    if not (set(map(type, vectors)) <= {list} and set(map(len, vectors)) == {n}):
+        return None
+    flat = list(chain.from_iterable(vectors))
+    if not (
+        set(map(type, flat)) | set(map(type, ks)) == {int}
+        and set(map(type, res)) | set(map(type, ims)) <= {int, float}
+    ):
+        return None
+    m = len(terms)
+    exps = np.empty((m, 2 * n + 1), dtype=np.int64)
+    coeffs = np.empty(m, dtype=complex)
+    try:
+        alpha, beta = np.array(flat, dtype=np.int64).reshape(2, m, n)  # every alpha, then every beta
+        exps[:, :n] = alpha
+        exps[:, n : 2 * n] = beta
+        exps[:, 2 * n] = ks
+        coeffs.real = res
+        coeffs.imag = ims
+    except OverflowError:  # an int beyond int64 or beyond the float range
+        return None
+    if exps.min() < 0 or exps.max() > DEGREE_CAP or exps.sum(axis=1).max() > DEGREE_CAP:
+        return None
+    if not np.isfinite(coeffs).all():
+        return None
+    return exps, coeffs
+
+
+def _checked_term_arrays(terms, n):
+    """(exps, coeffs) of a term list, checked term by term; raises on the first bad term."""
+    rows, values = [], []
+    for i, t in enumerate(terms):
+        if not isinstance(t, dict):
+            raise InputError(f"terms[{i}] must be an object")
+        for field in ("alpha", "beta", "k", "re", "im"):
+            if field not in t:
+                raise InputError(f"terms[{i}] missing field {field!r}")
+        alpha, beta, k = t["alpha"], t["beta"], t["k"]
+        if not isinstance(alpha, list) or not isinstance(beta, list):
+            raise InputError(f"terms[{i}]: alpha and beta must be lists")
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in alpha + beta):
+            raise InputError(f"terms[{i}]: exponents must be integers")
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InputError(f"terms[{i}]: k must be an integer")
+        if len(alpha) != n or len(beta) != n:
+            raise InputError(
+                f"exponent vectors must have length n={n}, got {len(alpha)} and {len(beta)}"
+            )
+        row = [*alpha, *beta, k]
+        if min(row) < 0:
+            raise InputError(f"negative exponent in term ({tuple(alpha)}, {tuple(beta)}, {k})")
+        if sum(row) > DEGREE_CAP:
+            raise InputError(f"terms[{i}]: degree {sum(row)} exceeds cap {DEGREE_CAP}")
+        rows.append(row)
+        values.append(complex_from_json(t, f"terms[{i}]"))
+    return np.array(rows, dtype=np.int64), np.array(values, dtype=complex)
+
+
+def _float(x):
+    """float(x), with an int beyond the float range read as inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def complex_from_json(v, where):
@@ -484,7 +552,7 @@ def complex_from_json(v, where):
     if not isinstance(v, dict) or "re" not in v or "im" not in v:
         raise InputError(f"{where} must be an object with 're' and 'im'")
     try:
-        c = complex(float(v["re"]), float(v["im"]))
+        c = complex(_float(v["re"]), _float(v["im"]))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: 're' and 'im' must be numbers") from exc
     if not cmath.isfinite(c):
@@ -501,10 +569,7 @@ def real_from_json(v, where, integer=False):
         raise InputError(f"{where} must be {'an integer' if integer else 'a number'}, got {v!r}")
     if integer:
         return v
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
+    x = _float(v)
     if not math.isfinite(x):
         raise InputError(f"{where}: non-finite number {x}")
     return x

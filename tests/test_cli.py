@@ -8,7 +8,7 @@ import pytest
 from conftest import congruent_model
 from crextend import Polynomial, normal_form_model, q_polynomial
 from crextend.polyalg import MAX_TERMS
-from crextend.cli import _COMMANDS, dumps_canonical, main
+from crextend.cli import _COMMANDS, RunConfig, dumps_canonical, main
 
 
 def write_json(path, doc):
@@ -276,9 +276,18 @@ def test_cli_help_lists_every_command(capsys):
     assert len(_COMMANDS) == 5
     for name, cmd in _COMMANDS.items():
         assert cmd.__doc__ and f"  {name}" in text and cmd.__doc__ in text
-    with pytest.raises(SystemExit) as exc:
-        main(["extend", "--help"])
-    assert exc.value.code == 0 and capsys.readouterr().out == text
+    for argv in (["extend", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == text
+
+
+def test_cli_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    path = write_json(tmp_path / "in.json", model_doc([0.2]))
+    code, out, _ = run(capsys, ["classify", path, "--seed", "5", "--grid-n", "128"])
+    assert code == 0 and json.loads(out)["config"]["seed"] == 5
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 0 and json.loads(out)["config"] == RunConfig().to_json_dict()
 
 
 def test_cli_malformed_json_diagnostic(tmp_path, capsys):
@@ -485,6 +494,17 @@ def _z_power(n, d):
     return {"n": n, "terms": [{"alpha": [d] + [0] * (n - 1), "beta": [0] * n, "k": 0, "re": 1.0, "im": 0.0}]}
 
 
+def _huge_int_term():
+    """The n = 1 document of z with a real part beyond the float range."""
+    return {"n": 1, "terms": [{"alpha": [1], "beta": [0], "k": 0, "re": 10**400, "im": 0.0}]}
+
+
+def _huge_int_model():
+    doc = model_doc([0.2])
+    doc["A"][0][0] = {"re": -(10**400), "im": 0}
+    return doc
+
+
 def _bool_term(**changes):
     """The n = 1 document of z zbar with JSON booleans put in place of some exponents."""
     return {"n": 1, "terms": [{"alpha": [1], "beta": [1], "k": 0, "re": 1.0, "im": 0.0, **changes}]}
@@ -540,6 +560,10 @@ MALFORMED = {
     "config-out-bool": ("check", _check_doc(), {"out": True}),
     "config-out-list": ("check", _check_doc(), {"out": ["r.json"]}),
     "config-seed-bool": ("check", _check_doc(), {"seed": True}),
+    # integers beyond the float range, and an n whose exponent matrix cannot be allocated
+    "f-coefficient-beyond-float": ("extend", {"model": model_doc([0.1]), "f": _huge_int_term()}, None),
+    "model-A-beyond-float": ("classify", _huge_int_model(), None),
+    "f-n-beyond-allocation": ("extend", {"model": model_doc([0.1]), "f": {"n": 10**20, "terms": []}}, None),
 }
 
 
@@ -552,6 +576,20 @@ def test_cli_malformed_scalar_is_input_error(tmp_path, capsys, name):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("crextend: input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("f-coefficient-beyond-float", "terms[0]: non-finite number (inf+0j)"),
+        ("model-A-beyond-float", "A[0][0]: non-finite number (inf+0j)"),
+        ("f-n-beyond-allocation", "polynomial field 'n' is too large"),
+    ],
+)
+def test_cli_huge_numbers_name_their_field(tmp_path, capsys, name, message):
+    command, doc_in, _ = MALFORMED[name]
+    code, _, err = run(capsys, [command, write_json(tmp_path / "in.json", doc_in)])
+    assert code == 2 and message in err
 
 
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"n": ' + "1" * 5000 + "}"])
