@@ -31,6 +31,7 @@ from .leafcauchy import (
     zderiv_bound_check,
 )
 from .moments import (
+    LeafGrid,
     LeafParametrization,
     MomentReport,
     check_moments,
@@ -63,6 +64,7 @@ __all__ = [
     "ExtensionResult",
     "InputError",
     "LeafExtension",
+    "LeafGrid",
     "LeafParametrization",
     "LeafSolveError",
     "MomentReport",

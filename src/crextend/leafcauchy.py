@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NearBoundary
-from .moments import LEAF_RESIDUAL_TOL, LeafParametrization, eval_on_grid, solve_leaf
+from .moments import LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization, eval_on_grid
 from .polyalg import Polynomial
 from .quadform import QuadricModel
 
@@ -147,7 +147,7 @@ def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=512):
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise InputError("continuity_probe: need at least one leaf radius")
-    leaves = [solve_leaf(model, r, N) for r in radii]
+    leaves = list(LeafGrid(model, N).solve(radii))
     values = [data.evaluator(leaf.points(), leaf.level) for leaf in leaves]
     f0 = complex(np.mean(values[0]))
     return f0, [(leaf.r, float(np.max(np.abs(fvals - f0)))) for leaf, fvals in zip(leaves, values)]
@@ -161,16 +161,17 @@ def radial_leaf_family(radius_fn: Callable, N=512):
     the quadric leaf solver cannot represent.
     """
     theta = 2 * np.pi * np.arange(N) / N
+    eit = np.exp(1j * theta)
     ones = np.ones(N)
     zeros = np.zeros(N)
-    for shared in (theta, ones, zeros):  # every leaf of the family holds these
+    for shared in (theta, eit, ones, zeros):  # every leaf of the family holds these
         shared.setflags(write=False)
 
     def family(s):
         r = float(radius_fn(s))
         if not r > 0:
             raise InputError(f"radial leaf radius must be positive, got {r} at s = {s}")
-        return LeafParametrization(r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros)
+        return LeafParametrization(r=r, level=float(s), theta=theta, phi=ones, phi_theta=zeros, eit=eit)
 
     return family
 
@@ -178,13 +179,19 @@ def radial_leaf_family(radius_fn: Callable, N=512):
 def quadric_leaf_family(model: QuadricModel, N=512, tol=LEAF_RESIDUAL_TOL):
     """Leaves of an n = 1 normal-form quadric model, labeled by level s = r^2.
 
-    tol is solve_leaf's residual tolerance.
+    Every leaf comes from one LeafGrid(model, N), built when the first leaf
+    is asked for, so a model solve_leaf refuses is refused then, after the
+    caller's own input checks; tol is solve_leaf's residual tolerance.
     """
+    grid = None
 
     def family(s):
+        nonlocal grid
         if not s > 0:
             raise InputError(f"leaf level must be positive, got {s}")
-        return solve_leaf(model, float(np.sqrt(s)), N, tol)
+        if grid is None:
+            grid = LeafGrid(model, N)
+        return next(grid.solve([float(np.sqrt(s))], tol))
 
     return family
 

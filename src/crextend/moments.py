@@ -14,6 +14,7 @@ when every moment integral over every leaf vanishes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ CR_ZERO_TOL = 1e-12
 DEFAULT_GRID_N = 512
 DEFAULT_MOMENT_TOL = 1e-8
 DEFAULT_LEAF_FRACTIONS = (0.05, 0.1, 0.2, 0.4)
+# Most grid points (leaves x N) one Newton pass of LeafGrid.solve holds: larger
+# (L, N) temporaries leave the cache, and batching then loses to one leaf at a
+# time (BENCH_leaf_grid.json has the sweep).
+LEAF_BATCH_POINTS = 2048
 
 
 def _check_grid_size(N):
@@ -45,13 +50,22 @@ def eval_on_grid(p: Polynomial, z):
 
 @dataclass(frozen=True)
 class LeafParametrization:
-    """One hull leaf of an n = 1 model, sampled on an equispaced theta grid."""
+    """One hull leaf of an n = 1 model, sampled on an equispaced theta grid.
+
+    eit is e^(i theta) on the grid.  The leaves of one LeafGrid share it
+    and theta; a leaf built without it computes it here, once.
+    """
 
     r: float
     level: float  # value of w on the leaf
     theta: np.ndarray
     phi: np.ndarray
     phi_theta: np.ndarray
+    eit: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.eit is None:
+            object.__setattr__(self, "eit", np.exp(1j * self.theta))
 
     @property
     def N(self):
@@ -59,11 +73,11 @@ class LeafParametrization:
 
     def points(self):
         """Curve samples zeta_j = r * phi_j * exp(i theta_j)."""
-        return self.r * self.phi * np.exp(1j * self.theta)
+        return self.r * self.phi * self.eit
 
     def tangent(self):
         """d(zeta)/d(theta) on the grid."""
-        return self.r * (self.phi_theta + 1j * self.phi) * np.exp(1j * self.theta)
+        return self.r * (self.phi_theta + 1j * self.phi) * self.eit
 
 
 def fourier_derivative(values):
@@ -76,62 +90,153 @@ def fourier_derivative(values):
     return out.real if np.isrealobj(values) else out
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class LeafGrid:
+    """The theta grid of one n = 1 model in Bishop normal form, shared by its leaves.
+
+    Built once per (model, N): it checks that the model has n = 1, is in
+    normal form with lam < 1/2, and that N is a power of two >= 64, and
+    holds theta, e^(i theta), base = 1 + 2 lam cos 2theta, the closed-form
+    profile phi0 = base^(-1/2), which is exact for E = 0, and E with E_z.
+    Without E every leaf's profile is phi0, so phi0, its Fourier
+    derivative and its residual are formed here once.
+    """
+
+    def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
+        if model.n != 1:
+            raise InputError("solve_leaf: model must have n = 1")
+        ok, lambdas = is_normal_form(model)
+        if not ok:
+            raise InputError("solve_leaf: model must be in Bishop normal form (A = I, B = diag)")
+        lam = float(lambdas[0])
+        if lam >= 0.5 - 1e-10:
+            raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
+        _check_grid_size(N)
+        self.N = N
+        self.theta = 2 * np.pi * np.arange(N) / N
+        self.eit = np.exp(1j * self.theta)
+        self.base = 1.0 + 2.0 * lam * np.cos(2 * self.theta)
+        self.phi0 = self.base**-0.5
+        self.E = model.E
+        if self.E is None:
+            self.phi0_theta = fourier_derivative(self.phi0)
+            self.residual0 = float(np.max(np.abs(self.phi0**2 * self.base - 1.0)))
+            _read_only(self.phi0_theta)
+        else:
+            self.Ez = self.E.partial_derivative("z")
+        _read_only(self.theta, self.eit, self.base, self.phi0)
+
+    def solve(self, radii, tol=LEAF_RESIDUAL_TOL):
+        """Yield the leaf at each label r in radii, in order, as solve_leaf gives it.
+
+        With E, Newton runs on chunks of at most LEAF_BATCH_POINTS grid
+        points (one leaf when N is larger), each chunk solved when its first
+        leaf is asked for.  A leaf that fails raises solve_leaf's error for
+        it when its turn comes: after every leaf before it, before any
+        chunk after it is solved.
+        """
+        radii = list(radii)
+        step = max(1, LEAF_BATCH_POINTS // self.N)
+        for start in range(0, len(radii), step):
+            chunk = [float(r) for r in radii[start : start + step]]
+            if self.E is None:
+                profiles = [(self.phi0, self.residual0)] * len(chunk)
+            else:
+                profiles = self._newton(chunk)
+            for r, profile in zip(chunk, profiles):
+                yield self._leaf(r, profile, tol)
+
+    def _newton(self, radii):
+        """(phi, residual) for each label in radii by Newton on all its leaves at once.
+
+        Newton starts from phi0 and each leaf leaves the loop at its first
+        defect whose sup is below NEWTON_TOL, so its bits are those of a
+        loop over it alone; that sup is its residual.  phi is None where
+        the loop did not converge in NEWTON_MAX_ITER passes or r is not
+        positive; a label whose square overflows gets that OverflowError.
+        One leaf runs on plain (N,) arrays, several on (L, N) rows that are
+        dropped as they converge.  One set of power tables per pass serves
+        E and E_z.  E is real, so E_zbar = conj(E_z) and
+        dE/dphi = 2 r Re(E_z e^(i theta)).
+        """
+        out = [(None, math.inf)] * len(radii)
+        rows, r, r2 = [], [], []
+        for i, x in enumerate(radii):
+            if x > 0:
+                try:
+                    r2.append(x**2)  # Python's pow: about 1 in 1000 differs from x * x in the last bit
+                except OverflowError as exc:
+                    out[i] = exc
+                else:
+                    rows.append(i)
+                    r.append(x)
+        if not rows:
+            return out
+        if len(rows) == 1:
+            (r,), (r2,), phi = r, r2, self.phi0
+        else:
+            r, r2 = np.array(r)[:, None], np.array(r2)[:, None]
+            phi = np.broadcast_to(self.phi0, (len(rows), self.N))
+        for _ in range(NEWTON_MAX_ITER):
+            tables = self.E.power_tables((r * phi * self.eit)[..., None])
+            g = phi**2 * self.base - 1.0
+            g += self.E.sum_terms(tables).real / r2
+            residual = np.atleast_1d(np.max(np.abs(g), axis=-1)).tolist()
+            done = [x < NEWTON_TOL for x in residual]
+            for k, phi_k in enumerate(np.atleast_2d(phi)):
+                if done[k]:
+                    out[rows[k]] = (phi_k, residual[k])
+            if all(done):
+                break
+            phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
+            if any(done):
+                keep = np.logical_not(done)
+                phi, r, r2 = phi[keep], r[keep], r2[keep]
+                rows = [i for i, d in zip(rows, done) if not d]
+        return out
+
+    def _leaf(self, r, profile, tol):
+        """The leaf at r from its (phi, residual) or error, or solve_leaf's error for it."""
+        if not r > 0:
+            raise InputError(f"solve_leaf: leaf label r must be positive, got {r}")
+        if isinstance(profile, OverflowError):
+            raise profile
+        phi, residual = profile
+        if phi is None:
+            raise LeafSolveError(
+                f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
+                "(leaf may be outside the model's validity radius)"
+            )
+        if np.any(phi <= 0):
+            raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
+        if residual >= tol:
+            raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
+        if phi is self.phi0:
+            phi_theta = self.phi0_theta
+        else:
+            phi_theta = fourier_derivative(phi)
+            _read_only(phi, phi_theta)
+        return LeafParametrization(
+            r=r, level=r * r, theta=self.theta, phi=phi, phi_theta=phi_theta, eit=self.eit
+        )
+
+
 def solve_leaf(
     model: QuadricModel, r, N=DEFAULT_GRID_N, tol=LEAF_RESIDUAL_TOL
 ) -> LeafParametrization:
-    """Solve for the leaf profile phi at level r^2 by vectorized Newton iteration.
+    """Solve for the leaf profile phi at level r^2: one leaf of LeafGrid(model, N).
 
     The model must be n = 1 in Bishop normal form with lam < 1/2.  Newton
     starts from the closed form phi = (1 + 2 lam cos 2theta)^(-1/2), which
-    is exact for E = 0, so then the loop stops after its first defect.  E
-    is real, so E_zbar = conj(E_z) and dE/dphi = 2 r Re(E_z e^(i theta)).
-    The last defect's sup is the leaf residual: not below tol is a
-    LeafSolveError.
+    is exact for E = 0, so then no Newton step is taken.  The last defect's
+    sup is the leaf residual: not below tol is a LeafSolveError, as is a
+    Newton loop that does not converge or a profile that is not positive.
     """
-    if model.n != 1:
-        raise InputError("solve_leaf: model must have n = 1")
-    ok, lambdas = is_normal_form(model)
-    if not ok:
-        raise InputError("solve_leaf: model must be in Bishop normal form (A = I, B = diag)")
-    lam = float(lambdas[0])
-    if lam >= 0.5 - 1e-10:
-        raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
-    r = float(r)
-    if not r > 0:
-        raise InputError(f"solve_leaf: leaf label r must be positive, got {r}")
-    _check_grid_size(N)
-
-    theta = 2 * np.pi * np.arange(N) / N
-    base = 1.0 + 2.0 * lam * np.cos(2 * theta)
-    phi = base**-0.5
-    E = model.E
-    if E is not None:
-        eit = np.exp(1j * theta)
-        Ez = E.partial_derivative("z")
-    for _ in range(NEWTON_MAX_ITER):
-        g = phi**2 * base - 1.0
-        if E is not None:
-            z = r * phi * eit
-            g += eval_on_grid(E, z).real / r**2
-        residual = float(np.max(np.abs(g)))
-        if E is None or residual < NEWTON_TOL:
-            break
-        phi = phi - g / (2 * phi * base + 2 * (eval_on_grid(Ez, z) * eit).real / r)
-    else:
-        raise LeafSolveError(
-            f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
-            "(leaf may be outside the model's validity radius)"
-        )
-    if np.any(phi <= 0):
-        raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
-    if residual >= tol:
-        raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
-
-    phi_theta = fourier_derivative(phi)
-    theta.setflags(write=False)
-    phi.setflags(write=False)
-    phi_theta.setflags(write=False)
-    return LeafParametrization(r=r, level=r * r, theta=theta, phi=phi, phi_theta=phi_theta)
+    return next(LeafGrid(model, N).solve([r], tol))
 
 
 def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
@@ -157,7 +262,7 @@ def _leaf_moments(f, leaf, ells):
     w * u^ell is multiplied by u once per order and summed at each ell, so
     an ell has the same bits whatever ells come with it.
     """
-    eit = np.exp(1j * leaf.theta)
+    eit = leaf.eit
     u = leaf.phi * eit
     fvals = eval_on_grid(f, leaf.r * leaf.phi * eit)  # the bits of leaf.points()
     term = fvals * (leaf.phi_theta + 1j * leaf.phi) * eit * (2 * np.pi / leaf.N)
@@ -216,12 +321,13 @@ def check_moments(
 
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
-    that a pass always rests on some moments.  Each leaf is solved once and
-    f evaluated on it once; its weight serves every ell, as in
-    moment_integral.  Passes iff every moment modulus is below tol; leaf_tol
-    is solve_leaf's residual tolerance.  A
-    moment whose scale r^(ell + 1) overflows is a NumericalError naming r
-    and ell.  f must not contain w.
+    that a pass always rests on some moments.  The ladder is solved through
+    one LeafGrid(model, N), in batches, each leaf with the bits and errors
+    of solve_leaf; leaf_tol is its residual tolerance.  f is evaluated on
+    each leaf once and its weight serves every ell, as in moment_integral.
+    Passes iff every moment modulus is below tol.  A moment whose scale
+    r^(ell + 1) overflows is a NumericalError naming r and ell, raised
+    before any later leaf's error.  f must not contain w.
     """
     if f.has_w_terms():
         raise InputError("check_moments: f must not contain w")
@@ -237,10 +343,9 @@ def check_moments(
         raise InputError("check_moments: need at least one leaf")
     entries = []
     max_mod = 0.0
-    for r in leaves:
-        leaf = solve_leaf(model, r, N, leaf_tol)
+    for leaf in LeafGrid(model, N).solve(leaves, leaf_tol):
         for ell, v in enumerate(_leaf_moments(f, leaf, range(Lmax + 1))):
-            entries.append((r, ell, v))
+            entries.append((leaf.r, ell, v))
             max_mod = max(max_mod, abs(v))
     return MomentReport(
         entries=tuple(entries),

@@ -384,15 +384,15 @@ class Polynomial:
         exps[:, col] -= 1
         return Polynomial._wrap(self.n, *_prune(exps, power[keep] * self.coeffs[keep]))
 
-    def evaluate(self, z, w=0.0):
-        """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
+    def power_tables(self, z, w=0.0):
+        """Power tables of the columns z_j, zbar_j and w at points z of shape (..., n).
 
-        For n = 1 a scalar is one point; w broadcasts over the point shape.
-        Returns a complex for one point, else an array.  Each column z_j,
-        zbar_j, w gets one table of its powers up to the largest exponent in
-        that column, by repeated multiplication; terms are then summed one at
-        a time as c * z^alpha * zbar^beta * w^k from the tables, so memory is
-        those tables plus one term, never a points x terms array.
+        zbar is the actual conjugate of z; for n = 1 a scalar is one point,
+        and w broadcasts over the point shape.  Each column gets one table
+        of its powers up to its largest exponent in this polynomial, by
+        repeated multiplication (entry 0 unused).  sum_terms of this
+        polynomial, or of one whose exponents are no larger column by column
+        (a derivative of it), reads its values from them.
         """
         n = self.n
         z = np.asarray(z, dtype=complex)
@@ -403,17 +403,34 @@ class Polynomial:
                 f"evaluate: expected points with {n} coordinates, got shape {z.shape}"
             )
         zb = np.conj(z)
-        w = np.asarray(w, dtype=complex)
-        total = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape), dtype=complex)
-        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [w]
+        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)]
+        columns.append(np.asarray(w, dtype=complex))
         tops = self.exps.max(axis=0, initial=0).tolist()
-        tables = [_powers(x, top) for x, top in zip(columns, tops)]
+        return [_powers(x, top) for x, top in zip(columns, tops)]
+
+    def sum_terms(self, tables):
+        """The values at the points of power_tables' tables, summed one term at a time.
+
+        Each term is c * z^alpha * zbar^beta * w^k from the tables, so memory
+        is the tables plus one term, never a points x terms array.
+        """
+        total = np.zeros(np.broadcast(tables[0][1], tables[-1][1]).shape, dtype=complex)
         for row, c in self.terms:
             val = c
             for table, e in zip(tables, row):
                 if e:
                     val = val * table[e]
             total += val
+        return total
+
+    def evaluate(self, z, w=0.0):
+        """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
+
+        For n = 1 a scalar is one point; w broadcasts over the point shape.
+        Returns a complex for one point, else an array: sum_terms over this
+        polynomial's power_tables.
+        """
+        total = self.sum_terms(self.power_tables(z, w))
         return complex(total) if total.ndim == 0 else total
 
     # -- serialization -------------------------------------------------------
@@ -540,21 +557,26 @@ def _checked_term_arrays(terms, n):
 
 
 def _float(x):
-    """float(x), with an int beyond the float range read as inf."""
+    """float(x), with an int beyond the float range read as inf of its sign."""
     try:
         return float(x)
     except OverflowError:
-        return math.inf
+        return math.inf if x > 0 else -math.inf
 
 
 def complex_from_json(v, where):
-    """The complex number of a {"re", "im"} object; finite parts only."""
+    """The complex number of a {"re", "im"} object.
+
+    Each part must be a finite JSON number, as for real_from_json: strings,
+    bools and null are input errors.
+    """
     if not isinstance(v, dict) or "re" not in v or "im" not in v:
         raise InputError(f"{where} must be an object with 're' and 'im'")
-    try:
-        c = complex(_float(v["re"]), _float(v["im"]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: 're' and 'im' must be numbers") from exc
+    re, im = v["re"], v["im"]
+    numbers = isinstance(re, (int, float)) and isinstance(im, (int, float))
+    if not numbers or isinstance(re, bool) or isinstance(im, bool):
+        raise InputError(f"{where}: 're' and 'im' must be numbers")
+    c = complex(_float(re), _float(im))
     if not cmath.isfinite(c):
         raise InputError(f"{where}: non-finite number {c}")
     return c

@@ -265,6 +265,27 @@ def test_cli_probe_degenerate_quadric(tmp_path, capsys):
     assert doc["exponent"] == pytest.approx(0.0, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (3, "s ladder needs at least 6 and at most 64 rungs"),
+        (8, "solve_leaf: model must be in Bishop normal form"),
+    ],
+)
+def test_cli_probe_checks_the_ladder_before_the_model(tmp_path, capsys, count, message):
+    # the quadric family meets its model on the first rung, after the ladder checks
+    model = model_doc([0.1])
+    model["A"][0][0] = {"re": 2.0, "im": 0.0}
+    doc_in = {
+        "family": {"kind": "quadric", "model": model},
+        "data": {"builtin": "sqrt-re-w"},
+        "ladder": {"start": 1e-4, "ratio": 2.0, "count": count},
+    }
+    code, out, err = run(capsys, ["probe-degenerate", write_json(tmp_path / "in.json", doc_in)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"crextend: input error: {message}")
+
+
 # -- errors and configuration ----------------------------------------------------------
 
 
@@ -334,7 +355,7 @@ def test_cli_nan_point_is_input_error(tmp_path, capsys):
         "model": model_doc([0.3]),
         "data": {"builtin": "identity"},
         "r": 0.1,
-        "points": [{"re": "nan", "im": 0.0}],
+        "points": [{"re": float("nan"), "im": 0.0}],  # written as the JSON literal NaN
     }
     path = write_json(tmp_path / "in.json", doc_in)
     code, out, err = run(capsys, ["leaf-extend", path])
@@ -564,6 +585,13 @@ MALFORMED = {
     "f-coefficient-beyond-float": ("extend", {"model": model_doc([0.1]), "f": _huge_int_term()}, None),
     "model-A-beyond-float": ("classify", _huge_int_model(), None),
     "f-n-beyond-allocation": ("extend", {"model": model_doc([0.1]), "f": {"n": 10**20, "terms": []}}, None),
+    # a number written as a string, or a bool, is not a number, in a coefficient as anywhere else
+    "f-coefficient-string": (
+        "check",
+        _check_doc(f={"n": 1, "terms": [{"alpha": [0], "beta": [3], "k": 0, "re": "1.5", "im": 0.0}]}),
+        None,
+    ),
+    "point-bool": ("leaf-extend", _leaf_extend_doc(points=[{"re": 0.1, "im": True}]), None),
 }
 
 
@@ -582,7 +610,7 @@ def test_cli_malformed_scalar_is_input_error(tmp_path, capsys, name):
     "name, message",
     [
         ("f-coefficient-beyond-float", "terms[0]: non-finite number (inf+0j)"),
-        ("model-A-beyond-float", "A[0][0]: non-finite number (inf+0j)"),
+        ("model-A-beyond-float", "A[0][0]: non-finite number (-inf+0j)"),
         ("f-n-beyond-allocation", "polynomial field 'n' is too large"),
     ],
 )

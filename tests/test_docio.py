@@ -130,7 +130,7 @@ MUTATIONS = {
     "coeff-inf": _set_coeff(float("inf")),
     "coeff--inf": _set_coeff(float("-inf")),
     "coeff-string": _set_coeff("abc"),
-    # float() reads a numeric string and a bool, so both readers accept these
+    # both readers refuse a numeric string and a bool, as real_from_json does
     "coeff-numeric-string": _set_coeff("1.5"),
     "coeff-bool": _set_coeff(True),
     "coeff-null": _set_coeff(None),

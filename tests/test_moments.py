@@ -6,6 +6,7 @@ import pytest
 from conftest import LAMBDA_CHOICES, random_coeff, random_holomorphic, random_polynomial
 from crextend import (
     InputError,
+    LeafGrid,
     LeafSolveError,
     NotElliptic,
     Polynomial,
@@ -18,6 +19,7 @@ from crextend import (
     q_polynomial,
     solve_leaf,
 )
+from crextend import moments
 from crextend.polyalg import DEGREE_CAP
 
 
@@ -154,6 +156,98 @@ def test_leaf_newton_divergence_raises():
     m = normal_form_model([0.0], E=E)
     with pytest.raises(LeafSolveError):
         solve_leaf(m, 0.45, 256)
+
+
+# -- one grid per (model, N) ----------------------------------------------------
+
+LADDER = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
+
+
+def _leaf_bits(leaf):
+    return leaf.r, leaf.level, leaf.phi.tobytes(), leaf.phi_theta.tobytes(), leaf.points().tobytes()
+
+
+@pytest.mark.parametrize("N", [64, 512, 4096])
+@pytest.mark.parametrize("with_E", [False, True])
+@pytest.mark.parametrize("batch", ["default", "whole-ladder"])
+def test_leaf_grid_ladder_has_the_bits_of_solo_solves(monkeypatch, N, with_E, batch):
+    # at N = 512 the default batch holds 4 of the 6 leaves, at 4096 one
+    if batch == "whole-ladder":
+        monkeypatch.setattr(moments, "LEAF_BATCH_POINTS", len(LADDER) * N)
+    rng = np.random.default_rng(101)
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam], E=_generic_real_E(rng, lam) if with_E else None)
+        ladder = list(LeafGrid(m, N).solve(LADDER))
+        assert [_leaf_bits(leaf) for leaf in ladder] == [_leaf_bits(solve_leaf(m, r, N)) for r in LADDER]
+
+
+def test_check_moments_entries_match_moments_on_solo_leaves():
+    rng = np.random.default_rng(103)
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam], E=_generic_real_E(rng, lam))
+        f = random_polynomial(rng, 1, 6)
+        report = check_moments(f, m, leaves=LADDER, Lmax=10, N=512)
+        leaves = {r: solve_leaf(m, r, 512) for r in LADDER}
+        assert len(report.entries) == len(LADDER) * 11
+        for r, ell, v in report.entries:
+            assert np.complex128(v).tobytes() == np.complex128(moment_integral(f, leaves[r], ell)).tobytes()
+
+
+def _ladder_outcome(leaves):
+    """(leaves yielded, (type, message) of the error that stopped the ladder, or None)."""
+    count = 0
+    try:
+        for _ in leaves:
+            count += 1
+    except (InputError, LeafSolveError, OverflowError) as exc:
+        return count, (type(exc), str(exc))
+    return count, None
+
+
+def _cubic_model(c):
+    """lambda = 0 and E = c (z^3 + zbar^3): at N = 512 and c = 1 the leaves up to
+    r = 0.1 solve and r = 0.2 does not converge; at c = 2 r = 1 goes negative."""
+    E = Polynomial.monomial(1, (3,), (0,), 0, c) + Polynomial.monomial(1, (0,), (3,), 0, c)
+    return normal_form_model([0.0], E=E)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("no-convergence", "leaf solve did not converge in 50 iterations at r = 0.2"),
+        ("not-positive", "leaf profile is not positive at r = 1"),
+        ("residual", "exceeds 1e-15"),
+        ("label", "solve_leaf: leaf label r must be positive, got -0.1"),
+        ("square-overflow", "Numerical result out of range"),
+    ],
+)
+@pytest.mark.parametrize("batch", ["default", "whole-ladder"])
+def test_ladder_fails_where_the_solo_loop_fails(monkeypatch, case, expected, batch):
+    N = 512
+    m, tol = _cubic_model(1.0), moments.LEAF_RESIDUAL_TOL
+    radii = {
+        # r^2 of 1e200 overflows: a later leaf in the same batch, whose error must wait
+        "no-convergence": (0.05, 0.1, 0.2, 0.4, 1e200),
+        "not-positive": (0.02, 0.05, 1.0),
+        "residual": LADDER,
+        "label": (0.05, -0.1, 0.2),
+        "square-overflow": (0.05, 1e200, 0.1),
+    }[case]
+    if case == "not-positive":
+        m = _cubic_model(2.0)
+    if case == "residual":
+        # leaf residuals of this model lie on both sides of 1e-15
+        m, tol = normal_form_model([0.1], E=_generic_real_E(np.random.default_rng(107), 0.1)), 1e-15
+    if batch == "whole-ladder":
+        monkeypatch.setattr(moments, "LEAF_BATCH_POINTS", len(radii) * N)
+    solo = _ladder_outcome(solve_leaf(m, r, N, tol) for r in radii)
+    count, (kind, message) = solo
+    assert count >= 1 and expected in message
+    assert _ladder_outcome(LeafGrid(m, N).solve(radii, tol)) == solo
+    with pytest.raises(kind) as info:  # check_moments sorts the ladder; the first failure stays first
+        check_moments(Polynomial.z(1), m, leaves=radii, N=N, leaf_tol=tol)
+    assert str(info.value) == message
 
 
 # -- moments -----------------------------------------------------------------

@@ -399,7 +399,10 @@ def test_json_rejects_malformed():
         )
 
 
-@pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.0, float("inf")), ("nan", 0.0), ("x", 0.0)])
+@pytest.mark.parametrize(
+    "re, im",
+    [(float("nan"), 0.0), (0.0, float("inf")), ("nan", 0.0), ("x", 0.0), ("1.5", 0.0), (0.0, True), (None, 0.0)],
+)
 def test_json_rejects_non_numbers(re, im):
     term = {"alpha": [1], "beta": [0], "k": 0, "re": re, "im": im}
     with pytest.raises(InputError):
