@@ -31,7 +31,6 @@ from .leafcauchy import (
     zderiv_bound_check,
 )
 from .moments import (
-    LeafGrid,
     LeafParametrization,
     MomentReport,
     check_moments,
@@ -64,7 +63,6 @@ __all__ = [
     "ExtensionResult",
     "InputError",
     "LeafExtension",
-    "LeafGrid",
     "LeafParametrization",
     "LeafSolveError",
     "MomentReport",

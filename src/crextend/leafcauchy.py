@@ -147,7 +147,8 @@ def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=512):
     radii = sorted(float(r) for r in radii)
     if not radii:
         raise InputError("continuity_probe: need at least one leaf radius")
-    leaves = list(LeafGrid(model, N).solve(radii))
+    grid = LeafGrid(model, N)
+    leaves = [grid.leaf(r) for r in radii]
     values = [data.evaluator(leaf.points(), leaf.level) for leaf in leaves]
     f0 = complex(np.mean(values[0]))
     return f0, [(leaf.r, float(np.max(np.abs(fvals - f0)))) for leaf, fvals in zip(leaves, values)]
@@ -191,7 +192,7 @@ def quadric_leaf_family(model: QuadricModel, N=512, tol=LEAF_RESIDUAL_TOL):
             raise InputError(f"leaf level must be positive, got {s}")
         if grid is None:
             grid = LeafGrid(model, N)
-        return next(grid.solve([float(np.sqrt(s))], tol))
+        return grid.leaf(np.sqrt(s), tol)
 
     return family
 

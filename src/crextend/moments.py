@@ -14,7 +14,6 @@ when every moment integral over every leaf vanishes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,6 @@ CR_ZERO_TOL = 1e-12
 DEFAULT_GRID_N = 512
 DEFAULT_MOMENT_TOL = 1e-8
 DEFAULT_LEAF_FRACTIONS = (0.05, 0.1, 0.2, 0.4)
-# Most grid points (leaves x N) one Newton pass of LeafGrid.solve holds: larger
-# (L, N) temporaries leave the cache, and batching then loses to one leaf at a
-# time (BENCH_leaf_grid.json has the sweep).
-LEAF_BATCH_POINTS = 2048
 
 
 def _check_grid_size(N):
@@ -103,7 +98,8 @@ class LeafGrid:
     holds theta, e^(i theta), base = 1 + 2 lam cos 2theta, the closed-form
     profile phi0 = base^(-1/2), which is exact for E = 0, and E with E_z.
     Without E every leaf's profile is phi0, so phi0, its Fourier
-    derivative and its residual are formed here once.
+    derivative and its residual are formed here once; with E, leaf(r)
+    runs Newton from phi0 for that leaf alone.
     """
 
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
@@ -130,98 +126,46 @@ class LeafGrid:
             self.Ez = self.E.partial_derivative("z")
         _read_only(self.theta, self.eit, self.base, self.phi0)
 
-    def solve(self, radii, tol=LEAF_RESIDUAL_TOL):
-        """Yield the leaf at each label r in radii, in order, as solve_leaf gives it.
-
-        With E, Newton runs on chunks of at most LEAF_BATCH_POINTS grid
-        points (one leaf when N is larger), each chunk solved when its first
-        leaf is asked for.  A leaf that fails raises solve_leaf's error for
-        it when its turn comes: after every leaf before it, before any
-        chunk after it is solved.
-        """
-        radii = list(radii)
-        step = max(1, LEAF_BATCH_POINTS // self.N)
-        for start in range(0, len(radii), step):
-            chunk = [float(r) for r in radii[start : start + step]]
-            if self.E is None:
-                profiles = [(self.phi0, self.residual0)] * len(chunk)
-            else:
-                profiles = self._newton(chunk)
-            for r, profile in zip(chunk, profiles):
-                yield self._leaf(r, profile, tol)
-
-    def _newton(self, radii):
-        """(phi, residual) for each label in radii by Newton on all its leaves at once.
-
-        Newton starts from phi0 and each leaf leaves the loop at its first
-        defect whose sup is below NEWTON_TOL, so its bits are those of a
-        loop over it alone; that sup is its residual.  phi is None where
-        the loop did not converge in NEWTON_MAX_ITER passes or r is not
-        positive; a label whose square overflows gets that OverflowError.
-        One leaf runs on plain (N,) arrays, several on (L, N) rows that are
-        dropped as they converge.  One set of power tables per pass serves
-        E and E_z.  E is real, so E_zbar = conj(E_z) and
-        dE/dphi = 2 r Re(E_z e^(i theta)).
-        """
-        out = [(None, math.inf)] * len(radii)
-        rows, r, r2 = [], [], []
-        for i, x in enumerate(radii):
-            if x > 0:
-                try:
-                    r2.append(x**2)  # Python's pow: about 1 in 1000 differs from x * x in the last bit
-                except OverflowError as exc:
-                    out[i] = exc
-                else:
-                    rows.append(i)
-                    r.append(x)
-        if not rows:
-            return out
-        if len(rows) == 1:
-            (r,), (r2,), phi = r, r2, self.phi0
-        else:
-            r, r2 = np.array(r)[:, None], np.array(r2)[:, None]
-            phi = np.broadcast_to(self.phi0, (len(rows), self.N))
-        for _ in range(NEWTON_MAX_ITER):
-            tables = self.E.power_tables((r * phi * self.eit)[..., None])
-            g = phi**2 * self.base - 1.0
-            g += self.E.sum_terms(tables).real / r2
-            residual = np.atleast_1d(np.max(np.abs(g), axis=-1)).tolist()
-            done = [x < NEWTON_TOL for x in residual]
-            for k, phi_k in enumerate(np.atleast_2d(phi)):
-                if done[k]:
-                    out[rows[k]] = (phi_k, residual[k])
-            if all(done):
-                break
-            phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
-            if any(done):
-                keep = np.logical_not(done)
-                phi, r, r2 = phi[keep], r[keep], r2[keep]
-                rows = [i for i, d in zip(rows, done) if not d]
-        return out
-
-    def _leaf(self, r, profile, tol):
-        """The leaf at r from its (phi, residual) or error, or solve_leaf's error for it."""
+    def leaf(self, r, tol=LEAF_RESIDUAL_TOL):
+        """The leaf at label r, with the bits and errors of solve_leaf(model, r, N, tol)."""
+        r = float(r)
         if not r > 0:
             raise InputError(f"solve_leaf: leaf label r must be positive, got {r}")
-        if isinstance(profile, OverflowError):
-            raise profile
-        phi, residual = profile
-        if phi is None:
-            raise LeafSolveError(
-                f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
-                "(leaf may be outside the model's validity radius)"
-            )
+        if self.E is None:
+            phi, phi_theta, residual = self.phi0, self.phi0_theta, self.residual0
+        else:
+            phi, residual = self._newton(r)
+            phi_theta = fourier_derivative(phi)
+            _read_only(phi, phi_theta)
         if np.any(phi <= 0):
             raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
         if residual >= tol:
             raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
-        if phi is self.phi0:
-            phi_theta = self.phi0_theta
-        else:
-            phi_theta = fourier_derivative(phi)
-            _read_only(phi, phi_theta)
         return LeafParametrization(
             r=r, level=r * r, theta=self.theta, phi=phi, phi_theta=phi_theta, eit=self.eit
+        )
+
+    def _newton(self, r):
+        """phi at label r and its residual, by Newton from phi0.
+
+        The loop ends at the first defect whose sup is below NEWTON_TOL;
+        that sup is the residual.  One set of power tables per pass serves
+        E and E_z.  E is real, so E_zbar = conj(E_z) and
+        dE/dphi = 2 r Re(E_z e^(i theta)).
+        """
+        r2 = r**2  # Python's pow, not r * r: about 1 in 1000 differs in the last bit
+        phi = self.phi0
+        for _ in range(NEWTON_MAX_ITER):
+            tables = self.E.power_tables((r * phi * self.eit)[..., None])
+            g = phi**2 * self.base - 1.0
+            g += self.E.sum_terms(tables).real / r2
+            residual = float(np.max(np.abs(g)))
+            if residual < NEWTON_TOL:
+                return phi, residual
+            phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
+        raise LeafSolveError(
+            f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
+            "(leaf may be outside the model's validity radius)"
         )
 
 
@@ -236,7 +180,7 @@ def solve_leaf(
     sup is the leaf residual: not below tol is a LeafSolveError, as is a
     Newton loop that does not converge or a profile that is not positive.
     """
-    return next(LeafGrid(model, N).solve([r], tol))
+    return LeafGrid(model, N).leaf(r, tol)
 
 
 def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
@@ -321,8 +265,8 @@ def check_moments(
 
     Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
-    that a pass always rests on some moments.  The ladder is solved through
-    one LeafGrid(model, N), in batches, each leaf with the bits and errors
+    that a pass always rests on some moments.  The ladder is solved leaf by
+    leaf through one LeafGrid(model, N), each leaf with the bits and errors
     of solve_leaf; leaf_tol is its residual tolerance.  f is evaluated on
     each leaf once and its weight serves every ell, as in moment_integral.
     Passes iff every moment modulus is below tol.  A moment whose scale
@@ -343,7 +287,9 @@ def check_moments(
         raise InputError("check_moments: need at least one leaf")
     entries = []
     max_mod = 0.0
-    for leaf in LeafGrid(model, N).solve(leaves, leaf_tol):
+    grid = LeafGrid(model, N)
+    for r in leaves:
+        leaf = grid.leaf(r, leaf_tol)
         for ell, v in enumerate(_leaf_moments(f, leaf, range(Lmax + 1))):
             entries.append((leaf.r, ell, v))
             max_mod = max(max_mod, abs(v))

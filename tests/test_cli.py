@@ -1,6 +1,7 @@
 """End-to-end CLI runs: JSON in, canonical JSON out, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,21 @@ def test_cli_probe_checks_the_ladder_before_the_model(tmp_path, capsys, count, m
     code, out, err = run(capsys, ["probe-degenerate", write_json(tmp_path / "in.json", doc_in)])
     assert code == 2 and out == ""
     assert err.startswith(f"crextend: input error: {message}")
+
+
+def test_cli_check_stops_its_ladder_at_the_first_failing_leaf(tmp_path, capsys):
+    # E = 30 |z|^4: the leaf at 1e30 does not converge; Newton at 1e100 would
+    # overflow and warn, but the ladder never reaches it
+    E = Polynomial.monomial(1, (2,), (2,), 0, 30.0)
+    doc_in = {"model": model_doc([0.0], E=E), "f": poly_doc(Polynomial.z(1)), "leaves": [0.1, 1e100, 1e30]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "in.json", doc_in)])
+    assert code == 3 and out == "" and caught == []
+    assert err == (
+        "crextend: numerical failure: leaf solve did not converge in 50 iterations at r = 1e+30 "
+        "(leaf may be outside the model's validity radius)\n"
+    )
 
 
 # -- errors and configuration ----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Leaf solves, moment integrals, and symbolic CR field checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import LAMBDA_CHOICES, random_coeff, random_holomorphic, random_polynomial
 from crextend import (
     InputError,
-    LeafGrid,
     LeafSolveError,
     NotElliptic,
     Polynomial,
@@ -169,15 +170,12 @@ def _leaf_bits(leaf):
 
 @pytest.mark.parametrize("N", [64, 512, 4096])
 @pytest.mark.parametrize("with_E", [False, True])
-@pytest.mark.parametrize("batch", ["default", "whole-ladder"])
-def test_leaf_grid_ladder_has_the_bits_of_solo_solves(monkeypatch, N, with_E, batch):
-    # at N = 512 the default batch holds 4 of the 6 leaves, at 4096 one
-    if batch == "whole-ladder":
-        monkeypatch.setattr(moments, "LEAF_BATCH_POINTS", len(LADDER) * N)
+def test_leaf_grid_ladder_has_the_bits_of_solo_solves(N, with_E):
     rng = np.random.default_rng(101)
     for lam in LAMBDA_CHOICES:
         m = normal_form_model([lam], E=_generic_real_E(rng, lam) if with_E else None)
-        ladder = list(LeafGrid(m, N).solve(LADDER))
+        grid = moments.LeafGrid(m, N)
+        ladder = [grid.leaf(r) for r in LADDER]
         assert [_leaf_bits(leaf) for leaf in ladder] == [_leaf_bits(solve_leaf(m, r, N)) for r in LADDER]
 
 
@@ -193,15 +191,19 @@ def test_check_moments_entries_match_moments_on_solo_leaves():
             assert np.complex128(v).tobytes() == np.complex128(moment_integral(f, leaves[r], ell)).tobytes()
 
 
-def _ladder_outcome(leaves):
-    """(leaves yielded, (type, message) of the error that stopped the ladder, or None)."""
-    count = 0
-    try:
-        for _ in leaves:
-            count += 1
-    except (InputError, LeafSolveError, OverflowError) as exc:
-        return count, (type(exc), str(exc))
-    return count, None
+def _ladder_outcome(solve, radii):
+    """(leaves solved, (type, message) of the error that stopped the ladder or None,
+    the warnings raised on the way)."""
+    count, error = 0, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for r in radii:
+                solve(r)
+                count += 1
+        except (InputError, LeafSolveError, OverflowError) as exc:
+            error = (type(exc), str(exc))
+    return count, error, [(w.category, str(w.message)) for w in caught]
 
 
 def _cubic_model(c):
@@ -211,7 +213,11 @@ def _cubic_model(c):
     return normal_form_model([0.0], E=E)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# E = 30 |z|^4 at N = 512: r = 1e30 does not converge, quietly; Newton at
+# r = 1e100 overflows and warns, so a ladder must stop before it
+QUARTIC = Polynomial.monomial(1, (2,), (2,), 0, 30.0)
+
+
 @pytest.mark.parametrize(
     "case, expected",
     [
@@ -220,34 +226,38 @@ def _cubic_model(c):
         ("residual", "exceeds 1e-15"),
         ("label", "solve_leaf: leaf label r must be positive, got -0.1"),
         ("square-overflow", "Numerical result out of range"),
+        ("later-leaf-warns", "leaf solve did not converge in 50 iterations at r = 1e+30"),
     ],
 )
-@pytest.mark.parametrize("batch", ["default", "whole-ladder"])
-def test_ladder_fails_where_the_solo_loop_fails(monkeypatch, case, expected, batch):
+def test_ladder_fails_where_the_solo_loop_fails(case, expected):
     N = 512
     m, tol = _cubic_model(1.0), moments.LEAF_RESIDUAL_TOL
     radii = {
-        # r^2 of 1e200 overflows: a later leaf in the same batch, whose error must wait
+        # r^2 of 1e200 overflows: a later leaf, whose error must never show
         "no-convergence": (0.05, 0.1, 0.2, 0.4, 1e200),
         "not-positive": (0.02, 0.05, 1.0),
         "residual": LADDER,
         "label": (0.05, -0.1, 0.2),
         "square-overflow": (0.05, 1e200, 0.1),
+        "later-leaf-warns": (0.1, 0.3, 1e30, 1e100),
     }[case]
     if case == "not-positive":
         m = _cubic_model(2.0)
     if case == "residual":
         # leaf residuals of this model lie on both sides of 1e-15
         m, tol = normal_form_model([0.1], E=_generic_real_E(np.random.default_rng(107), 0.1)), 1e-15
-    if batch == "whole-ladder":
-        monkeypatch.setattr(moments, "LEAF_BATCH_POINTS", len(radii) * N)
-    solo = _ladder_outcome(solve_leaf(m, r, N, tol) for r in radii)
-    count, (kind, message) = solo
-    assert count >= 1 and expected in message
-    assert _ladder_outcome(LeafGrid(m, N).solve(radii, tol)) == solo
-    with pytest.raises(kind) as info:  # check_moments sorts the ladder; the first failure stays first
-        check_moments(Polynomial.z(1), m, leaves=radii, N=N, leaf_tol=tol)
-    assert str(info.value) == message
+    if case == "later-leaf-warns":
+        m = normal_form_model([0.0], E=QUARTIC)
+    solo = _ladder_outcome(lambda r: solve_leaf(m, r, N, tol), radii)
+    count, (kind, message), caught = solo
+    assert count >= 1 and expected in message and caught == []
+    grid = moments.LeafGrid(m, N)
+    assert _ladder_outcome(lambda r: grid.leaf(r, tol), radii) == solo
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(kind) as info:  # check_moments sorts the ladder; the first failure stays first
+            check_moments(Polynomial.z(1), m, leaves=radii, N=N, leaf_tol=tol)
+    assert str(info.value) == message and caught == []
 
 
 # -- moments -----------------------------------------------------------------
