@@ -151,18 +151,21 @@ class LeafGrid:
         The loop ends at the first defect whose sup is below NEWTON_TOL;
         that sup is the residual.  One set of power tables per pass serves
         E and E_z.  E is real, so E_zbar = conj(E_z) and
-        dE/dphi = 2 r Re(E_z e^(i theta)).
+        dE/dphi = 2 r Re(E_z e^(i theta)).  Iterates that overflow are not
+        warned about: they never meet NEWTON_TOL, so the loop ends in the
+        LeafSolveError that reports the failure.
         """
         r2 = r**2  # Python's pow, not r * r: about 1 in 1000 differs in the last bit
         phi = self.phi0
-        for _ in range(NEWTON_MAX_ITER):
-            tables = self.E.power_tables((r * phi * self.eit)[..., None])
-            g = phi**2 * self.base - 1.0
-            g += self.E.sum_terms(tables).real / r2
-            residual = float(np.max(np.abs(g)))
-            if residual < NEWTON_TOL:
-                return phi, residual
-            phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
+        with np.errstate(all="ignore"):
+            for _ in range(NEWTON_MAX_ITER):
+                tables = self.E.power_tables((r * phi * self.eit)[..., None])
+                g = phi**2 * self.base - 1.0
+                g += self.E.sum_terms(tables).real / r2
+                residual = float(np.max(np.abs(g)))
+                if residual < NEWTON_TOL:
+                    return phi, residual
+                phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
         raise LeafSolveError(
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
             "(leaf may be outside the model's validity radius)"

@@ -42,9 +42,10 @@ ZERO_THRESHOLD = 1e-14
 DEGREE_CAP = 64
 # Largest term list from_json_dict reads.
 MAX_TERMS = 2**16
-# Largest product (pairs of terms) __mul__ and substitute_w form: at n = 3 a
-# pair takes 72 bytes of exponents and coefficient, 2**22 pairs about 300 MB,
-# the size of extend.MAX_GRADED_ENTRIES complex entries.
+# Largest product (pairs of terms) __mul__, substitute_w and extend's division
+# route form: at n = 3 a pair takes 72 bytes of exponents and coefficient,
+# 2**22 pairs about 300 MB, the size of extend.MAX_GRADED_ENTRIES complex
+# entries.
 MAX_TERM_PAIRS = 2**22
 
 
@@ -76,7 +77,8 @@ def _merge(exps, coeffs):
     return _prune(exps, coeffs)
 
 
-def _check_pairs(pairs, what):
+def check_pairs(pairs, what):
+    """Refuse (InputError) a product of more than MAX_TERM_PAIRS pairs of terms, before it is formed."""
     if pairs > MAX_TERM_PAIRS:
         raise InputError(f"{what} has {pairs} pairs of terms, more than {MAX_TERM_PAIRS}")
 
@@ -269,7 +271,7 @@ class Polynomial:
                 raise InputError(
                     f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}"
                 )
-            _check_pairs(len(self.coeffs) * len(other.coeffs), "product")
+            check_pairs(len(self.coeffs) * len(other.coeffs), "product")
         # one row per pair of terms, self's terms outermost
         exps = (self.exps[:, None, :] + other.exps[None, :, :]).reshape(-1, 2 * self.n + 1)
         coeffs = np.multiply.outer(self.coeffs, other.coeffs).ravel()
@@ -333,7 +335,7 @@ class Polynomial:
             powers.append(powers[-1] * q)
         ks, counts = np.unique(k, return_counts=True)
         ks, counts = ks.tolist(), counts.tolist()
-        _check_pairs(sum(c * len(powers[kk].coeffs) for kk, c in zip(ks, counts)), "substitute_w")
+        check_pairs(sum(c * len(powers[kk].coeffs) for kk, c in zip(ks, counts)), "substitute_w")
         exps, coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
         w_free = self.exps.copy()
         w_free[:, -1] = 0

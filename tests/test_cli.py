@@ -1,13 +1,14 @@
 """End-to-end CLI runs: JSON in, canonical JSON out, exit codes."""
 
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import congruent_model
-from crextend import Polynomial, normal_form_model, q_polynomial
+from crextend import Polynomial, QuadricModel, normal_form_model, q_polynomial
 from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, RunConfig, dumps_canonical, main
 
@@ -288,8 +289,8 @@ def test_cli_probe_checks_the_ladder_before_the_model(tmp_path, capsys, count, m
 
 
 def test_cli_check_stops_its_ladder_at_the_first_failing_leaf(tmp_path, capsys):
-    # E = 30 |z|^4: the leaf at 1e30 does not converge; Newton at 1e100 would
-    # overflow and warn, but the ladder never reaches it
+    # E = 30 |z|^4: the leaf at 1e30 does not converge; Newton at 1e100
+    # overflows, but the ladder never reaches it
     E = Polynomial.monomial(1, (2,), (2,), 0, 30.0)
     doc_in = {"model": model_doc([0.0], E=E), "f": poly_doc(Polynomial.z(1)), "leaves": [0.1, 1e100, 1e30]}
     with warnings.catch_warnings(record=True) as caught:
@@ -300,6 +301,35 @@ def test_cli_check_stops_its_ladder_at_the_first_failing_leaf(tmp_path, capsys):
         "crextend: numerical failure: leaf solve did not converge in 50 iterations at r = 1e+30 "
         "(leaf may be outside the model's validity radius)\n"
     )
+
+
+def test_cli_overflowing_leaf_prints_only_its_failure(tmp_path, capsys):
+    # Newton at r = 1e100 overflows: stderr holds the CLI's one line, no numpy warning
+    E = Polynomial.monomial(1, (2,), (2,), 0, 30.0)
+    doc_in = {"model": model_doc([0.0], E=E), "f": poly_doc(Polynomial.z(1)), "leaves": [1e100]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["check", write_json(tmp_path / "in.json", doc_in)])
+    assert code == 3 and out == "" and caught == []
+    assert err == (
+        "crextend: numerical failure: leaf solve did not converge in 50 iterations at r = 1e+100 "
+        "(leaf may be outside the model's validity radius)\n"
+    )
+
+
+def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsys):
+    # a diagonal Q is divided, not solved as a graded block: zbar1^40 at n = 10
+    # has no quotient, so P is empty and degree 40 fails without any power of Q
+    doc_in = {"model": model_doc([0.1] * 10), "f": poly_doc(_zbar1_power(10, 40))}
+    path = write_json(tmp_path / "in.json", doc_in)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["extend", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "NotExtendible" and report["certificate"]["degree"] == 40
+    assert report["certificate"]["condition"] == "CR field X f != 0"
+    assert [d["degree"] for d in report["degrees"]] == [40]
 
 
 # -- errors and configuration ----------------------------------------------------------
@@ -542,6 +572,15 @@ def _huge_int_model():
     return doc
 
 
+def _offdiagonal_model(n):
+    """A = I and B = 0.09 I + 0.01 (all ones): elliptic, with off-diagonal terms in Q."""
+    return QuadricModel(A=np.eye(n), B=0.09 * np.eye(n) + 0.01).to_json_dict()
+
+
+def _zbar1_power(n, d):
+    return Polynomial.monomial(n, (0,) * n, (d,) + (0,) * (n - 1), 0)
+
+
 def _bool_term(**changes):
     """The n = 1 document of z zbar with JSON booleans put in place of some exponents."""
     return {"n": 1, "terms": [{"alpha": [1], "beta": [1], "k": 0, "re": 1.0, "im": 0.0, **changes}]}
@@ -579,9 +618,10 @@ MALFORMED = {
     ),
     "exponent-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(alpha=[True])}, None),
     "k-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(k=False)}, None),
-    "extend-n10-zbar^40": (
+    # a non-diagonal Q keeps the dense block, whose degree-40 size at n = 10 is refused at once
+    "extend-n10-nondiagonal-zbar^40": (
         "extend",
-        {"model": model_doc([0.1] * 10), "f": poly_doc(Polynomial.monomial(10, (0,) * 10, (40,) + (0,) * 9, 0))},
+        {"model": _offdiagonal_model(10), "f": poly_doc(_zbar1_power(10, 40))},
         None,
     ),
     # more terms than MAX_TERMS, refused before any term is read

@@ -1,7 +1,7 @@
 """Polynomial extension: monomial route, involution, graded solves, slicing."""
 
-import math
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,9 +14,10 @@ from conftest import (
     random_polynomial,
     random_unit_vector,
 )
+import crextend.polyalg as polyalg
 from crextend.extend import NOISE_ULPS
 from crextend.polyalg import monomials
-from dictref import Exponent, extend_lambda0, from_terms, term_dict, term_sort_key
+from dictref import extend_lambda0, from_terms, term_dict
 from crextend import (
     InputError,
     NotElliptic,
@@ -291,108 +292,13 @@ def test_verify_extension_matches_loop_reference():
     assert verify_extension(P, f, m, samples=0) == 0.0
 
 
-def reference_graded_solve(f, model, tol=1e-9):
-    """The graded solve with every column built as monomial(alpha) * Q**k and P summed per degree.
-
-    Each degree is split as extend_general splits it: when every term of Q
-    has alpha_j + beta_j even (n >= 2), column z^alpha w^k is in parity class
-    alpha mod 2 and row z^alpha' zbar^beta' in class (alpha' + beta') mod 2,
-    else everything is in one class.  Classes are solved in the order of
-    sum_j parity_j 2^j, each with its rows in graded order and its columns in
-    basis order.  Returns (P or None, [(degree, residual, condition), ...]).
-    """
-    Q = q_polynomial(model)
-    n = f.n
-    even = n > 1 and all((a + b) % 2 == 0 for e in term_dict(Q) for a, b in zip(e.alpha, e.beta))
-
-    def parity_class(alpha, beta):
-        return sum(((a + b) % 2) << j for j, (a, b) in enumerate(zip(alpha, beta))) if even else 0
-
-    real = not Q.coeffs.imag.any()
-    threshold = tol * (1.0 + f.max_coeff())
-    P, reports = Polynomial.zero(n), []
-    for d in range(f.degree() + 1):
-        fd = term_dict(f.homogeneous_part(d))
-        if not fd:
-            continue
-        basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
-        basis.sort(key=lambda col: parity_class(col[0], (0,) * n))
-        images = [term_dict(mono(n, alpha) * Q**k) for alpha, k in basis]
-        rows = sorted({e for img in images for e in img} | set(fd), key=term_sort_key)
-        classes = sorted({parity_class(e.alpha, e.beta) for e in rows})
-        x, norms, svs, kept = [], [], [], []
-        for c in classes:
-            cols = [j for j, (alpha, _) in enumerate(basis) if parity_class(alpha, (0,) * n) == c]
-            row_index = {e: i for i, e in enumerate(e for e in rows if parity_class(e.alpha, e.beta) == c)}
-            M = np.zeros((len(row_index), len(cols)), dtype=complex)
-            for j, col in enumerate(cols):
-                for e, coeff in images[col].items():
-                    M[row_index[e], j] = coeff
-            b = np.zeros(len(row_index), dtype=complex)
-            for e, coeff in fd.items():
-                if e in row_index:
-                    b[row_index[e]] = coeff
-            if real:
-                # a real block is solved in real arithmetic, Re b and Im b as two right-hand sides
-                M, b = M.real.copy(), np.column_stack((b.real, b.imag))
-            xc, _, rank, sv = np.linalg.lstsq(M, b, rcond=None)
-            norms.append(np.linalg.norm(M @ xc - b))
-            x.extend(xc[:, 0] + 1j * xc[:, 1] if real else xc)
-            svs.extend(sv)
-            kept.extend(sv[:rank])
-        x = np.array(x, dtype=complex)
-        residual = math.hypot(*norms)
-        reports.append((d, residual, float(max(svs) / min(svs))))
-        if residual >= threshold:
-            return None, reports
-        noise = NOISE_ULPS * np.finfo(float).eps * max(svs) / min(kept) * np.linalg.norm(x)
-        x[np.abs(x) < noise] = 0
-        P = P + from_terms(n, {Exponent(a, (0,) * n, k): c for (a, k), c in zip(basis, x)})
-    return P, reports
-
-
-def test_extend_general_bit_identical_to_column_reference():
-    rng = np.random.default_rng(43)
-    statuses = set()
-    for n in (1, 2, 3):
-        for i in range(4):
-            lambdas = random_lambdas(rng, n)
-            # odd i: A = 2I is not normal form, so no named certificate is looked for
-            m = normal_form_model(lambdas) if i % 2 == 0 else QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas))
-            f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
-            if i >= 2:
-                f = f + 1e-3 * random_polynomial(rng, n, 4)
-            res = extend_general(f, m)
-            ref_P, ref_reports = reference_graded_solve(f, m)
-            statuses.add(res.status)
-            assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
-            if ref_P is None:
-                assert res.P is None
-            else:
-                assert list(term_dict(res.P).items()) == list(term_dict(ref_P).items())
-    assert statuses == {"Extended", "NotExtendible"}
-
-
-def test_extend_general_complex_q_matches_column_reference():
-    # B with complex entries makes Q, and so every graded block, complex
-    rng = np.random.default_rng(47)
-    for n in (1, 2, 3):
-        B = np.diag(rng.uniform(0.05, 0.45, n)) * np.exp(0.7j)
-        m = QuadricModel(A=np.eye(n), B=B)
-        assert q_polynomial(m).coeffs.imag.any()
-        f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
-        res = extend_general(f, m)
-        ref_P, ref_reports = reference_graded_solve(f, m)
-        assert res.extended
-        assert [(r.degree, r.residual, r.condition) for r in res.degree_reports] == ref_reports
-        assert list(term_dict(res.P).items()) == list(term_dict(ref_P).items())
-
-
 def whole_block_solve(f, model, tol=1e-9):
-    """The graded solve without the parity split: one dense least-squares solve per degree.
+    """The graded solve as one dense least-squares solve per degree, every column
+    built as monomial(alpha) * Q**k.
 
-    Returns (status, [(degree, basis, x, rank, residual, condition), ...]);
-    x of a passing degree is pruned of rounding noise as extend_general does.
+    Returns (status, [(degree, basis, x, rank, residual, condition), ...]), the
+    failing degree last; x of a passing degree is pruned of rounding noise as
+    extend_general's dense route prunes it.
     """
     Q = q_polynomial(model)
     n = f.n
@@ -425,6 +331,53 @@ def whole_block_solve(f, model, tol=1e-9):
     return "Extended", degrees
 
 
+def assert_matches_reference(f, model):
+    """extend_general against whole_block_solve: the same status, degrees and
+    failing degree, and P within 1e-10 of the reference's, relative to its
+    largest coefficient.  Returns the status."""
+    res = extend_general(f, model)
+    status, whole = whole_block_solve(f, model)
+    assert res.status == status
+    assert [r.degree for r in res.degree_reports] == [w[0] for w in whole]
+    if status == "NotExtendible":
+        assert res.P is None and res.certificate.degree == whole[-1][0]
+        return status
+    n = f.n
+    rows = [(*alpha, *(0,) * n, k) for _, basis, *_ in whole for alpha, k in basis]
+    expected = Polynomial(n, np.array(rows, dtype=np.int64).reshape(-1, 2 * n + 1), np.concatenate([w[2] for w in whole]))
+    assert (res.P - expected).max_coeff() <= 1e-10 * (1 + expected.max_coeff())
+    return status
+
+
+def test_extend_general_matches_column_reference():
+    # normal forms and A = 2I, both divided exactly; the second half obstructed
+    rng = np.random.default_rng(43)
+    statuses = set()
+    for n in (1, 2, 3):
+        for i in range(4):
+            lambdas = random_lambdas(rng, n)
+            m = normal_form_model(lambdas) if i % 2 == 0 else QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas))
+            f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
+            if i >= 2:
+                f = f + 1e-3 * random_polynomial(rng, n, 4)
+            statuses.add(assert_matches_reference(f, m))
+    assert statuses == {"Extended", "NotExtendible"}
+
+
+def test_extend_general_complex_q_matches_column_reference():
+    # B with complex entries makes Q complex, and mu = 2 conj(B_11) / A_11 complex
+    rng = np.random.default_rng(47)
+    statuses = set()
+    for n in (1, 2, 3):
+        B = np.diag(rng.uniform(0.05, 0.45, n)) * np.exp(0.7j)
+        m = QuadricModel(A=np.eye(n), B=B)
+        assert q_polynomial(m).coeffs.imag.any()
+        f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
+        for data in (f, f + 1e-3 * random_polynomial(rng, n, 4)):
+            statuses.add(assert_matches_reference(data, m))
+    assert statuses == {"Extended", "NotExtendible"}
+
+
 def record_lstsq(monkeypatch):
     """Record (shape, rank) of every np.linalg.lstsq call while monkeypatch holds."""
     calls = []
@@ -439,9 +392,12 @@ def record_lstsq(monkeypatch):
     return calls
 
 
-def test_parity_split_matches_whole_block_solve(monkeypatch):
+def test_division_matches_whole_block_solve(monkeypatch):
+    # diagonal models (every n = 1 model among them) are divided, with no
+    # least-squares solve; a congruent model at n >= 2 keeps one solve of the
+    # whole block per degree, with its shape, rank, residual and condition
     rng = np.random.default_rng(59)
-    statuses, split = set(), 0
+    statuses, dense = set(), 0
     for n in (1, 2, 3):
         lambdas = random_lambdas(rng, n)
         models = {
@@ -453,43 +409,44 @@ def test_parity_split_matches_whole_block_solve(monkeypatch):
         for kind, m in models.items():
             f = random_holomorphic(rng, n, 8 if n < 3 else 6).substitute_w(q_polynomial(m))
             for data in (f, f + 1e-3 * random_polynomial(rng, n, 4)):  # the second one obstructed
-                status, whole = whole_block_solve(data, m)
                 with monkeypatch.context() as patch:
                     calls = record_lstsq(patch)
                     res = extend_general(data, m)
-                assert res.status == status, (n, kind)
-                statuses.add(status)
-                assert [r.degree for r in res.degree_reports] == [w[0] for w in whole]
+                status, whole = whole_block_solve(data, m)
+                statuses.add(assert_matches_reference(data, m))
+                if kind != "congruent" or n == 1:
+                    assert not calls, (n, kind)
+                    continue
+                dense += 1
                 coeffs = dict(zip(map(tuple, res.P.exps.tolist()), res.P.coeffs)) if res.P else {}
-                for report, (d, basis, x, rank, residual, condition) in zip(res.degree_reports, whole):
-                    # this degree's solves are the next calls whose columns add up to the basis
-                    cols = ranks = solves = 0
-                    while cols < len(basis):
-                        (_, c), r = calls.pop(0)
-                        cols, ranks, solves = cols + c, ranks + r, solves + 1
-                    assert cols == len(basis) and ranks == rank
-                    assert solves == 1 or (n > 1 and kind != "congruent")
-                    split += solves > 1
+                assert len(calls) == len(whole)
+                for report, call, (d, basis, x, rank, residual, condition) in zip(res.degree_reports, calls, whole):
+                    assert call[0][1] == len(basis) and call[1] == rank
                     assert report.condition == pytest.approx(condition, rel=1e-12, abs=0)
                     assert abs(report.residual - residual) <= 1e-13 + 1e-12 * residual
+                    assert report.remainder is None
                     if res.P is not None:
                         got = np.array([coeffs.get((*a, *(0,) * n, k), 0) for a, k in basis])
                         assert np.max(np.abs(got - x)) <= 1e-13 * np.linalg.norm(x)
-                assert not calls
-    assert statuses == {"Extended", "NotExtendible"} and split
+    assert statuses == {"Extended", "NotExtendible"} and dense == 4
 
 
-def test_parity_classes_set_the_solve_shapes(monkeypatch):
-    # n = 3, degree 16 on a normal form: the even class and the three with two odd coordinates
+def test_dense_block_only_for_non_diagonal_models(monkeypatch):
+    # n = 3, degree 16: every diagonal model divides without a least-squares solve
     calls = record_lstsq(monkeypatch)
-    res = extend_general(mono(3, (16, 0, 0)), normal_form_model([0.1, 0.2, 0.3]))
-    assert res.extended
-    assert [shape for shape, _ in calls] == [(5301, 165)] + [(3060, 120)] * 3
-    # a congruent model's Q has odd terms: one class, one solve per degree
-    calls.clear()
+    B = np.diag([0.1, 0.2, 0.3])
+    for m in (normal_form_model([0.1, 0.2, 0.3]), QuadricModel(A=2 * np.eye(3), B=B * np.exp(0.3j))):
+        res = extend_general(mono(3, (16, 0, 0)), m)
+        assert res.extended and res.P == mono(3, (16, 0, 0))
+        assert [r.condition for r in res.degree_reports] == [1.0]
+    assert not calls
+    # a congruent model's Q has odd terms: one solve of the whole block per degree
     m = congruent_model(np.random.default_rng(61), [0.1, 0.2, 0.3])
     res = extend_general(random_holomorphic(np.random.default_rng(61), 3, 6).substitute_w(q_polynomial(m)), m)
     assert res.extended and len(calls) == len(res.degree_reports) > 1
+    for (shape, _), report in zip(calls, res.degree_reports):
+        d = report.degree
+        assert shape[0] <= comb(d + 5, 5) and shape[1] == sum(comb(d - 2 * k + 2, 2) for k in range(d // 2 + 1))
 
 
 def test_graded_solve_memory_stays_below_the_whole_block():
@@ -507,31 +464,68 @@ def test_graded_solve_memory_stays_below_the_whole_block():
     assert peak < 11628 * 372 * 8
 
 
-def exact_graded_solve(sp, lambdas, f_terms):
-    """The graded solve over the rationals on the normal form with rational lambdas.
+def exact_graded_solve(sp, lambdas, f_terms, diag_a=None):
+    """The graded solve over the rationals on Q = sum_j a_j z_j zbar_j + b_j z_j^2 + conj(b_j) zbar_j^2.
 
+    lambdas are the b_j, Gaussian rationals; diag_a the a_j, 1 when not given.
     f_terms maps alpha + beta (one exponent tuple) to a Gaussian-rational
     coefficient.  Returns ("Extended", {(alpha, k): coeff}) or
     ("NotExtendible", first degree without a solution).
     """
     n = len(lambdas)
+    diag_a = diag_a or [1] * n
     z, zb = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zb1:{n + 1}")
-    Q = sum(z[j] * zb[j] + lambdas[j] * (z[j] ** 2 + zb[j] ** 2) for j in range(n))
+    Q = sum(
+        diag_a[j] * z[j] * zb[j] + lambdas[j] * z[j] ** 2 + sp.conjugate(lambdas[j]) * zb[j] ** 2 for j in range(n)
+    )
     P = {}
     for d in sorted({sum(e) for e in f_terms}):
         fd = {e: c for e, c in f_terms.items() if sum(e) == d}
         basis = [(alpha, k) for k in range(d // 2, -1, -1) for alpha in monomials(n, d - 2 * k)]
-        images = [sp.Poly(sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * Q**k, *z, *zb).as_dict() for alpha, k in basis]
+        images = [sp.Poly(sp.expand(sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * Q**k), *z, *zb).as_dict() for alpha, k in basis]
         rows = sorted(set(fd).union(*images))
         M = sp.Matrix([[image.get(e, 0) for image in images] for e in rows])
-        b = sp.Matrix([[sp.re(fd.get(e, 0)), sp.im(fd.get(e, 0))] for e in rows])
+        b = sp.Matrix([fd.get(e, 0) for e in rows])
         try:
             x, free = M.gauss_jordan_solve(b)
         except ValueError:  # no solution
             return "NotExtendible", d
         assert not free.free_symbols
-        P.update({col: x[i, 0] + sp.I * x[i, 1] for i, col in enumerate(basis)})
+        P.update({col: x[i, 0] for i, col in enumerate(basis)})
     return "Extended", P
+
+
+def _exact_round_trip(sp, rng, n, lambdas, diag_a, model):
+    """Statuses of extend_general against exact_graded_solve on a rational P(z, Q),
+    and on the same f plus z1^a zbar1^b with a < b."""
+    z, zb, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zb1:{n + 1}"), sp.Symbol("w")
+    Q = sum(diag_a[j] * z[j] * zb[j] + lambdas[j] * z[j] ** 2 + sp.conjugate(lambdas[j]) * zb[j] ** 2 for j in range(n))
+    P = 0
+    for _ in range(4):
+        k = int(rng.integers(0, 4))
+        alpha = list(monomials(n, int(rng.integers(0, 7 - 2 * k))))
+        alpha = alpha[int(rng.integers(len(alpha)))]
+        coeff = sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        coeff += sp.I * sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        P += coeff * sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * w**k
+    a = int(rng.integers(0, 3))
+    bad = z[0] ** a * zb[0] ** int(rng.integers(a + 1, 7 - a))
+    verdicts = set()
+    for f in (sp.expand(P.subs(w, Q)), sp.expand(P.subs(w, Q)) + bad):
+        f_terms = sp.Poly(f, *z, *zb).as_dict()
+        status, exact = exact_graded_solve(sp, lambdas, f_terms, diag_a)
+        rows = [(*e, 0) for e in f_terms]
+        data = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in f_terms.values()])
+        res = extend_general(data, model)
+        assert res.status == status
+        verdicts.add(status)
+        if status == "NotExtendible":
+            assert res.certificate.degree == exact
+            continue
+        rows = [(*alpha, *(0,) * n, k) for alpha, k in exact]
+        expected = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in exact.values()])
+        assert (res.P - expected).max_coeff() <= 1e-12 * (1 + expected.max_coeff())
+    return verdicts
 
 
 def test_extend_general_matches_exact_rational_solve():
@@ -540,34 +534,24 @@ def test_extend_general_matches_exact_rational_solve():
     rng = np.random.default_rng(67)
     verdicts = set()
     for n in (1, 2):
-        z, zb, w = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"zb1:{n + 1}"), sp.Symbol("w")
         for _ in range(4):
             lambdas = [sp.Rational(int(rng.choice([0, 2, 6, 9])), 20) for _ in range(n)]
-            Q = sum(z[j] * zb[j] + lambdas[j] * (z[j] ** 2 + zb[j] ** 2) for j in range(n))
-            P = 0
-            for _ in range(4):
-                k = int(rng.integers(0, 4))
-                alpha = list(monomials(n, int(rng.integers(0, 7 - 2 * k))))
-                alpha = alpha[int(rng.integers(len(alpha)))]
-                coeff = sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
-                coeff += sp.I * sp.Rational(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
-                P += coeff * sp.Mul(*(zj**a for zj, a in zip(z, alpha))) * w**k
-            a = int(rng.integers(0, 3))
-            bad = z[0] ** a * zb[0] ** int(rng.integers(a + 1, 7 - a))
-            for f in (sp.expand(P.subs(w, Q)), sp.expand(P.subs(w, Q)) + bad):
-                f_terms = sp.Poly(f, *z, *zb).as_dict()
-                status, exact = exact_graded_solve(sp, lambdas, f_terms)
-                rows = [(*e, 0) for e in f_terms]
-                data = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in f_terms.values()])
-                res = extend_general(data, normal_form_model([float(lam) for lam in lambdas]))
-                assert res.status == status
-                verdicts.add(status)
-                if status == "NotExtendible":
-                    assert res.certificate.degree == exact
-                    continue
-                rows = [(*alpha, *(0,) * n, k) for alpha, k in exact]
-                expected = Polynomial(n, np.array(rows).reshape(-1, 2 * n + 1), [complex(c) for c in exact.values()])
-                assert (res.P - expected).max_coeff() <= 1e-12
+            model = normal_form_model([float(lam) for lam in lambdas])
+            verdicts |= _exact_round_trip(sp, rng, n, lambdas, [1] * n, model)
+    assert verdicts == {"Extended", "NotExtendible"}
+
+
+def test_extend_general_matches_exact_solve_on_diagonal_models():
+    # A = diag(a) with a_j in {1/2, 2, 3} and complex b_j = B_jj, |b_j| < a_j / 2
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(71)
+    verdicts = set()
+    for n in (1, 2):
+        for _ in range(3):
+            diag_a = [sp.Rational(int(rng.choice([1, 4, 6])), 2) for _ in range(n)]
+            lambdas = [a * sp.Rational(int(rng.integers(0, 5)), 12) * (sp.Rational(3, 5) + sp.I * sp.Rational(4, 5)) for a in diag_a]
+            model = QuadricModel(A=np.diag([float(a) for a in diag_a]), B=np.diag([complex(b) for b in lambdas]))
+            verdicts |= _exact_round_trip(sp, rng, n, lambdas, diag_a, model)
     assert verdicts == {"Extended", "NotExtendible"}
 
 
@@ -583,13 +567,91 @@ def test_extend_general_leaves_rounding_noise_out_of_P():
         assert (res.P - P).max_coeff() < 1e-12
 
 
-def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
-    # n = 3, degree 14, obstruction at degree 2: only Q^1 = Q^0 * Q may be built
-    m = QuadricModel(A=2 * np.eye(3), B=np.diag([0.1, 0.2, 0.3]))
-    f = mono(3, (14, 0, 0)) + mono(3, (0, 0, 0), (2, 0, 0))
-    calls = []
-    mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(other) or mul(self, other))
+def test_extend_general_diagonal_models_round_trip():
+    # A = 2I, and A = diag(1/2, 2, 3) with complex B, at n = 1..3: P is recovered, an obstruction is caught
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 3):
+        B = np.diag(rng.uniform(0.05, 0.2, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        for m in (QuadricModel(A=2 * np.eye(n), B=2 * B), QuadricModel(A=np.diag([0.5, 2.0, 3.0][:n]), B=B)):
+            Q = q_polynomial(m)
+            P = random_holomorphic(rng, n, 10 if n < 3 else 8, nterms=10)
+            res = extend_general(P.substitute_w(Q), m)
+            assert res.extended
+            assert (res.P - P).max_coeff() <= 1e-10 * (1 + P.max_coeff())
+            assert all(1 <= r.condition < np.inf and r.remainder < 1e-10 for r in res.degree_reports)
+            bad = extend_general(P.substitute_w(Q) + mono(n, (1,) + (0,) * (n - 1), (3,) + (0,) * (n - 1)), m)
+            assert bad.status == "NotExtendible" and bad.certificate.degree == 4
+            assert bad.degree_reports[-1].remainder > 0.1
+
+
+def test_extend_general_near_parabolic_degree_20():
+    # lambda = 0.49: mu = 0.98, the hardest elliptic division; the column reference agrees at n = 1
+    rng = np.random.default_rng(79)
+    for n in (1, 2):
+        m = normal_form_model([0.49] * n)
+        P = random_holomorphic(rng, n, 20, nterms=12)
+        f = P.substitute_w(q_polynomial(m))
+        res = extend_general(f, m)
+        assert res.extended
+        assert (res.P - P).max_coeff() <= 1e-9 * (1 + P.max_coeff())
+        assert all(1 <= r.condition < np.inf for r in res.degree_reports)
+        if n == 1:
+            for data in (f, f + 1e-3 * random_polynomial(rng, 1, 20)):
+                assert_matches_reference(data, m)
+
+
+def test_extend_general_n3_degree_17():
+    rng = np.random.default_rng(83)
+    m = normal_form_model([0.1, 0.3, 0.45])
+    P = random_holomorphic(rng, 3, 17, nterms=12) + mono(3, (3, 2, 2), k=5)
+    f = P.substitute_w(q_polynomial(m))
     res = extend_general(f, m)
-    assert res.status == "NotExtendible" and res.certificate.degree == 2
-    assert calls == [q_polynomial(m)]
+    assert res.extended and res.degree_reports[-1].degree == 17
+    assert (res.P - P).max_coeff() <= 1e-10 * (1 + P.max_coeff())
+    res = extend_general(f + mono(3, (8, 0, 0), (9, 0, 0)), m)
+    assert res.status == "NotExtendible" and res.certificate.degree == 17
+    assert res.certificate.condition == "CR field X f != 0"
+
+
+def test_division_refuses_products_beyond_max_term_pairs(monkeypatch):
+    # lambda = 0 at n = 2: z1 w needs 1 pair in Horner (w - q0 = w) and Q's 2 rows
+    # in the gate; at n = 3 a Horner step multiplies by the 4 terms of w - q0
+    m2, m3 = normal_form_model([0.0, 0.0]), normal_form_model([0.1, 0.2, 0.3])
+    f2 = mono(2, (1, 0), k=1).substitute_w(q_polynomial(m2))
+    f3 = mono(3, (2, 0, 0), k=1).substitute_w(q_polynomial(m3))
+    monkeypatch.setattr(polyalg, "MAX_TERM_PAIRS", 1)
+    with pytest.raises(InputError, match=r"P_d\(z, Q\) has 2 pairs of terms, more than 1"):
+        extend_general(f2, m2)
+    monkeypatch.setattr(polyalg, "MAX_TERM_PAIRS", 2)
+    assert extend_general(f2, m2).P == mono(2, (1, 0), k=1)
+    with pytest.raises(InputError, match="Horner step has 4 pairs of terms, more than 2"):
+        extend_general(f3, m3)
+
+
+def test_certificate_comes_from_the_failing_degree():
+    # a second obstruction above the failing degree no longer shows in the certificate
+    f = Polynomial.z(2, 0) * Polynomial.zbar(2, 1)
+    res = extend_general(f + 5 * mono(2, (3, 0), (0, 2)), normal_form_model([0.0, 0.0]))
+    assert res.certificate.degree == 2
+    assert Polynomial.from_json_dict(res.certificate.detail["field_applied"]) == Polynomial.z(2, 0) ** 2
+    z, zb = Polynomial.z(1), Polynomial.zbar(1)
+    res = extend_general(z * z + zb * zb + 10 * mono(1, (0,), (5,)), normal_form_model([0.25]))
+    assert res.certificate.degree == 2
+    assert res.certificate.detail["deviation"] == pytest.approx(16.0)  # zbar^5 alone would give 10 * 4^5
+    res = extend_general(zb + mono(1, (1,), (3,)), normal_form_model([0.0]))
+    assert res.certificate.detail["offending"] == (0, 1)
+
+
+def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
+    # n = 3, degree 14 would need Q^2 .. Q^7 (six products by Q); an obstruction
+    # at degree d0 stops the run with at most Q^(d0 // 2), and Q^1 is Q itself
+    m = QuadricModel(A=2 * np.eye(3), B=np.diag([0.1, 0.2, 0.3]))
+    Q = q_polynomial(m)
+    mul = Polynomial.__mul__
+    for bad, d0 in ((mono(3, (0, 0, 0), (2, 0, 0)), 2), (mono(3, (1, 0, 0), (5, 0, 0)), 6)):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(other) or mul(self, other))
+            res = extend_general(mono(3, (14, 0, 0)) + bad, m)
+        assert res.status == "NotExtendible" and res.certificate.degree == d0
+        assert sum(other == Q for other in calls) <= d0 // 2 - 1

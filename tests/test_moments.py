@@ -214,7 +214,7 @@ def _cubic_model(c):
 
 
 # E = 30 |z|^4 at N = 512: r = 1e30 does not converge, quietly; Newton at
-# r = 1e100 overflows and warns, so a ladder must stop before it
+# r = 1e100 overflows, so a ladder must stop before it
 QUARTIC = Polynomial.monomial(1, (2,), (2,), 0, 30.0)
 
 
