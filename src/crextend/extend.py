@@ -5,7 +5,8 @@ means there is a holomorphic polynomial P(z, w) with P(z, Q(z, zbar)) = f.
 Because Q is homogeneous of degree 2, matching the degree-d part of f only
 involves monomials z^alpha w^k with |alpha| + 2k = d, so the problem splits
 into one problem per degree.  On a diagonal Q (every normal form) P comes
-from exact division by dQ/dzbar_1; on any other Q each degree is one dense
+from exact division by dQ/dzbar_1, and only a degree that does not match
+is solved again by least squares; on any other Q each degree is one dense
 least-squares solve.  A failing degree is reported together with its
 residual and, when the model is in normal form, the structural obstruction
 behind it.
@@ -14,7 +15,8 @@ behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, hypot, prod
 
 import numpy as np
 
@@ -37,7 +39,9 @@ INVOLUTION_TOL = 1e-10
 NOISE_ULPS = 256
 # Largest graded block the dense route forms, in entries (rows x columns):
 # 2**24 complex entries are 256 MiB.  n = 3, degree 16 (20349 x 525) fits.
-# The division route forms no graded block; polyalg.MAX_TERM_PAIRS bounds it.
+# The division itself forms no graded block (polyalg.MAX_TERM_PAIRS bounds
+# it); it solves a degree densely only to recheck a residual above the
+# warning floor, and only when that degree's block fits.
 MAX_GRADED_ENTRIES = 2**24
 
 
@@ -191,62 +195,106 @@ class _QPowers:
         return entries, src, count
 
 
-def _dense_degrees(f, Q, bounds):
-    """Per degree of f: one dense least-squares solve over the whole graded block.
+def _block_shape(n, d):
+    """(rows, columns) of the degree-d graded block at n.
 
-    Yields (basis, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
-    each degree d of f, with a rank-deficiency note as the report's
-    warning.  The column of z^alpha w^k is Q^k with every z-exponent
-    raised by alpha; the rows are the distinct exponents, f_d's included,
-    in graded order.  A real Q gives a real block, solved in real
-    arithmetic with Re f_d and Im f_d as two right-hand sides.  The solve
-    is rank revealing (SVD); condition is max sigma / min sigma.  Solved
-    coefficients below the solve's own rounding noise (NOISE_ULPS) are left
-    out of x.  A degree whose block could exceed MAX_GRADED_ENTRIES is
-    refused (InputError) before any Q power for it is formed.
+    Counted, not enumerated: at n = 10, degree 40 the basis alone has 10^9
+    entries.
+    """
+    nrows = comb(d + 2 * n - 1, 2 * n - 1)
+    ncols = sum(comb(d - 2 * k + n - 1, n - 1) for k in range(d // 2 + 1))
+    return nrows, ncols
+
+
+def _dense_degree(f, powers, d, lo, hi, bits):
+    """Degree d of f (rows lo:hi) by least squares over the graded block, class by class.
+
+    Returns (basis, x, largest |P(z, Q) - f| coefficient, DegreeReport),
+    with a rank-deficiency note as the report's warning.  The column of
+    z^alpha w^k is Q^k (from powers) with every z-exponent raised by
+    alpha; the rows are the distinct exponents, f_d's included.  bits
+    gives the parity classes: column z^alpha w^k is in class
+    (alpha mod 2) @ bits, row z^alpha' zbar^beta' in class
+    ((alpha' + beta') mod 2) @ bits.  On a Q even in each coordinate
+    z^alpha Q^k keeps alpha's parities, so with bits = 2^j the block is
+    block-diagonal over the classes; bits = 0 makes the whole block one
+    class.  Each class is one dense solve, rank revealing (SVD), and the
+    degree reports over their union: the residual's 2-norm and max sigma /
+    min sigma over all their singular values.  A real Q gives real blocks,
+    solved in real arithmetic with Re f_d and Im f_d as two right-hand
+    sides.  Solved coefficients below the solve's own rounding noise
+    (NOISE_ULPS) are left out of x.  A degree whose block could exceed
+    MAX_GRADED_ENTRIES is refused (InputError) before any Q power for it
+    is formed.
     """
     n = f.n
-    dtype = complex if Q.coeffs.imag.any() else float
-    powers = _QPowers(Q)
-    for d in range(len(bounds) - 1):
-        lo, hi = bounds[d], bounds[d + 1]
-        if lo == hi:
+    dtype = complex if powers.Q.coeffs.imag.any() else float
+    nrows, ncols = _block_shape(n, d)
+    if nrows * ncols > MAX_GRADED_ENTRIES:
+        raise InputError(
+            f"extend_general: the degree-{d} block at n = {n} has up to {nrows} x {ncols} "
+            f"entries, more than {MAX_GRADED_ENTRIES}"
+        )
+    # columns grouped by class, in basis order within a class
+    basis = _graded_basis(n, d)
+    colcls = (basis[:, :n] & 1) @ bits
+    basis = basis[colcls.argsort(kind="stable")]
+    entries, src, count = powers.images(basis)
+    col = np.arange(len(basis)).repeat(count)
+    vals = (powers.vals if dtype is complex else powers.vals.real)[src]
+    # rows: the distinct exponents, f_d's included, grouped by class, graded within a class
+    entries = np.concatenate((entries, f.exps[lo:hi]))
+    order, starts = sorted_runs(entries)
+    rows = entries[order[starts]]
+    rowcls = ((rows[:, :n] + rows[:, n : 2 * n]) & 1) @ bits
+    number = np.empty(len(rows), dtype=np.int64)
+    number[rowcls.argsort(kind="stable")] = np.arange(len(rows))
+    row_of = np.empty(len(entries), dtype=np.int64)
+    row_of[order] = number.repeat(np.diff(np.append(starts, len(entries))))
+    b = np.zeros(len(rows), dtype=complex)
+    b[row_of[len(src) :]] = f.coeffs[lo:hi]
+    rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
+    # every column has entries, so a class without rows has no columns either
+    rsizes = np.bincount(rowcls).tolist()
+    csizes = np.bincount(colcls, minlength=len(rsizes)).tolist()
+    ebounds = [0, *count.cumsum().tolist()]
+    blocks, xs, norms, sigmas, kept = [], [], [], [], []
+    r0 = c0 = 0
+    for r1, c1 in zip(accumulate(rsizes), accumulate(csizes)):
+        if r1 == r0:
             continue
-        # Counted, not enumerated: at n = 10, degree 40 the basis alone has 10^9 entries.
-        nrows = comb(d + 2 * n - 1, 2 * n - 1)
-        ncols = sum(comb(d - 2 * k + n - 1, n - 1) for k in range(d // 2 + 1))
-        if nrows * ncols > MAX_GRADED_ENTRIES:
-            raise InputError(
-                f"extend_general: the degree-{d} block at n = {n} has up to {nrows} x {ncols} "
-                f"entries, more than {MAX_GRADED_ENTRIES}"
-            )
-        basis = _graded_basis(n, d)
-        entries, src, count = powers.images(basis)
-        col = np.arange(len(basis)).repeat(count)
-        vals = (powers.vals if dtype is complex else powers.vals.real)[src]
-        entries = np.concatenate((entries, f.exps[lo:hi]))
-        order, starts = sorted_runs(entries)
-        row_of = np.empty(len(entries), dtype=np.int64)
-        row_of[order] = np.arange(len(starts)).repeat(np.diff(np.append(starts, len(entries))))
-        b = np.zeros(len(starts), dtype=complex)
-        b[row_of[len(src) :]] = f.coeffs[lo:hi]
-        rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
-        M = np.zeros((len(starts), len(basis)), dtype=dtype)
-        M[row_of[: len(src)], col] = vals
-        X, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
-        residual = float(np.linalg.norm(M @ X - rhs))
+        e0, e1 = ebounds[c0], ebounds[c1]
+        M = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
+        M[row_of[e0:e1] - r0, col[e0:e1] - c0] = vals[e0:e1]
+        x, _, rank, sv = np.linalg.lstsq(M, rhs[r0:r1], rcond=None)
+        norms.append(np.linalg.norm(M @ x - rhs[r0:r1]))
+        blocks.append((M, r0, r1, c0, c1))
+        xs.append(x)
         sv = sv.tolist()  # descending
-        condition = sv[0] / sv[-1] if sv[-1] > 0 else float("inf")
-        note = None
-        if rank < len(basis):
-            note = f"degree {d} solve is rank deficient ({rank} < {len(basis)})"
-        report = DegreeReport(degree=d, residual=residual, condition=condition, warning=note)
-        X = np.ascontiguousarray(X)
-        x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
-        x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * sv[0] / sv[rank - 1] * np.linalg.norm(x)] = 0
-        # P(z, Q) - f in degree d is exactly M x - b
-        R = (M @ X - rhs).view(complex)
-        yield basis, x, float(np.abs(R).max()), report
+        sigmas += sv
+        kept += sv[:rank]
+        r0, c0 = r1, c1
+    residual = hypot(*norms)
+    condition = max(sigmas) / min(sigmas) if min(sigmas) > 0 else float("inf")
+    note = None
+    if len(kept) < len(basis):
+        note = f"degree {d} solve is rank deficient ({len(kept)} < {len(basis)})"
+    report = DegreeReport(degree=d, residual=residual, condition=condition, warning=note)
+    X = np.concatenate(xs)
+    x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
+    x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * np.linalg.norm(x)] = 0
+    # P(z, Q) - f in degree d is exactly M x - b, class by class
+    largest = max(float(np.abs((M @ X[c0:c1] - rhs[r0:r1]).view(complex)).max()) for M, r0, r1, c0, c1 in blocks)
+    return basis, x, largest, report
+
+
+def _dense_degrees(f, Q, bounds):
+    """Per degree of f: _dense_degree's (basis, x, largest, report), the whole block one class."""
+    powers = _QPowers(Q)
+    bits = np.zeros(f.n, dtype=np.int64)
+    for d in range(len(bounds) - 1):
+        if bounds[d] < bounds[d + 1]:
+            yield _dense_degree(f, powers, d, bounds[d], bounds[d + 1], bits)
 
 
 def _coefficient(p, row):
@@ -343,7 +391,7 @@ def _divided_P(f, Q):
     return rows, x, bound, remainder
 
 
-def _division_degrees(f, Q, bounds):
+def _division_degrees(f, Q, bounds, recheck):
     """Per degree of f: P_d from _divided_P and the residual P_d(z, Q) - f_d.
 
     Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
@@ -353,12 +401,22 @@ def _division_degrees(f, Q, bounds):
     a degree first needs it; its condition is the recurrence's growth
     factor, the largest rounding bound of P_d over its largest coefficient
     (at least 1, and 1 for an empty P_d); its remainder is the division's.
+
+    The division's P_d need not minimise the residual: on data off the
+    image it can exceed the least-squares minimum by a factor that grows
+    with the degree and |mu| (about 1000 at n = 1, lambda = 0.49, degree
+    20).  So a degree whose residual exceeds recheck is solved again by
+    _dense_degree, class by class, which gives it the least-squares
+    residual, condition and P_d, when its graded block fits
+    MAX_GRADED_ENTRIES; beyond that the division's residual stands.
     """
     n = f.n
     rows, x, bound, remainder = _divided_P(f, Q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
     powers = _QPowers(Q)
+    # parity classes for a recheck; an n = 1 block is small enough whole
+    bits = (1 << np.arange(n)) * (n > 1)
     for d in range(len(bounds) - 1):
         lo, hi = bounds[d], bounds[d + 1]
         if lo == hi:
@@ -373,6 +431,10 @@ def _division_degrees(f, Q, bounds):
         order, starts = sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
         residual = float(np.linalg.norm(R))
+        if residual > recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
+            P_rows, P_x, largest, report = _dense_degree(f, powers, d, lo, hi, bits)
+            yield P_rows, P_x, largest, replace(report, remainder=float(remainder[d]))
+            continue
         report = DegreeReport(degree=d, residual=residual, condition=condition, remainder=float(remainder[d]))
         yield P_rows, P_x, float(np.abs(R).max()), report
 
@@ -384,8 +446,12 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
     the degree-d part of f.  When every term of Q is even in each
     coordinate (A and B diagonal: every normal form and every n = 1 model),
-    P comes from exact division (_divided_P); any other Q gets one dense
-    least-squares solve per degree (_dense_degrees).  Degrees are gated in
+    P comes from exact division (_divided_P), and a degree whose residual
+    exceeds the warning floor below is solved again by least squares
+    (_division_degrees); any other Q gets one dense least-squares solve per
+    degree (_dense_degrees).  Either way a degree's verdict and warning
+    rest on the least-squares residual wherever its block fits
+    MAX_GRADED_ENTRIES.  Degrees are gated in
     ascending order: the failure threshold for a degree's residual is
     tol * (1 + max |coeff f|), and residuals inside (1e-11, tol) of that
     scale pass with a conditioning warning.  The first failing degree ends
@@ -414,11 +480,14 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
     even = not ((Q.exps[:, :n] + Q.exps[:, n : 2 * n]) & 1).any()
-    degrees = _division_degrees if even and len(f.coeffs) else _dense_degrees
+    if even and len(f.coeffs):
+        degrees = _division_degrees(f, Q, bounds, CONDITIONING_WARN_FLOOR * scale)
+    else:
+        degrees = _dense_degrees(f, Q, bounds)
     reports = []
     final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
-    for rows, x, largest, report in degrees(f, Q, bounds):
+    for rows, x, largest, report in degrees:
         d, residual = report.degree, report.residual
         if residual >= threshold:
             reports.append(replace(report, warning=None))

@@ -317,15 +317,25 @@ def test_cli_overflowing_leaf_prints_only_its_failure(tmp_path, capsys):
     )
 
 
-def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsys):
+def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsys, monkeypatch):
     # a diagonal Q is divided, not solved as a graded block: zbar1^40 at n = 10
-    # has no quotient, so P is empty and degree 40 fails without any power of Q
-    doc_in = {"model": model_doc([0.1] * 10), "f": poly_doc(_zbar1_power(10, 40))}
+    # has no quotient, so P is empty and degree 40 fails without any power of
+    # Q, and without the least-squares recheck, whose block there is far
+    # beyond MAX_GRADED_ENTRIES
+    model = normal_form_model([0.1] * 10)
+    Q = q_polynomial(model)
+    products, solves = [], []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: products.append((p, q)) or mul(p, q))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(args))
+    doc_in = {"model": model.to_json_dict(), "f": poly_doc(_zbar1_power(10, 40))}
     path = write_json(tmp_path / "in.json", doc_in)
     start = time.perf_counter()
     code, out, err = run(capsys, ["extend", path])
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 30.0  # a backstop: the work is bounded below
     assert code == 0 and err == ""
+    assert not solves and not any(Q in pair for pair in products)
+    assert all(len(p.coeffs) * len(q.coeffs) <= 2 for p, q in products if isinstance(q, Polynomial))
     report = json.loads(out)
     assert report["status"] == "NotExtendible" and report["certificate"]["degree"] == 40
     assert report["certificate"]["condition"] == "CR field X f != 0"
