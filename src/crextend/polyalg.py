@@ -15,8 +15,12 @@ signs of the rows and merges them.  Every operation that can reorder rows or
 make two rows equal (sums, products, substitution, conjugation) ends in the
 same merge: a stable sort of the rows into graded order, a sum over each run
 of equal rows (np.add.reduceat, in the order the rows were produced), and
-pruning of the sums below ZERO_THRESHOLD.  The sort is one np.lexsort
-keyed on the weighted degree, then the columns.  Operations that keep the
+pruning of the sums below ZERO_THRESHOLD.  The sort (sorted_runs) packs
+each row into one int64 key, the weighted degree and the columns as digits
+above the row's index, and sorts the keys: they are distinct, so numpy's
+fastest sort gives the stable order, and runs are where the key's high
+bits change.  Rows too wide or too large for 63 bits are sorted by
+np.lexsort on the same order instead.  Operations that keep the
 rows distinct and in order (negation, scalar multiples, derivatives,
 homogeneous parts) only prune.  A zero real or imaginary part is stored as
 +0.0, never -0.0.
@@ -51,11 +55,33 @@ MAX_TERM_PAIRS = 2**22
 
 def sorted_runs(exps):
     """(order, starts): a stable sort of the rows into graded order and
-    the position in it of the first row of each run of equal rows."""
-    wdeg = exps.sum(axis=1) + exps[:, -1]
-    order = np.lexsort(np.vstack((exps[:, ::-1].T, wdeg)))
-    rows = exps[order]
-    new = np.any(rows[1:] != rows[:-1], axis=1)
+    the position in it of the first row of each run of equal rows.
+
+    The rows hold non-negative ints; a row's weighted degree is its sum
+    plus its last entry.  Each row gets one int64 key: its weighted degree
+    and then every entry but the last (which those fix) as digits in radix
+    (largest entry + 1), shifted over the row's index.  The keys are
+    distinct, so any sort of them is the stable sort of the rows.  Rows
+    whose keys would not fit in 63 bits are sorted by np.lexsort instead.
+    """
+    m, p = exps.shape
+    if m < 2:
+        return np.arange(m), np.arange(m)
+    top = int(exps.max())
+    shift = (m - 1).bit_length()
+    span = (top + 1) ** (p - 1)
+    if span * ((p + 1) * top + 1) << shift < 2**63:
+        v = [(span + (top + 1) ** j) << shift for j in range(p - 2, -1, -1)]
+        key = exps @ [*v, 2 * span << shift]
+        key += np.arange(m)
+        key.sort()
+        order, high = key & ((1 << shift) - 1), key >> shift
+        new = high[1:] != high[:-1]
+    else:
+        wdeg = exps.sum(axis=1) + exps[:, -1]
+        order = np.lexsort(np.vstack((exps[:, ::-1].T, wdeg)))
+        rows = exps[order]
+        new = np.any(rows[1:] != rows[:-1], axis=1)
     return order, np.flatnonzero(np.concatenate(([True], new)))
 
 
