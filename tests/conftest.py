@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from crextend import Polynomial, QuadricModel
@@ -9,6 +12,16 @@ from crextend.polyalg import monomials
 from dictref import Exponent, from_terms, term_dict
 
 LAMBDA_CHOICES = (0.0, 0.1, 0.3, 0.45)
+
+
+def perfbench_corpus():
+    """The benchmark's document generator, perfbench/corpus.py."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return corpus
 
 
 def random_coeff(rng, min_mod=0.1):

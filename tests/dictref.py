@@ -6,7 +6,8 @@ resulting exponent and prunes sums below ZERO_THRESHOLD.  The property tests
 compare the array core against them.  from_terms, term_dict and coefficient
 convert between term dicts and Polynomial, and extend_lambda0 is the exact
 monomial route on the sphere quadric that the graded solve is checked
-against.
+against.  sorted_runs is the graded sort of exponent rows that the
+array core's merge is checked against.
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ class Exponent(NamedTuple):
 def term_sort_key(e: Exponent):
     """The graded order of Polynomial's rows: weighted degree, then alpha, beta and k."""
     return (e.weighted_degree(), e.alpha, e.beta, e.k)
+
+
+def sorted_runs(exps):
+    """polyalg.sorted_runs by a stable Python sort of the rows by term_sort_key.
+
+    (order, starts): the rows' indices in graded order, equal rows in the
+    order they come, and the position in it of the first row of each run
+    of equal rows.
+    """
+    n = (exps.shape[1] - 1) // 2
+    keys = [term_sort_key(Exponent(tuple(r[:n]), tuple(r[n:-1]), r[-1])) for r in exps.tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    starts = [i for i, j in enumerate(order) if i == 0 or keys[j] != keys[order[i - 1]]]
+    return np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
 
 
 def from_terms(n, terms):

@@ -2,10 +2,11 @@
 
 from_json_dict is the term reader Polynomial.from_json_dict used before its
 bulk path: one Python loop that checks each term in turn and raises on the
-first bad one.  dumps_canonical is the writer crextend.cli used before its
-single-pass form: one recursive call per value, one string per container.
-The tests compare the package's reader and writer against them, result for
-result, message for message and byte for byte.
+first bad one, and sorts the rows with dictref.sorted_runs, a Python sort,
+not with the package's.  dumps_canonical is the writer crextend.cli used
+before its single-pass form: one recursive call per value, one string per
+container.  The tests compare the package's reader and writer against them,
+result for result, message for message and byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from crextend import InputError, Polynomial
 from crextend.errors import NumericalFailure
-from crextend.polyalg import DEGREE_CAP, MAX_TERMS, _prune, complex_from_json, real_from_json, sorted_runs
+from crextend.polyalg import DEGREE_CAP, MAX_TERMS, _prune, complex_from_json, real_from_json
+from dictref import sorted_runs
 
 
 def from_json_dict(doc):

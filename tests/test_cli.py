@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import congruent_model
-from crextend import Polynomial, QuadricModel, normal_form_model, q_polynomial
+import dictref
+from conftest import congruent_model, perfbench_corpus
+from crextend import Polynomial, QuadricModel, extend, normal_form_model, polyalg, q_polynomial
 from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, RunConfig, dumps_canonical, main
 
@@ -340,6 +341,27 @@ def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsy
     assert report["status"] == "NotExtendible" and report["certificate"]["degree"] == 40
     assert report["certificate"]["condition"] == "CR field X f != 0"
     assert [d["degree"] for d in report["degrees"]] == [40]
+
+
+@pytest.mark.parametrize("n, degree, kind", [(3, 14, "nf"), (3, 6, "nn")])
+def test_cli_extend_largest_corpus_shapes_sort_without_lexsort(tmp_path, capsys, monkeypatch, n, degree, kind):
+    # the benchmark corpus's largest extend documents, a normal form at
+    # degree 14 and a congruent model at degree 6: every merge packs its rows
+    # into int64 keys, and the report is the one the reference sort gives
+    doc = perfbench_corpus().extend_doc(np.random.default_rng(degree), n, degree, kind)
+    path = write_json(tmp_path / "in.json", json.loads(doc.text))
+    argv = [doc.command, path, *doc.flags]
+    with monkeypatch.context() as patch:
+        patch.setattr(polyalg, "sorted_runs", dictref.sorted_runs)
+        patch.setattr(extend, "sorted_runs", dictref.sorted_runs)
+        want = run(capsys, argv)
+
+    def refuse(keys):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert run(capsys, argv) == want
+    assert want[0] == 0 and json.loads(want[1])["status"] == "Extended"
 
 
 # -- errors and configuration ----------------------------------------------------------

@@ -8,8 +8,6 @@ canonical writer must give the reference's bytes and errors.
 import contextlib
 import copy
 import io
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import ioref  # noqa: E402
+from conftest import perfbench_corpus  # noqa: E402
 from crextend import InputError, Polynomial, cli  # noqa: E402
 from crextend.errors import NumericalFailure  # noqa: E402
 from crextend.polyalg import DEGREE_CAP  # noqa: E402
@@ -224,18 +223,9 @@ def test_writer_errors_match_reference(bad, error):
         assert str(got.value) == str(want.value)
 
 
-def _corpus():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    return corpus
-
-
 @pytest.mark.parametrize("workload", ["cli-small", "extend-graded", "leaf-quadrature"])
 def test_writer_matches_reference_on_corpus_reports(tmp_path, monkeypatch, workload):
-    corpus = _corpus()
+    corpus = perfbench_corpus()
     reports = []
     write = cli.dumps_canonical
 

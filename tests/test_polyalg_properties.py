@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import dictref  # noqa: E402
 from crextend import Polynomial  # noqa: E402
+from crextend.polyalg import DEGREE_CAP, sorted_runs  # noqa: E402
 from dictref import Exponent, from_terms, term_dict, term_sort_key  # noqa: E402
 
 # Dyadic values sum exactly in any order, so cancellations are exact on both
@@ -103,3 +104,50 @@ def test_wide_rows_with_large_exponents_match_dict_reference():
     assert_matches(p1, dictref.prune(t1))
     assert_matches(p1 * p2, dictref.mul(term_dict(p1), term_dict(p2)))
     assert_matches(p1 + p2, dictref.add(term_dict(p1), term_dict(p2)))
+
+
+@st.composite
+def exponent_rows(draw):
+    """Rows of 2n + 1 exponents with repeats, and twins that trade one w for zbar_j^2."""
+    n = draw(st.integers(1, 10))
+    top = draw(st.sampled_from([1, 2, 3, 8, DEGREE_CAP]))
+    row = st.lists(st.integers(0, top), min_size=2 * n + 1, max_size=2 * n + 1)
+    rows = draw(st.lists(row, max_size=12))
+    for _ in range(draw(st.integers(0, 6)) if rows else 0):
+        twin = list(rows[draw(st.integers(0, len(rows) - 1))])
+        if twin[-1] and draw(st.booleans()):
+            twin[-1] -= 1
+            twin[n + draw(st.integers(0, n - 1))] += 2
+        rows.insert(draw(st.integers(0, len(rows))), twin)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n + 1)
+
+
+def assert_runs_match_reference(exps):
+    order, starts = sorted_runs(exps)
+    want_order, want_starts = dictref.sorted_runs(exps)
+    assert order.tolist() == want_order.tolist()
+    assert starts.tolist() == want_starts.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exps=exponent_rows())
+@example(exps=np.zeros((0, 7), dtype=np.int64))
+@example(exps=np.ones((1, 7), dtype=np.int64))
+def test_sorted_runs_matches_stable_python_sort(exps):
+    assert_runs_match_reference(exps)
+
+
+@pytest.mark.parametrize("n, degree, lexsorts", [(3, 14, 0), (10, 40, 1)])
+def test_sorted_runs_packed_and_lexsort_paths(monkeypatch, n, degree, lexsorts):
+    # rows of degree <= degree with a zbar_1^degree among them, then repeats of
+    # half of them: n = 3 packs into int64 keys, n = 10 needs np.lexsort
+    rng = np.random.default_rng(degree)
+    rows = [rng.multinomial(d, np.full(2 * n + 1, 1 / (2 * n + 1))) for d in rng.integers(0, degree + 1, 500)]
+    rows[0] = np.eye(2 * n + 1, dtype=np.int64)[n] * degree
+    exps = np.array(rows, dtype=np.int64)
+    exps = np.concatenate((exps, exps[rng.permutation(500)[:250]]))
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    assert_runs_match_reference(exps)
+    assert len(calls) == lexsorts
