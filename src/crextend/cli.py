@@ -116,10 +116,10 @@ def _cnum(v):
 
 @dataclass(frozen=True)
 class RunConfig:
-    tol_extend: float = 1e-9
-    tol_moment: float = 1e-8
-    tol_leaf: float = 1e-12
-    grid_n: int = 512
+    tol_extend: float = extend_mod.DEFAULT_EXTEND_TOL
+    tol_moment: float = moments.DEFAULT_MOMENT_TOL
+    tol_leaf: float = moments.LEAF_RESIDUAL_TOL
+    grid_n: int = moments.DEFAULT_GRID_N
     leaf_ladder: list | None = None
     seed: int = 0
     out: str | None = None

@@ -15,14 +15,13 @@ behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from math import comb, factorial, hypot, prod
 
 import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
 from .moments import cr_check
-from .polyalg import Polynomial, check_pairs, monomials, sorted_runs
+from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
 from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_polynomial
 
 DEFAULT_EXTEND_TOL = 1e-9
@@ -158,43 +157,6 @@ def _structural_certificate(f, model, degree, residual):
     return Certificate(degree=degree, residual=residual)
 
 
-class _QPowers:
-    """Q^0, Q^1, ... stacked in one array, each power built on first use as the last one times Q."""
-
-    def __init__(self, Q):
-        self.Q = self.last = Q
-        one = Polynomial.constant(Q.n, 1.0)
-        self.exps, self.vals = one.exps, one.coeffs
-        self.start, self.size = np.zeros(1, np.int64), np.ones(1, np.int64)
-
-    def images(self, rows, checked=False):
-        """(entries, src, count) of the rows alpha | 0 | k of P's monomials z^alpha w^k.
-
-        Row i expands to z^alpha Q^k: count[i] entries, Q^k's rows with
-        alpha added, whose coefficients are vals[src] of those entries.  When
-        checked, more than MAX_TERM_PAIRS entries in all are refused
-        (InputError) before they are formed.
-        """
-        n = self.Q.n
-        ks = rows[:, -1]
-        while len(self.size) <= ks.max(initial=0):
-            if len(self.size) > 1:
-                self.last = self.last * self.Q
-            self.start = np.append(self.start, len(self.vals))
-            self.size = np.append(self.size, len(self.last.coeffs))
-            self.exps = np.concatenate((self.exps, self.last.exps))
-            self.vals = np.concatenate((self.vals, self.last.coeffs))
-        count = self.size[ks]
-        ends = count.cumsum()
-        total = int(count.sum())
-        if checked:
-            check_pairs(total, "extend_general: P_d(z, Q)")
-        src = np.arange(total) + (self.start[ks] + count - ends).repeat(count)
-        entries = self.exps[src]
-        entries[:, :n] += rows[:, :n].repeat(count, axis=0)
-        return entries, src, count
-
-
 def _block_shape(n, d):
     """(rows, columns) of the degree-d graded block at n.
 
@@ -210,16 +172,16 @@ def _dense_degree(f, powers, d, lo, hi, bits):
     """Degree d of f (rows lo:hi) by least squares over the graded block, class by class.
 
     Returns (basis, x, largest |P(z, Q) - f| coefficient, DegreeReport),
-    with a rank-deficiency note as the report's warning.  The column of
-    z^alpha w^k is Q^k (from powers) with every z-exponent raised by
-    alpha; the rows are the distinct exponents, f_d's included.  bits
-    gives the parity classes: column z^alpha w^k is in class
-    (alpha mod 2) @ bits, row z^alpha' zbar^beta' in class
-    ((alpha' + beta') mod 2) @ bits.  On a Q even in each coordinate
-    z^alpha Q^k keeps alpha's parities, so with bits = 2^j the block is
-    block-diagonal over the classes; bits = 0 makes the whole block one
-    class.  Each class is one dense solve, rank revealing (SVD), and the
-    degree reports over their union: the residual's 2-norm and max sigma /
+    with a rank-deficiency note as the report's warning.  bits gives the
+    parity classes: column z^alpha w^k is in class (alpha mod 2) @ bits,
+    row z^alpha' zbar^beta' in class ((alpha' + beta') mod 2) @ bits.  On
+    a Q even in each coordinate z^alpha Q^k keeps alpha's parities, so with
+    bits = 2^j the block is block-diagonal over the classes; bits = 0 makes
+    the whole block one class.  Each class, in ascending order, is built as
+    a whole block is: its columns' images under powers and its part of f_d
+    give the rows, distinct and in graded order, for one rank-revealing
+    solve (SVD); basis comes back in class order.  The degree reports over
+    the union of the classes: the residual's 2-norm and max sigma /
     min sigma over all their singular values.  A real Q gives real blocks,
     solved in real arithmetic with Re f_d and Im f_d as two right-hand
     sides.  Solved coefficients below the solve's own rounding noise
@@ -228,52 +190,43 @@ def _dense_degree(f, powers, d, lo, hi, bits):
     is formed.
     """
     n = f.n
-    dtype = complex if powers.Q.coeffs.imag.any() else float
+    dtype = complex if powers.q.coeffs.imag.any() else float
     nrows, ncols = _block_shape(n, d)
     if nrows * ncols > MAX_GRADED_ENTRIES:
         raise InputError(
             f"extend_general: the degree-{d} block at n = {n} has up to {nrows} x {ncols} "
             f"entries, more than {MAX_GRADED_ENTRIES}"
         )
-    # columns grouped by class, in basis order within a class
     basis = _graded_basis(n, d)
     colcls = (basis[:, :n] & 1) @ bits
-    basis = basis[colcls.argsort(kind="stable")]
-    entries, src, count = powers.images(basis)
-    col = np.arange(len(basis)).repeat(count)
-    vals = (powers.vals if dtype is complex else powers.vals.real)[src]
-    # rows: the distinct exponents, f_d's included, grouped by class, graded within a class
-    entries = np.concatenate((entries, f.exps[lo:hi]))
-    order, starts = sorted_runs(entries)
-    rows = entries[order[starts]]
-    rowcls = ((rows[:, :n] + rows[:, n : 2 * n]) & 1) @ bits
-    number = np.empty(len(rows), dtype=np.int64)
-    number[rowcls.argsort(kind="stable")] = np.arange(len(rows))
-    row_of = np.empty(len(entries), dtype=np.int64)
-    row_of[order] = number.repeat(np.diff(np.append(starts, len(entries))))
-    b = np.zeros(len(rows), dtype=complex)
-    b[row_of[len(src) :]] = f.coeffs[lo:hi]
-    rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
-    # every column has entries, so a class without rows has no columns either
-    rsizes = np.bincount(rowcls).tolist()
-    csizes = np.bincount(colcls, minlength=len(rsizes)).tolist()
-    ebounds = [0, *count.cumsum().tolist()]
-    blocks, xs, norms, sigmas, kept = [], [], [], [], []
-    r0 = c0 = 0
-    for r1, c1 in zip(accumulate(rsizes), accumulate(csizes)):
-        if r1 == r0:
-            continue
-        e0, e1 = ebounds[c0], ebounds[c1]
-        M = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
-        M[row_of[e0:e1] - r0, col[e0:e1] - c0] = vals[e0:e1]
-        x, _, rank, sv = np.linalg.lstsq(M, rhs[r0:r1], rcond=None)
-        norms.append(np.linalg.norm(M @ x - rhs[r0:r1]))
-        blocks.append((M, r0, r1, c0, c1))
+    f_exps, f_coeffs = f.exps[lo:hi], f.coeffs[lo:hi]
+    rowcls = ((f_exps[:, :n] + f_exps[:, n : 2 * n]) & 1) @ bits
+    # each class of f_d's rows has columns: z^alpha with |alpha| = d takes every parity of degree d
+    cols, xs, blocks, norms, sigmas, kept = [], [], [], [], [], []
+    c0 = 0
+    for c in np.unique(colcls).tolist():
+        basis_c, picked = basis[colcls == c], rowcls == c
+        entries, src, count = powers.images(basis_c)
+        vals = powers.vals[src] if dtype is complex else powers.vals.real[src]
+        entries = np.concatenate((entries, f_exps[picked]))
+        order, starts = sorted_runs(entries)
+        row_of = np.empty(len(entries), dtype=np.int64)
+        row_of[order] = np.arange(len(starts)).repeat(np.diff(np.append(starts, len(entries))))
+        M = np.zeros((len(starts), len(basis_c)), dtype=dtype)
+        M[row_of[: len(src)], np.arange(len(basis_c)).repeat(count)] = vals
+        b = np.zeros(len(starts), dtype=complex)
+        b[row_of[len(src) :]] = f_coeffs[picked]
+        rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
+        x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
+        norms.append(np.linalg.norm(M @ x - rhs))
+        blocks.append((M, rhs, c0))
+        c0 += len(basis_c)
+        cols.append(basis_c)
         xs.append(x)
         sv = sv.tolist()  # descending
         sigmas += sv
         kept += sv[:rank]
-        r0, c0 = r1, c1
+    basis = np.concatenate(cols)
     residual = hypot(*norms)
     condition = max(sigmas) / min(sigmas) if min(sigmas) > 0 else float("inf")
     note = None
@@ -284,17 +237,10 @@ def _dense_degree(f, powers, d, lo, hi, bits):
     x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * np.linalg.norm(x)] = 0
     # P(z, Q) - f in degree d is exactly M x - b, class by class
-    largest = max(float(np.abs((M @ X[c0:c1] - rhs[r0:r1]).view(complex)).max()) for M, r0, r1, c0, c1 in blocks)
+    largest = max(
+        float(np.abs((M @ X[c0 : c0 + M.shape[1]] - rhs).view(complex)).max()) for M, rhs, c0 in blocks
+    )
     return basis, x, largest, report
-
-
-def _dense_degrees(f, Q, bounds):
-    """Per degree of f: _dense_degree's (basis, x, largest, report), the whole block one class."""
-    powers = _QPowers(Q)
-    bits = np.zeros(f.n, dtype=np.int64)
-    for d in range(len(bounds) - 1):
-        if bounds[d] < bounds[d + 1]:
-            yield _dense_degree(f, powers, d, bounds[d], bounds[d + 1], bits)
 
 
 def _coefficient(p, row):
@@ -397,24 +343,26 @@ def _division_degrees(f, Q, bounds, recheck):
     Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
     each degree d of f.  Coefficients below NOISE_ULPS units of their
     rounding bound are left out of x.  The report's residual is the 2-norm
-    of P_d(z, Q) - f_d, formed from the Q powers P_d needs, each built when
-    a degree first needs it; its condition is the recurrence's growth
-    factor, the largest rounding bound of P_d over its largest coefficient
-    (at least 1, and 1 for an empty P_d); its remainder is the division's.
+    of P_d(z, Q) - f_d: the images of P_d's rows under one QPowers of Q
+    (each Q power built when a degree first needs it) and f_d's rows, summed
+    by sorted_runs; its condition is the recurrence's growth factor, the
+    largest rounding bound of P_d over its largest coefficient (at least 1,
+    and 1 for an empty P_d); its remainder is the division's.
 
     The division's P_d need not minimise the residual: on data off the
     image it can exceed the least-squares minimum by a factor that grows
     with the degree and |mu| (about 1000 at n = 1, lambda = 0.49, degree
     20).  So a degree whose residual exceeds recheck is solved again by
-    _dense_degree, class by class, which gives it the least-squares
-    residual, condition and P_d, when its graded block fits
+    _dense_degree on the same QPowers, one block per parity class (one
+    class at n = 1, where the whole block is small), which gives it the
+    least-squares residual, condition and P_d, when its graded block fits
     MAX_GRADED_ENTRIES; beyond that the division's residual stands.
     """
     n = f.n
     rows, x, bound, remainder = _divided_P(f, Q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
-    powers = _QPowers(Q)
+    powers = QPowers(Q)
     # parity classes for a recheck; an n = 1 block is small enough whole
     bits = (1 << np.arange(n)) * (n > 1)
     for d in range(len(bounds) - 1):
@@ -425,7 +373,7 @@ def _division_degrees(f, Q, bounds, recheck):
         keep = np.flatnonzero(x[p0:p1]) + p0
         P_rows, P_x = rows[keep], x[keep]
         condition = max(1.0, bound[p0:p1].max() / np.abs(P_x).max()) if len(keep) else 1.0
-        entries, src, count = powers.images(P_rows, checked=True)
+        entries, src, count = powers.images(P_rows, "extend_general: P_d(z, Q)")
         entries = np.concatenate((entries, f.exps[lo:hi]))
         vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
         order, starts = sorted_runs(entries)
@@ -449,9 +397,9 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     P comes from exact division (_divided_P), and a degree whose residual
     exceeds the warning floor below is solved again by least squares
     (_division_degrees); any other Q gets one dense least-squares solve per
-    degree (_dense_degrees).  Either way a degree's verdict and warning
-    rest on the least-squares residual wherever its block fits
-    MAX_GRADED_ENTRIES.  Degrees are gated in
+    degree (_dense_degree, the whole block one class).  Either way a
+    degree's verdict and warning rest on the least-squares residual
+    wherever its block fits MAX_GRADED_ENTRIES.  Degrees are gated in
     ascending order: the failure threshold for a degree's residual is
     tol * (1 + max |coeff f|), and residuals inside (1e-11, tol) of that
     scale pass with a conditioning warning.  The first failing degree ends
@@ -483,7 +431,12 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     if even and len(f.coeffs):
         degrees = _division_degrees(f, Q, bounds, CONDITIONING_WARN_FLOOR * scale)
     else:
-        degrees = _dense_degrees(f, Q, bounds)
+        powers, bits = QPowers(Q), np.zeros(n, dtype=np.int64)
+        degrees = (
+            _dense_degree(f, powers, d, bounds[d], bounds[d + 1], bits)
+            for d in range(len(bounds) - 1)
+            if bounds[d] < bounds[d + 1]
+        )
     reports = []
     final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
@@ -588,13 +541,12 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
     return max_dev
 
 
-def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, samples=50, seed=0, radius=None):
-    """Max of |P(z, rho(z)) - f(z)| over random z in the model ball."""
+def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, samples=50, seed=0):
+    """Max of |P(z, rho(z)) - f(z)| over random z in the model ball (radius default_radii(model)[0])."""
     if not P.is_holomorphic():
         raise InputError("verify_extension: P must be holomorphic")
     rho = q_polynomial(model)
-    if radius is None:
-        radius, _ = default_radii(model)
+    radius, _ = default_radii(model)
     rng = np.random.default_rng(seed)
     n = model.n
     draws = []

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NearBoundary
-from .moments import LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization, eval_on_grid
+from .moments import DEFAULT_GRID_N, LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization, _check_grid_size, eval_on_grid
 from .polyalg import Polynomial
 from .quadform import QuadricModel
 
@@ -139,7 +139,7 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     return LeafExtension(leaf=leaf, interior_values=values, boundary_sup_error=float(sup_err))
 
 
-def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=512):
+def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=DEFAULT_GRID_N):
     """sup over each leaf of |f - f0|, certifying continuity as r -> 0.
 
     f0 is the average of the data over the smallest leaf.
@@ -154,13 +154,14 @@ def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=512):
     return f0, [(leaf.r, float(np.max(np.abs(fvals - f0)))) for leaf, fvals in zip(leaves, values)]
 
 
-def radial_leaf_family(radius_fn: Callable, N=512):
+def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):
     """Leaves of a radially symmetric model w = g(|z|^2).
 
     The leaf at level s is the circle of radius radius_fn(s); this covers
     degenerate models such as w = |z|^4 (radius_fn = s -> s**0.25), which
-    the quadric leaf solver cannot represent.
+    the quadric leaf solver cannot represent.  N follows the LeafGrid rule.
     """
+    _check_grid_size(N)
     theta = 2 * np.pi * np.arange(N) / N
     eit = np.exp(1j * theta)
     ones = np.ones(N)
@@ -177,7 +178,7 @@ def radial_leaf_family(radius_fn: Callable, N=512):
     return family
 
 
-def quadric_leaf_family(model: QuadricModel, N=512, tol=LEAF_RESIDUAL_TOL):
+def quadric_leaf_family(model: QuadricModel, N=DEFAULT_GRID_N, tol=LEAF_RESIDUAL_TOL):
     """Leaves of an n = 1 normal-form quadric model, labeled by level s = r^2.
 
     Every leaf comes from one LeafGrid(model, N), built when the first leaf

@@ -25,10 +25,13 @@ rows distinct and in order (negation, scalar multiples, derivatives,
 homogeneous parts) only prune.  A zero real or imaginary part is stored as
 +0.0, never -0.0.
 
-A product allocates one row per pair of terms, so __mul__ and substitute_w
-refuse (InputError) a product of more than MAX_TERM_PAIRS pairs before
-allocating it, and from_json_dict refuses a document of more than MAX_TERMS
-terms.  All operations are pure: they return new Polynomial objects.
+Substituting q for w has one engine, QPowers(q), whose images() expands
+rows alpha | beta | k into z^alpha zbar^beta q^k, each q^k built once.
+A product allocates one row per pair of terms, so __mul__ and a labelled
+images() (as substitute_w and extend's gate call it) refuse (InputError)
+more than MAX_TERM_PAIRS pairs before allocating them, and from_json_dict
+refuses a document of more than MAX_TERMS terms.  All operations are
+pure: they return new Polynomial objects.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ ZERO_THRESHOLD = 1e-14
 DEGREE_CAP = 64
 # Largest term list from_json_dict reads.
 MAX_TERMS = 2**16
-# Largest product (pairs of terms) __mul__, substitute_w and extend's division
-# route form: at n = 3 a pair takes 72 bytes of exponents and coefficient,
-# 2**22 pairs about 300 MB, the size of extend.MAX_GRADED_ENTRIES complex
-# entries.
+# Largest product (pairs of terms) that __mul__, QPowers.images (substitute_w,
+# extend's gate) and extend's Horner steps form: at n = 3 a pair takes 72
+# bytes of exponents and coefficient, 2**22 pairs about 300 MB, the size of
+# extend.MAX_GRADED_ENTRIES complex entries.
 MAX_TERM_PAIRS = 2**22
 
 
@@ -342,35 +345,22 @@ class Polynomial:
         return Polynomial._wrap(self.n, self.exps[picked], self.coeffs[picked])
 
     def substitute_w(self, q: "Polynomial"):
-        """Replace w by the w-free polynomial q and expand.
+        """Replace w by the w-free polynomial q and expand: QPowers(q).images, merged.
 
-        Each q^k is built once; the terms with w^k are multiplied by q^k as
-        one block of pairs, and all blocks are merged at once.
+        The terms go in by ascending k, so each sum takes its w^0 products first.
         """
         self._require_same_dim(q)
         if q.has_w_terms():
             raise InputError("substitute_w: replacement polynomial contains w")
-        n = self.n
         k = self.exps[:, -1]
         if len(k):
             qdeg = max(q.degree(), 0)
             if int((self.exps.sum(axis=1) + k * (qdeg - 1)).max()) > DEGREE_CAP:
                 raise InputError("substitute_w: expanded degree exceeds cap")
-        powers = [Polynomial.constant(n, 1.0)]
-        while len(powers) <= (int(k.max()) if len(k) else 0):
-            powers.append(powers[-1] * q)
-        ks, counts = np.unique(k, return_counts=True)
-        ks, counts = ks.tolist(), counts.tolist()
-        check_pairs(sum(c * len(powers[kk].coeffs) for kk, c in zip(ks, counts)), "substitute_w")
-        exps, coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
-        w_free = self.exps.copy()
-        w_free[:, -1] = 0
-        for kk in ks:
-            rows = k == kk
-            qk = powers[kk]
-            exps.append((w_free[rows][:, None, :] + qk.exps[None, :, :]).reshape(-1, 2 * n + 1))
-            coeffs.append(np.multiply.outer(self.coeffs[rows], qk.coeffs).ravel())
-        return Polynomial._wrap(n, *_merge(np.concatenate(exps), np.concatenate(coeffs)))
+        by_k = np.argsort(k, kind="stable")
+        powers = QPowers(q)
+        entries, src, count = powers.images(self.exps[by_k], "substitute_w")
+        return Polynomial._wrap(self.n, *_merge(entries, self.coeffs[by_k].repeat(count) * powers.vals[src]))
 
     def involution_pullback(self, lam):
         """Substitute zbar <- -z/lam - zbar (n = 1 only, lam > 0).
@@ -506,6 +496,42 @@ class Polynomial:
                 raise InputError(f"terms[{i}]: duplicate exponent {e}")
             exps, coeffs = exps[order], coeffs[order]
         return cls._wrap(n, *_prune(exps, coeffs))
+
+
+class QPowers:
+    """q^0, q^1, ... of a w-free q stacked in one array, each power built on first use as the last one times q."""
+
+    def __init__(self, q):
+        self.q = self.last = q
+        one = Polynomial.constant(q.n, 1.0)
+        self.exps, self.vals = one.exps, one.coeffs
+        self.start, self.size = np.zeros(1, np.int64), np.ones(1, np.int64)
+
+    def images(self, rows, what=None):
+        """(entries, src, count) of the rows alpha | beta | k of terms z^alpha zbar^beta w^k.
+
+        Row i expands to z^alpha zbar^beta q^k: count[i] entries, q^k's rows
+        with alpha | beta added, whose coefficients are vals[src] of those
+        entries.  Given what, more than MAX_TERM_PAIRS entries in all are
+        refused (InputError naming what) before they are formed.
+        """
+        p = 2 * self.q.n
+        ks = rows[:, -1]
+        while len(self.size) <= ks.max(initial=0):
+            if len(self.size) > 1:
+                self.last = self.last * self.q
+            self.start = np.append(self.start, len(self.vals))
+            self.size = np.append(self.size, len(self.last.coeffs))
+            self.exps = np.concatenate((self.exps, self.last.exps))
+            self.vals = np.concatenate((self.vals, self.last.coeffs))
+        count = self.size[ks]
+        total = int(count.sum())
+        if what is not None:
+            check_pairs(total, what)
+        src = np.arange(total) + (self.start[ks] + count - count.cumsum()).repeat(count)
+        entries = self.exps[src]
+        entries[:, :p] += rows[:, :p].repeat(count, axis=0)
+        return entries, src, count
 
 
 def _term_arrays(terms, n):

@@ -315,3 +315,11 @@ def test_radial_leaf_family_arrays_are_read_only():
         assert shared is getattr(other, name)  # one array serves every leaf
         with pytest.raises(ValueError):
             shared[0] = 1.0
+
+
+def test_radial_leaf_family_refuses_grid_sizes_a_leaf_grid_refuses():
+    # N = 0 would end the probe in a bare ValueError, N = 3 in a 3-point fit
+    for N in (0, 3, 100):
+        with pytest.raises(InputError, match=f"grid size must be a power of two >= 64, got {N}"):
+            radial_leaf_family(np.sqrt, N=N)
+    assert radial_leaf_family(np.sqrt, N=64)(0.25).N == 64

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import loop_evaluate, random_coeff, random_polynomial
 from crextend import InputError, Polynomial, normal_form_model, solve_leaf
+import crextend.polyalg as polyalg
 from crextend.polyalg import DEGREE_CAP, ZERO_THRESHOLD, complex_from_json, monomials
 from dictref import Exponent, coefficient, from_terms, term_dict
 
@@ -253,6 +254,35 @@ def test_substitute_w_matches_term_by_term_reference():
             for e in set(term_dict(s)) | set(term_dict(ref)):
                 assert abs(coefficient(s, e) - coefficient(ref, e)) <= tol
     assert top_k == 4
+
+
+def test_substitute_w_refuses_pairs_beyond_max_term_pairs(monkeypatch):
+    # z w^2 + w + 3 by q = z + zbar: q^2 has 3 terms, so 3 + 2 + 1 = 6 pairs
+    n = 1
+    p = Polynomial.monomial(n, (1,), (0,), 2) + Polynomial.w(n) + 3
+    q = z() + zbar()
+    monkeypatch.setattr(polyalg, "MAX_TERM_PAIRS", 5)
+    with pytest.raises(InputError, match="substitute_w has 6 pairs of terms, more than 5"):
+        p.substitute_w(q)
+    monkeypatch.setattr(polyalg, "MAX_TERM_PAIRS", 6)
+    assert p.substitute_w(q) == z() * q * q + q + 3
+
+
+def test_substitute_w_builds_q_powers_up_to_the_largest_k(monkeypatch):
+    # q^k is built once, as q^(k - 1) times q, and q^1 is q itself
+    rng = np.random.default_rng(43)
+    q = random_polynomial(rng, 2, 2)
+    mul = Polynomial.__mul__
+    for ks, products in (((0,), 0), ((1, 0), 0), ((3, 1, 3), 2), ((5, 0, 2), 4)):
+        p = sum(Polynomial.monomial(2, (j, 0), (0, 1), k, 1 + j) for j, k in enumerate(ks))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(other) or mul(self, other))
+            s = p.substitute_w(q)
+        assert sum(other is q for other in calls) == products == len(calls)
+        for zz, _ in random_points(rng, 2, 3):
+            expected = p.evaluate(zz, q.evaluate(zz))
+            assert abs(s.evaluate(zz) - expected) < 1e-10 * (1 + abs(expected))
 
 
 # -- homogeneous parts ----------------------------------------------------------

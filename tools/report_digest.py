@@ -1,0 +1,76 @@
+"""One sha256 per benchmark-corpus document of what crextend.cli.main reports.
+
+    python3 tools/report_digest.py TREE OUT
+
+Runs every document of perfbench/corpus.py (each workload, seeds 1-2,
+blocks 0-2: 1020 documents) through crextend.cli.main of the checkout at
+TREE, in this process, and writes to OUT one line per document:
+workload, seed, block, index, the sha256 of its exit code, standard
+output and standard error, and the document's kind.  Two checkouts give
+the same reports when their OUT files are equal (`diff a.txt b.txt`).
+
+BLAS runs on one thread, fixed before numpy loads, and every document is
+read from the same path, so messages that name the input compare equal
+across trees.  The corpus comes from this checkout's perfbench/, which is
+only imported.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SEEDS = (1, 2)
+BLOCKS = (0, 1, 2)
+INPUT = Path(tempfile.gettempdir()) / "crextend-report-digest.json"
+
+
+def run(cli, doc):
+    """(exit code, stdout, stderr) of cli.main on one document; a raised exception is its type and text."""
+    INPUT.write_text(doc.text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([doc.command, str(INPUT), *doc.flags])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a crash is an outcome to compare
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    tree, out_path = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path[:0] = [str(tree / "src"), str(Path(__file__).resolve().parent.parent / "perfbench")]
+    import corpus
+    from crextend import cli
+
+    lines = []
+    try:
+        for workload in sorted(corpus.WORKLOADS):
+            for seed in SEEDS:
+                for index in BLOCKS:
+                    for i, doc in enumerate(corpus.block(workload, seed, index)):
+                        digest = hashlib.sha256(json.dumps(run(cli, doc)).encode()).hexdigest()
+                        lines.append(f"{workload} {seed} {index} {i} {digest} {doc.kind}\n")
+    finally:
+        INPUT.unlink(missing_ok=True)
+    out_path.write_text("".join(lines), encoding="utf-8")
+    print(f"{len(lines)} documents, crextend from {cli.__file__}")
+
+
+if __name__ == "__main__":
+    main()
