@@ -9,7 +9,10 @@ prepends the envelope {"command", "config"}.  The fields of `RunConfig`
 are the only list of configuration names.  Exit codes: 0 for any
 completed run (including NotExtendible or failed-check verdicts), 2 for
 input validation problems, 3 for numerical failures (including numpy's
-LinAlgError and float overflow).
+LinAlgError and float overflow).  A command runs with numpy's
+floating-point warnings off: the writer refuses a non-finite number in
+the report, and QPowers a non-finite power of Q before any solve sees it,
+so a failed run writes one line to stderr and nothing to stdout.
 
 Output is byte-deterministic: given the same input and seed, the report
 is identical.  Floats are printed with 17 significant digits.
@@ -274,8 +277,8 @@ def _cmd_extend(doc, cfg: RunConfig):
         ],
     }
     if result.extended:
-        err = extend_mod.verify_extension(result.P, f, model, samples=50, seed=cfg.seed)
-        report["verify"] = {"max_pointwise_error": err, "samples": 50, "seed": cfg.seed}
+        err = extend_mod.verify_extension(result.P, f, model, seed=cfg.seed)
+        report["verify"] = {"max_pointwise_error": err, "samples": extend_mod.VERIFY_SAMPLES, "seed": cfg.seed}
     return report
 
 
@@ -392,7 +395,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         doc = _read_json(args.input)
-        report = {"command": args.command, "config": cfg.to_json_dict(), **_COMMANDS[args.command](doc, cfg)}
+        with np.errstate(all="ignore"):  # see the module docstring
+            report = {"command": args.command, "config": cfg.to_json_dict(), **_COMMANDS[args.command](doc, cfg)}
         text = dumps_canonical(report) + "\n"
         if cfg.out is not None:
             try:

@@ -27,6 +27,7 @@ from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_p
 DEFAULT_EXTEND_TOL = 1e-9
 CONDITIONING_WARN_FLOOR = 1e-11
 INVOLUTION_TOL = 1e-10
+VERIFY_SAMPLES = 50
 # A coefficient of P below NOISE_ULPS units of its rounding error bound is
 # rounding noise and is left out of P.  The unit is eps * cond * |x|_2 for a
 # least-squares solve (a margin over its forward error): on benchmark-corpus
@@ -470,23 +471,7 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     )
 
 
-def restrict_to_plane(P: Polynomial, v) -> Polynomial:
-    """Restrict a holomorphic P(z, w) to the complex line z = xi * v.
-
-    v must be a unit vector in C^n; the result is an n = 1 polynomial in
-    (xi, w).
-    """
-    if not P.is_holomorphic():
-        raise InputError("restrict_to_plane: P must be holomorphic (no zbar terms)")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if len(v) != P.n:
-        raise InputError(f"restrict_to_plane: direction has length {len(v)}, expected {P.n}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise InputError("restrict_to_plane: direction must be a unit vector")
-    return _restrict(P, v)
-
-
-def _restrict(p: Polynomial, v, rotation=0.0):
+def _restrict(p: Polynomial, v, rotation):
     """p(xi v, conj(xi v), w) with xi = exp(i rotation) * eta, as a polynomial in (eta, w)."""
     n = p.n
     alpha, beta, k = p.exps[:, :n], p.exps[:, n : 2 * n], p.exps[:, -1]
@@ -500,7 +485,7 @@ def _restrict(p: Polynomial, v, rotation=0.0):
     return Polynomial(1, np.stack((ja, kb, k), axis=1), factor)
 
 
-def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, tol=DEFAULT_EXTEND_TOL):
+def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
     """Cross-check P against independent one-variable extensions on slices.
 
     For each unit direction v, the model restricted to z = xi v is an
@@ -533,7 +518,7 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
             )
         sliced_model = QuadricModel(A=np.eye(1), B=np.array([[lam_prime]]))
         f_v = _restrict(f, v, rotation)
-        result = extend_general(f_v, sliced_model, tol=tol)
+        result = extend_general(f_v, sliced_model)
         if not result.extended:
             return float("inf")
         dev = (result.P - _restrict(P, v, rotation)).max_coeff()
@@ -541,21 +526,21 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions, 
     return max_dev
 
 
-def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, samples=50, seed=0):
-    """Max of |P(z, rho(z)) - f(z)| over random z in the model ball (radius default_radii(model)[0])."""
+def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, seed=0):
+    """Max of |P(z, rho(z)) - f(z)| over VERIFY_SAMPLES random z in the ball of radius default_radii(model)."""
     if not P.is_holomorphic():
         raise InputError("verify_extension: P must be holomorphic")
     rho = q_polynomial(model)
-    radius, _ = default_radii(model)
+    radius = default_radii(model)
     rng = np.random.default_rng(seed)
     n = model.n
     draws = []
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         direction = rng.standard_normal(2 * n)
         direction /= np.linalg.norm(direction)
         t = rng.uniform() ** (1.0 / (2 * n))
         draws.append(radius * t * direction)
-    zr = np.reshape(draws, (samples, 2 * n))
+    zr = np.reshape(draws, (VERIFY_SAMPLES, 2 * n))
     z = zr[:, :n] + 1j * zr[:, n:]
     err = np.abs(P.evaluate(z, rho.evaluate(z).real) - f.evaluate(z))
     return float(np.max(err, initial=0.0))

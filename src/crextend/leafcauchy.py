@@ -6,9 +6,9 @@ data f on the model restricts to the curve, and the Cauchy integral
     F(z) = (1 / 2 pi i) * integral of f(zeta) / (zeta - z) d(zeta)
 
 extends it holomorphically to the enclosed disk.  The probes quantify
-what survives at the CR singularity: F stays continuous (max principle)
-and its z-derivatives stay bounded, while the transverse derivative
-F_s(0, s) can blow up like s^(-1/2) when the model degenerates.
+what survives at the CR singularity: F's z-derivatives stay bounded
+(zderiv_bound_check), while the transverse derivative F_s(0, s) can blow
+up like s^(-1/2) when the model degenerates (normal_derivative_probe).
 """
 
 from __future__ import annotations
@@ -137,21 +137,6 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
         zp = 0.9 * zeta[j]
         sup_err = max(sup_err, abs(_cauchy_at(zp, zeta, dzeta, fvals) - fvals[j]))
     return LeafExtension(leaf=leaf, interior_values=values, boundary_sup_error=float(sup_err))
-
-
-def continuity_probe(data: BoundaryData, model: QuadricModel, radii, N=DEFAULT_GRID_N):
-    """sup over each leaf of |f - f0|, certifying continuity as r -> 0.
-
-    f0 is the average of the data over the smallest leaf.
-    """
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise InputError("continuity_probe: need at least one leaf radius")
-    grid = LeafGrid(model, N)
-    leaves = [grid.leaf(r) for r in radii]
-    values = [data.evaluator(leaf.points(), leaf.level) for leaf in leaves]
-    f0 = complex(np.mean(values[0]))
-    return f0, [(leaf.r, float(np.max(np.abs(fvals - f0)))) for leaf, fvals in zip(leaves, values)]
 
 
 def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):

@@ -47,8 +47,8 @@ def eval_on_grid(p: Polynomial, z):
 class LeafParametrization:
     """One hull leaf of an n = 1 model, sampled on an equispaced theta grid.
 
-    eit is e^(i theta) on the grid.  The leaves of one LeafGrid share it
-    and theta; a leaf built without it computes it here, once.
+    eit is e^(i theta) on the grid; the leaves of one LeafGrid or one
+    radial_leaf_family share it and theta.
     """
 
     r: float
@@ -56,11 +56,7 @@ class LeafParametrization:
     theta: np.ndarray
     phi: np.ndarray
     phi_theta: np.ndarray
-    eit: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.eit is None:
-            object.__setattr__(self, "eit", np.exp(1j * self.theta))
+    eit: np.ndarray
 
     @property
     def N(self):
@@ -266,7 +262,8 @@ def check_moments(
 ) -> MomentReport:
     """Evaluate all moments with ell <= Lmax on a ladder of leaves.
 
-    Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z.
+    Defaults: Lmax = deg f + 4, leaves = {0.05, 0.1, 0.2, 0.4} * delta_z
+    with delta_z = default_radii(model).
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
     that a pass always rests on some moments.  The ladder is solved leaf by
     leaf through one LeafGrid(model, N), each leaf with the bits and errors
@@ -283,7 +280,7 @@ def check_moments(
     if not 0 <= Lmax <= DEGREE_CAP + 4:
         raise InputError(f"check_moments: Lmax must be in [0, {DEGREE_CAP + 4}], got {Lmax}")
     if leaves is None:
-        delta_z, _ = default_radii(model)
+        delta_z = default_radii(model)
         leaves = tuple(c * delta_z for c in DEFAULT_LEAF_FRACTIONS)
     leaves = tuple(sorted(float(r) for r in leaves))
     if not leaves:

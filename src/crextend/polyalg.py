@@ -43,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalFailure
 
 ZERO_THRESHOLD = 1e-14
 DEGREE_CAP = 64
@@ -513,13 +513,18 @@ class QPowers:
         Row i expands to z^alpha zbar^beta q^k: count[i] entries, q^k's rows
         with alpha | beta added, whose coefficients are vals[src] of those
         entries.  Given what, more than MAX_TERM_PAIRS entries in all are
-        refused (InputError naming what) before they are formed.
+        refused (InputError naming what) before they are formed.  A power
+        with a non-finite coefficient is refused (NumericalFailure naming k)
+        as it is built, so no inf or nan reaches a caller's solve.
         """
         p = 2 * self.q.n
         ks = rows[:, -1]
         while len(self.size) <= ks.max(initial=0):
             if len(self.size) > 1:
                 self.last = self.last * self.q
+            if not np.isfinite(self.last.coeffs).all():
+                k = len(self.size)
+                raise NumericalFailure(f"q^{k}, substituted for w^{k}, has a non-finite coefficient")
             self.start = np.append(self.start, len(self.vals))
             self.size = np.append(self.size, len(self.last.coeffs))
             self.exps = np.concatenate((self.exps, self.last.exps))

@@ -126,6 +126,8 @@ def _matrix_from_json(rows, n, name):
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
+    """classify's test that A is nonsingular relative to its scale: sigma_min > 1e-10 * max(sigma_max, 1)."""
+
     ok: bool
     sigma_min: float
     sigma_max: float
@@ -149,11 +151,6 @@ class ClassificationResult:
     nondegeneracy: NondegeneracyReport
     normal_form: BishopNormalForm | None = None
     note: str | None = None
-
-
-def check_nondegenerate(model: QuadricModel) -> NondegeneracyReport:
-    """A is nonsingular relative to its scale (smallest singular value test)."""
-    return _nondegeneracy(np.linalg.eigh(model.A)[0])
 
 
 def _nondegeneracy(eigs):
@@ -331,19 +328,14 @@ def normal_form_model(lambdas, E=None) -> QuadricModel:
     return QuadricModel(A=np.eye(len(lambdas)), B=np.diag(lambdas), E=E)
 
 
-def default_radii(model: QuadricModel):
-    """Heuristic validity radii (delta_z, delta_w) for an elliptic model.
+def default_radii(model: QuadricModel) -> float:
+    """Heuristic validity radius delta_z = 0.5 * sqrt(min eig A / max eig A) for positive definite A.
 
-    delta_z = 0.5 * sqrt(min eig A / max eig A); delta_w is the largest
-    leaf level whose leaf is guaranteed inside |z| < delta_z, using the
-    smallest eigenvalue mu of the real form: Q >= mu |z|^2.
+    The sampling ball of verify_extension and the default leaf ladder of
+    check_moments both scale with it.  Ellipticity is left to their callers:
+    extend_general classifies the model first and LeafGrid refuses lambda >= 1/2.
     """
     eigs = np.linalg.eigvalsh(model.A)
     if eigs[0] <= DEGENERACY_TOL:
         raise NotElliptic("default_radii requires positive definite A", eigenvalue=float(eigs[0]))
-    mu = float(np.linalg.eigvalsh(real_quadratic_form(model))[0])
-    if mu <= ELLIPTIC_MARGIN:
-        raise NotElliptic("default_radii requires an elliptic model", eigenvalue=mu)
-    delta_z = 0.5 * float(np.sqrt(eigs[0] / eigs[-1]))
-    delta_w = mu * delta_z**2
-    return delta_z, delta_w
+    return 0.5 * float(np.sqrt(eigs[0] / eigs[-1]))

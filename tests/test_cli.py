@@ -1,14 +1,19 @@
 """End-to-end CLI runs: JSON in, canonical JSON out, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dictref
 from conftest import congruent_model, perfbench_corpus
+import crextend
 from crextend import Polynomial, QuadricModel, extend, normal_form_model, polyalg, q_polynomial
 from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, RunConfig, dumps_canonical, main
@@ -441,7 +446,6 @@ def test_cli_nan_point_is_input_error(tmp_path, capsys):
     assert "points[0]" in err and "non-finite" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_cli_overflowing_report_is_numerical_failure(tmp_path, capsys, sign):
     f = sign * 1e308 * (Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.z(1) ** 2)
@@ -468,7 +472,6 @@ NUMERICAL = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(NUMERICAL))
 def test_cli_numpy_and_overflow_errors_are_numerical_failures(tmp_path, capsys, name):
     command, doc_in, *named = NUMERICAL[name]
@@ -477,6 +480,58 @@ def test_cli_numpy_and_overflow_errors_are_numerical_failures(tmp_path, capsys, 
     assert err.startswith("crextend: numerical failure:") and "Traceback" not in err
     for fragment in named[0] if named else []:
         assert fragment in err
+
+
+def _real(x):
+    return {"re": x, "im": 0.0}
+
+
+_ZEROS = [[_real(0.0)] * 2] * 2
+# Q^2 overflows at A = 1e200; on both routes the overflowing power used to
+# reach lstsq, whose LAPACK error lines went to file descriptor 1
+OVERFLOWING_Q = {
+    "n1-division": (
+        {"n": 1, "A": [[_real(1e200)]], "B": [[_real(0.0)]]},
+        Polynomial.z(1) ** 20 * Polynomial.zbar(1) ** 20,
+    ),
+    "n2-division": (
+        {"n": 2, "A": [[_real(1e200), _real(0.0)], [_real(0.0), _real(1e200)]], "B": _ZEROS},
+        Polynomial.z(2, 0) ** 12 * Polynomial.zbar(2, 0) ** 12 + Polynomial.z(2, 1),
+    ),
+    "n2-dense": (
+        {"n": 2, "A": [[_real(1e200), _real(1e199)], [_real(1e199), _real(1e200)]], "B": _ZEROS},
+        Polynomial.z(2, 0) ** 12 * Polynomial.zbar(2, 0) ** 12 + Polynomial.z(2, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_Q))
+def test_cli_overflowing_q_power_is_refused_before_any_solve(tmp_path, capfd, name):
+    model, f = OVERFLOWING_Q[name]
+    code = main(["extend", write_json(tmp_path / "in.json", {"model": model, "f": poly_doc(f)})])
+    out, err = capfd.readouterr()  # file descriptors 1 and 2, where LAPACK writes too
+    assert code == 3 and out == ""
+    assert err == "crextend: numerical failure: q^2, substituted for w^2, has a non-finite coefficient\n"
+
+
+def test_cli_floating_point_warnings_stay_off_stderr(tmp_path):
+    # the power tables and the moment weight overflow at r = 1e300 before the
+    # moment's scale does; a fresh interpreter shows every warning numpy raises
+    doc_in = {"model": model_doc([0.2]), "f": poly_doc(Polynomial.zbar(1) ** 3), "leaves": [1e300]}
+    src = str(Path(crextend.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crextend.cli", "check", write_json(tmp_path / "in.json", doc_in)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "crextend: numerical failure: moment of order ell = 1 on the leaf of radius r = 1e+300: "
+        "r^(ell + 1) overflows"
+    ]
 
 
 def test_cli_tol_leaf_gates_leaf_residual(tmp_path, capsys):

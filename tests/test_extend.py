@@ -15,20 +15,25 @@ from conftest import (
     random_unit_vector,
 )
 import crextend.polyalg as polyalg
-from crextend.extend import CONDITIONING_WARN_FLOOR, DEFAULT_EXTEND_TOL, NOISE_ULPS, _division_degrees
+from crextend.extend import (
+    CONDITIONING_WARN_FLOOR,
+    DEFAULT_EXTEND_TOL,
+    NOISE_ULPS,
+    VERIFY_SAMPLES,
+    _division_degrees,
+    check_involution_invariance,
+)
 from crextend.polyalg import monomials
+from crextend.quadform import default_radii
 from dictref import extend_lambda0, from_terms, term_dict
 from crextend import (
     InputError,
     NotElliptic,
     Polynomial,
     QuadricModel,
-    check_involution_invariance,
-    default_radii,
     extend_general,
     normal_form_model,
     q_polynomial,
-    restrict_to_plane,
     slice_oracle,
     verify_extension,
 )
@@ -213,21 +218,7 @@ def test_extend_reports_condition_numbers():
     assert all(np.isfinite(r.condition) and r.condition >= 1 for r in res.degree_reports)
 
 
-# -- restriction and slicing --------------------------------------------------------
-
-
-def test_restrict_to_plane_example():
-    P = Polynomial.z(2, 0) * Polynomial.z(2, 1)
-    v = np.array([1.0, 1.0]) / np.sqrt(2)
-    restricted = restrict_to_plane(P, v)
-    assert (restricted - 0.5 * Polynomial.z(1) * Polynomial.z(1)).max_coeff() < 1e-12
-
-
-def test_restrict_to_plane_preconditions():
-    with pytest.raises(InputError):
-        restrict_to_plane(Polynomial.zbar(1), np.array([1.0]))
-    with pytest.raises(InputError):
-        restrict_to_plane(Polynomial.z(2, 0), np.array([1.0, 1.0]))
+# -- slicing ------------------------------------------------------------------------
 
 
 def test_slice_oracle_restricted_invariant():
@@ -254,21 +245,19 @@ def test_verify_extension():
     rho = q_polynomial(m)
     P = Polynomial.w(1) * Polynomial.w(1) + Polynomial.z(1)
     f = P.substitute_w(rho)
-    assert verify_extension(P, f, m, samples=40, seed=1) < 1e-12
+    assert verify_extension(P, f, m, seed=1) < 1e-12
     # deterministic for a fixed seed
-    assert verify_extension(P, f, m, samples=40, seed=1) == verify_extension(
-        P, f, m, samples=40, seed=1
-    )
+    assert verify_extension(P, f, m, seed=1) == verify_extension(P, f, m, seed=1)
 
 
-def loop_verify(P, f, model, samples, seed):
+def loop_verify(P, f, model, seed):
     """Reference for verify_extension: one point at a time, same draws."""
     rho = q_polynomial(model)
-    radius, _ = default_radii(model)
+    radius = default_radii(model)
     rng = np.random.default_rng(seed)
     n = model.n
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         direction = rng.standard_normal(2 * n)
         direction /= np.linalg.norm(direction)
         t = rng.uniform() ** (1.0 / (2 * n))
@@ -286,10 +275,9 @@ def test_verify_extension_matches_loop_reference():
         P = random_holomorphic(rng, n, 6)
         f = P.substitute_w(q_polynomial(m)) + 1e-3 * random_polynomial(rng, n, 4)
         for seed in (0, 7):
-            ref = loop_verify(P, f, m, 50, seed)
+            ref = loop_verify(P, f, m, seed)
             assert ref > 1e-8  # the perturbation is seen
-            assert verify_extension(P, f, m, samples=50, seed=seed) == pytest.approx(ref, rel=1e-10)
-    assert verify_extension(P, f, m, samples=0) == 0.0
+            assert verify_extension(P, f, m, seed=seed) == pytest.approx(ref, rel=1e-10)
 
 
 def whole_block_solve(f, model, tol=1e-9):

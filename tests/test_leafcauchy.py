@@ -7,11 +7,9 @@ from conftest import random_holomorphic
 from crextend import (
     BoundaryData,
     InputError,
-    LeafParametrization,
     NearBoundary,
     Polynomial,
     cauchy_extend,
-    continuity_probe,
     normal_derivative_probe,
     normal_form_model,
     q_polynomial,
@@ -20,6 +18,7 @@ from crextend import (
     solve_leaf,
     zderiv_bound_check,
 )
+from crextend.moments import LeafParametrization
 
 
 def interior_samples(leaf, count, seed=0, fraction=0.8):
@@ -106,17 +105,7 @@ def test_cauchy_boundary_sup_error_diagnostic():
             assert ext.boundary_sup_error == _boundary_sup_error(data, leaf)
 
 
-# -- continuity and derivative probes --------------------------------------------
-
-
-def test_continuity_probe_decreases_to_zero():
-    m = normal_form_model([0.2])
-    f = Polynomial.z(1) + Polynomial.zbar(1)
-    f0, rows = continuity_probe(BoundaryData.from_polynomial(f), m, [0.01, 0.05, 0.1, 0.2])
-    assert abs(f0) < 1e-10
-    sups = [s for _, s in rows]
-    assert sups == sorted(sups)
-    assert sups[0] < 0.05 and sups[-1] > sups[0]
+# -- derivative probes ----------------------------------------------------------
 
 
 def test_probe_degenerate_model_blows_up_like_inverse_sqrt():
@@ -204,7 +193,7 @@ def _offset_circle_family(center_from):
         rho = float(np.sqrt(s))
         c = 2 * rho if s >= center_from else 0.0
         return LeafParametrization(
-            r=1.0, level=s, theta=theta, phi=c / eit + rho, phi_theta=-1j * c / eit
+            r=1.0, level=s, theta=theta, phi=c / eit + rho, phi_theta=-1j * c / eit, eit=eit
         )
 
     return family

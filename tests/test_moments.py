@@ -14,13 +14,13 @@ from crextend import (
     QuadricModel,
     check_moments,
     cr_check,
-    eval_on_grid,
     moment_integral,
     normal_form_model,
     q_polynomial,
     solve_leaf,
 )
 from crextend import moments
+from crextend.moments import eval_on_grid
 from crextend.polyalg import DEGREE_CAP
 
 

@@ -9,16 +9,14 @@ from crextend import (
     NotElliptic,
     Polynomial,
     QuadricModel,
-    check_nondegenerate,
     classify,
-    default_radii,
     ellipticity_oracle,
     normal_form_model,
     normalize,
     q_polynomial,
     takagi,
 )
-from crextend.quadform import is_normal_form, real_quadratic_form
+from crextend.quadform import default_radii, is_normal_form, real_quadratic_form
 from dictref import coefficient
 
 
@@ -71,17 +69,16 @@ def test_nondegeneracy_from_singular_values():
         for shift in (0.5, -1.0):  # positive definite and indefinite A
             m = random_model(rng, n, posdef_shift=shift)
             s = np.linalg.svd(m.A, compute_uv=False)
-            report = check_nondegenerate(m)
+            report = classify(m).nondegeneracy
             assert report.sigma_max == pytest.approx(s[0], rel=1e-12)
             assert report.sigma_min == pytest.approx(s[-1], rel=1e-10)
-            assert classify(m).nondegeneracy == report
 
 
-def test_check_nondegenerate():
-    ok = check_nondegenerate(normal_form_model([0.1, 0.2]))
+def test_classify_nondegeneracy_report():
+    ok = classify(normal_form_model([0.1, 0.2])).nondegeneracy
     assert ok.ok and ok.sigma_min == pytest.approx(1.0)
     singular = QuadricModel(A=np.diag([1.0, 0.0]), B=np.zeros((2, 2)))
-    report = check_nondegenerate(singular)
+    report = classify(singular).nondegeneracy
     assert not report.ok
     assert report.sigma_min == pytest.approx(0.0, abs=1e-15)
 
@@ -365,20 +362,10 @@ def test_is_normal_form():
 
 
 def test_default_radii():
-    dz, dw = default_radii(normal_form_model([0.3]))
-    assert dz == pytest.approx(0.5)
-    assert dw == pytest.approx((1 - 0.6) * 0.25)
+    assert default_radii(normal_form_model([0.3])) == 0.5
+    assert default_radii(QuadricModel(A=np.diag([4.0, 1.0]), B=0.1 * np.eye(2))) == 0.25
     with pytest.raises(NotElliptic):
-        default_radii(normal_form_model([0.7]))
-
-
-def test_default_radii_leaf_containment():
-    # every z on the leaf at level dw satisfies |z| <= dz
-    m = QuadricModel(A=np.array([[2.0, 0.3j], [-0.3j, 1.0]]), B=0.1 * np.eye(2))
-    dz, dw = default_radii(m)
-    S = real_quadratic_form(m)
-    mu = np.linalg.eigvalsh(S)[0]
-    assert mu * dz**2 == pytest.approx(dw)
+        default_radii(QuadricModel(A=-np.eye(1), B=np.zeros((1, 1))))
 
 
 # -- serialization -----------------------------------------------------------------

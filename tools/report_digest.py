@@ -11,8 +11,11 @@ the same reports when their OUT files are equal (`diff a.txt b.txt`).
 
 BLAS runs on one thread, fixed before numpy loads, and every document is
 read from the same path, so messages that name the input compare equal
-across trees.  The corpus comes from this checkout's perfbench/, which is
-only imported.
+across trees.  Because that path is shared, a run holds an exclusive
+fcntl.flock on the lock file beside it (crextend-report-digest.json.lock
+in the temp directory) from start to end: two runs started at once take
+turns instead of overwriting each other's input.  The corpus comes from
+this checkout's perfbench/, which is only imported.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import fcntl  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -33,6 +37,7 @@ from pathlib import Path  # noqa: E402
 SEEDS = (1, 2)
 BLOCKS = (0, 1, 2)
 INPUT = Path(tempfile.gettempdir()) / "crextend-report-digest.json"
+LOCK = INPUT.with_name(INPUT.name + ".lock")
 
 
 def run(cli, doc):
@@ -59,15 +64,17 @@ def main(argv=None):
     from crextend import cli
 
     lines = []
-    try:
-        for workload in sorted(corpus.WORKLOADS):
-            for seed in SEEDS:
-                for index in BLOCKS:
-                    for i, doc in enumerate(corpus.block(workload, seed, index)):
-                        digest = hashlib.sha256(json.dumps(run(cli, doc)).encode()).hexdigest()
-                        lines.append(f"{workload} {seed} {index} {i} {digest} {doc.kind}\n")
-    finally:
-        INPUT.unlink(missing_ok=True)
+    with open(LOCK, "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        try:
+            for workload in sorted(corpus.WORKLOADS):
+                for seed in SEEDS:
+                    for index in BLOCKS:
+                        for i, doc in enumerate(corpus.block(workload, seed, index)):
+                            digest = hashlib.sha256(json.dumps(run(cli, doc)).encode()).hexdigest()
+                            lines.append(f"{workload} {seed} {index} {i} {digest} {doc.kind}\n")
+        finally:
+            INPUT.unlink(missing_ok=True)
     out_path.write_text("".join(lines), encoding="utf-8")
     print(f"{len(lines)} documents, crextend from {cli.__file__}")
 
