@@ -34,11 +34,7 @@ class NumericalError(RuntimeError):
 
 
 class NumericalFailure(NumericalError):
-    """A-posteriori residual check failed; carries the residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A result failed its own check: a residual over its bound or a non-finite value."""
 
 
 class LeafSolveError(NumericalError):

@@ -15,7 +15,7 @@ behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb, factorial, hypot, prod
+from math import comb, factorial, hypot, inf, isfinite, isnan, prod
 
 import numpy as np
 
@@ -81,12 +81,6 @@ class ExtensionResult:
         return self.status == "Extended"
 
 
-def _offending_monomial(f: Polynomial):
-    """(j, k) of the first term z^j zbar^k with j < k in graded order, else None."""
-    bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])
-    return tuple(f.exps[bad[0], :2].tolist()) if len(bad) else None
-
-
 def _monomial_certificate(degree, residual, offending):
     return Certificate(
         degree=degree,
@@ -126,36 +120,24 @@ def _graded_basis(n, d):
 def _structural_certificate(f, model, degree, residual):
     """Attach the named obstruction when the model's normal form exposes one.
 
-    f is the part of the data in the failing degree.
+    f is the part of the data in the failing degree; the model is elliptic.
     """
+    condition, detail = None, {}
     ok, lambdas = is_normal_form(model)
-    if not ok:
-        return Certificate(degree=degree, residual=residual)
-    if model.n >= 2:
+    if ok and model.n >= 2:
         violations = cr_check(f, model)
         if violations:
-            return Certificate(
-                degree=degree,
-                residual=residual,
-                condition="CR field X f != 0",
-                detail=violations[0].to_json_dict(),
-            )
-        return Certificate(degree=degree, residual=residual)
-    lam = float(lambdas[0])
-    if lam <= 1e-12:
-        offending = _offending_monomial(f)
-        if offending is not None:
-            return _monomial_certificate(degree, residual, offending)
-    elif lam < 0.5:
+            condition, detail = "CR field X f != 0", violations[0].to_json_dict()
+    elif ok and lambdas[0] <= 1e-12:
+        bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])  # terms z^j zbar^k with j < k, in graded order
+        if len(bad):
+            return _monomial_certificate(degree, residual, tuple(f.exps[bad[0], :2].tolist()))
+    elif ok:
+        lam = float(lambdas[0])
         invariant, deviation = check_involution_invariance(f, lam)
         if not invariant:
-            return Certificate(
-                degree=degree,
-                residual=residual,
-                condition="not involution-invariant",
-                detail={"deviation": deviation, "lambda": lam},
-            )
-    return Certificate(degree=degree, residual=residual)
+            condition, detail = "not involution-invariant", {"deviation": deviation, "lambda": lam}
+    return Certificate(degree=degree, residual=residual, condition=condition, detail=detail)
 
 
 def _block_shape(n, d):
@@ -169,26 +151,45 @@ def _block_shape(n, d):
     return nrows, ncols
 
 
-def _dense_degree(f, powers, d, lo, hi, bits):
+def _even_coordinates(Q):
+    """Whether every term of Q is even in each coordinate: z_j and zbar_j together."""
+    return not ((Q.exps[:, : Q.n] + Q.exps[:, Q.n : 2 * Q.n]) & 1).any()
+
+
+def _norm(v):
+    """The 2-norm of v, inf when it overflows or v is not finite, and never nan.
+
+    np.linalg.norm squares the entries; where that overflows, v is scaled by
+    its largest part first.  A nan would slip past the gate residual >= threshold.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not isfinite(norm) and np.isfinite(v).all():
+        top = float(max(np.abs(v.real).max(), np.abs(v.imag).max()))
+        norm = top * float(np.linalg.norm(v / top))
+    return inf if isnan(norm) else norm
+
+
+def _dense_degree(f, powers, d, lo, hi):
     """Degree d of f (rows lo:hi) by least squares over the graded block, class by class.
 
     Returns (basis, x, largest |P(z, Q) - f| coefficient, DegreeReport),
-    with a rank-deficiency note as the report's warning.  bits gives the
-    parity classes: column z^alpha w^k is in class (alpha mod 2) @ bits,
-    row z^alpha' zbar^beta' in class ((alpha' + beta') mod 2) @ bits.  On
-    a Q even in each coordinate z^alpha Q^k keeps alpha's parities, so with
-    bits = 2^j the block is block-diagonal over the classes; bits = 0 makes
-    the whole block one class.  Each class, in ascending order, is built as
-    a whole block is: its columns' images under powers and its part of f_d
-    give the rows, distinct and in graded order, for one rank-revealing
-    solve (SVD); basis comes back in class order.  The degree reports over
-    the union of the classes: the residual's 2-norm and max sigma /
-    min sigma over all their singular values.  A real Q gives real blocks,
-    solved in real arithmetic with Re f_d and Im f_d as two right-hand
-    sides.  Solved coefficients below the solve's own rounding noise
-    (NOISE_ULPS) are left out of x.  A degree whose block could exceed
-    MAX_GRADED_ENTRIES is refused (InputError) before any Q power for it
-    is formed.
+    with a rank-deficiency note as the report's warning.  On a Q = powers.q
+    even in each coordinate, z^alpha Q^k keeps alpha's parities, so the
+    block is block-diagonal over the parity classes: (alpha mod 2) @ 2^j for
+    column z^alpha w^k, ((alpha' + beta') mod 2) @ 2^j for row z^alpha'
+    zbar^beta' (one class at n = 1, where all have the parity of d); any
+    other Q makes the whole block one class.  Each class, in ascending
+    order, is built as a whole block is: its columns' images under powers
+    and its part of f_d give the rows, distinct and in graded order, for one
+    rank-revealing solve (SVD); basis comes back in class order.  The degree
+    reports over the union of the classes: the residual's 2-norm (_norm) and
+    max sigma / min sigma over all their singular values.  A real Q gives
+    real blocks, solved in real arithmetic with Re f_d and Im f_d as two
+    right-hand sides.  Solved coefficients below the solve's own rounding
+    noise (NOISE_ULPS) are left out of x.  A degree whose block could exceed
+    MAX_GRADED_ENTRIES is refused (InputError) before any Q power for it is
+    formed.
     """
     n = f.n
     dtype = complex if powers.q.coeffs.imag.any() else float
@@ -199,6 +200,7 @@ def _dense_degree(f, powers, d, lo, hi, bits):
             f"entries, more than {MAX_GRADED_ENTRIES}"
         )
     basis = _graded_basis(n, d)
+    bits = (1 << np.arange(n)) * _even_coordinates(powers.q)
     colcls = (basis[:, :n] & 1) @ bits
     f_exps, f_coeffs = f.exps[lo:hi], f.coeffs[lo:hi]
     rowcls = ((f_exps[:, :n] + f_exps[:, n : 2 * n]) & 1) @ bits
@@ -219,7 +221,7 @@ def _dense_degree(f, powers, d, lo, hi, bits):
         b[row_of[len(src) :]] = f_coeffs[picked]
         rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
         x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
-        norms.append(np.linalg.norm(M @ x - rhs))
+        norms.append(_norm(M @ x - rhs))
         blocks.append((M, rhs, c0))
         c0 += len(basis_c)
         cols.append(basis_c)
@@ -236,7 +238,7 @@ def _dense_degree(f, powers, d, lo, hi, bits):
     report = DegreeReport(degree=d, residual=residual, condition=condition, warning=note)
     X = np.concatenate(xs)
     x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
-    x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * np.linalg.norm(x)] = 0
+    x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * _norm(x)] = 0
     # P(z, Q) - f in degree d is exactly M x - b, class by class
     largest = max(
         float(np.abs((M @ X[c0 : c0 + M.shape[1]] - rhs).view(complex)).max()) for M, rhs, c0 in blocks
@@ -344,18 +346,17 @@ def _division_degrees(f, Q, bounds, recheck):
     Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
     each degree d of f.  Coefficients below NOISE_ULPS units of their
     rounding bound are left out of x.  The report's residual is the 2-norm
-    of P_d(z, Q) - f_d: the images of P_d's rows under one QPowers of Q
-    (each Q power built when a degree first needs it) and f_d's rows, summed
-    by sorted_runs; its condition is the recurrence's growth factor, the
-    largest rounding bound of P_d over its largest coefficient (at least 1,
-    and 1 for an empty P_d); its remainder is the division's.
+    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under one QPowers
+    of Q (each Q power built when a degree first needs it) and f_d's rows,
+    summed by sorted_runs; its condition is the recurrence's growth factor,
+    the largest rounding bound of P_d over its largest coefficient (at
+    least 1, and 1 for an empty P_d); its remainder is the division's.
 
     The division's P_d need not minimise the residual: on data off the
     image it can exceed the least-squares minimum by a factor that grows
     with the degree and |mu| (about 1000 at n = 1, lambda = 0.49, degree
     20).  So a degree whose residual exceeds recheck is solved again by
-    _dense_degree on the same QPowers, one block per parity class (one
-    class at n = 1, where the whole block is small), which gives it the
+    _dense_degree on the same QPowers, by parity class, which gives it the
     least-squares residual, condition and P_d, when its graded block fits
     MAX_GRADED_ENTRIES; beyond that the division's residual stands.
     """
@@ -364,8 +365,6 @@ def _division_degrees(f, Q, bounds, recheck):
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
     powers = QPowers(Q)
-    # parity classes for a recheck; an n = 1 block is small enough whole
-    bits = (1 << np.arange(n)) * (n > 1)
     for d in range(len(bounds) - 1):
         lo, hi = bounds[d], bounds[d + 1]
         if lo == hi:
@@ -379,9 +378,9 @@ def _division_degrees(f, Q, bounds, recheck):
         vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
         order, starts = sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
-        residual = float(np.linalg.norm(R))
+        residual = _norm(R)
         if residual > recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
-            P_rows, P_x, largest, report = _dense_degree(f, powers, d, lo, hi, bits)
+            P_rows, P_x, largest, report = _dense_degree(f, powers, d, lo, hi)
             yield P_rows, P_x, largest, replace(report, remainder=float(remainder[d]))
             continue
         report = DegreeReport(degree=d, residual=residual, condition=condition, remainder=float(remainder[d]))
@@ -393,20 +392,21 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
 
     For each total degree d of f, finds coefficients of
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
-    the degree-d part of f.  When every term of Q is even in each
-    coordinate (A and B diagonal: every normal form and every n = 1 model),
-    P comes from exact division (_divided_P), and a degree whose residual
-    exceeds the warning floor below is solved again by least squares
-    (_division_degrees); any other Q gets one dense least-squares solve per
-    degree (_dense_degree, the whole block one class).  Either way a
-    degree's verdict and warning rest on the least-squares residual
-    wherever its block fits MAX_GRADED_ENTRIES.  Degrees are gated in
-    ascending order: the failure threshold for a degree's residual is
-    tol * (1 + max |coeff f|), and residuals inside (1e-11, tol) of that
-    scale pass with a conditioning warning.  The first failing degree ends
-    the run with a certificate built from f's part in that degree.  The
-    reported residual is the largest coefficient of P(z, Q) - f over the
-    degrees.
+    the degree-d part of f.  When every term of Q is even in each coordinate
+    (_even_coordinates; A and B diagonal: every normal form and every n = 1
+    model), P comes from exact division (_divided_P), and a degree whose
+    residual exceeds the warning floor below is solved again by least
+    squares (_division_degrees); any other Q gets one dense least-squares
+    solve per degree (_dense_degree, whose classes read the same test: one
+    class).  Either way a degree's verdict and warning rest on the
+    least-squares residual wherever its block fits MAX_GRADED_ENTRIES, and
+    each residual is an overflow-safe 2-norm (_norm), finite for data of any
+    finite scale.  Degrees are gated in ascending order: the failure
+    threshold for a degree's residual is tol * (1 + max |coeff f|), and
+    residuals inside (1e-11, tol) of that scale pass with a conditioning
+    warning.  The first failing degree ends the run with a certificate built
+    from f's part in that degree.  The reported residual is the largest
+    coefficient of P(z, Q) - f over the degrees.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -428,13 +428,12 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     threshold = tol * scale
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
-    even = not ((Q.exps[:, :n] + Q.exps[:, n : 2 * n]) & 1).any()
-    if even and len(f.coeffs):
+    if _even_coordinates(Q) and len(f.coeffs):
         degrees = _division_degrees(f, Q, bounds, CONDITIONING_WARN_FLOOR * scale)
     else:
-        powers, bits = QPowers(Q), np.zeros(n, dtype=np.int64)
+        powers = QPowers(Q)
         degrees = (
-            _dense_degree(f, powers, d, bounds[d], bounds[d + 1], bits)
+            _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
             for d in range(len(bounds) - 1)
             if bounds[d] < bounds[d + 1]
         )

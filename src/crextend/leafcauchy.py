@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NearBoundary
-from .moments import DEFAULT_GRID_N, LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization, _check_grid_size, eval_on_grid
+from .moments import DEFAULT_GRID_N, LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization
+from .moments import _check_grid_size, _read_only, eval_on_grid
 from .polyalg import Polynomial
 from .quadform import QuadricModel
 
@@ -85,7 +86,6 @@ class BoundaryData:
 class LeafExtension:
     """Cauchy extension values on one leaf."""
 
-    leaf: LeafParametrization
     interior_values: dict  # z -> F(z, s)
     boundary_sup_error: float
 
@@ -136,7 +136,7 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     for j in probes:
         zp = 0.9 * zeta[j]
         sup_err = max(sup_err, abs(_cauchy_at(zp, zeta, dzeta, fvals) - fvals[j]))
-    return LeafExtension(leaf=leaf, interior_values=values, boundary_sup_error=float(sup_err))
+    return LeafExtension(interior_values=values, boundary_sup_error=float(sup_err))
 
 
 def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):
@@ -151,8 +151,7 @@ def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):
     eit = np.exp(1j * theta)
     ones = np.ones(N)
     zeros = np.zeros(N)
-    for shared in (theta, eit, ones, zeros):  # every leaf of the family holds these
-        shared.setflags(write=False)
+    _read_only(theta, eit, ones, zeros)  # every leaf of the family holds these
 
     def family(s):
         r = float(radius_fn(s))

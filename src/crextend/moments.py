@@ -72,13 +72,11 @@ class LeafParametrization:
 
 
 def fourier_derivative(values):
-    """Spectral derivative of a periodic grid function on [0, 2pi)."""
+    """Spectral derivative of a real periodic function on an even grid over [0, 2pi), Nyquist mode dropped."""
     N = len(values)
     freqs = np.fft.fftfreq(N, d=1.0 / N)
-    if N % 2 == 0:
-        freqs[N // 2] = 0.0  # drop the unpaired Nyquist mode
-    out = np.fft.ifft(1j * freqs * np.fft.fft(values))
-    return out.real if np.isrealobj(values) else out
+    freqs[N // 2] = 0.0
+    return np.fft.ifft(1j * freqs * np.fft.fft(values)).real
 
 
 def _read_only(*arrays):
@@ -108,7 +106,6 @@ class LeafGrid:
         if lam >= 0.5 - 1e-10:
             raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
         _check_grid_size(N)
-        self.N = N
         self.theta = 2 * np.pi * np.arange(N) / N
         self.eit = np.exp(1j * self.theta)
         self.base = 1.0 + 2.0 * lam * np.cos(2 * self.theta)
@@ -149,9 +146,12 @@ class LeafGrid:
         E and E_z.  E is real, so E_zbar = conj(E_z) and
         dE/dphi = 2 r Re(E_z e^(i theta)).  Iterates that overflow are not
         warned about: they never meet NEWTON_TOL, so the loop ends in the
-        LeafSolveError that reports the failure.
+        LeafSolveError that reports the failure, as does an r^2 that overflows.
         """
-        r2 = r**2  # Python's pow, not r * r: about 1 in 1000 differs in the last bit
+        try:
+            r2 = r**2  # Python's pow, not r * r: about 1 in 1000 differs in the last bit
+        except OverflowError as exc:
+            raise LeafSolveError(f"leaf solve at r = {r:g}: r^2 overflows {exc}") from exc
         phi = self.phi0
         with np.errstate(all="ignore"):
             for _ in range(NEWTON_MAX_ITER):

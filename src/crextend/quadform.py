@@ -221,7 +221,6 @@ def _normal_form(model, eigs, V):
     if max(residual_a, residual_b) > RESIDUAL_FAIL:
         raise NumericalFailure(
             f"normal form residual {max(residual_a, residual_b):.3e} exceeds {RESIDUAL_FAIL:g}",
-            residual=max(residual_a, residual_b),
         )
     lambdas.setflags(write=False)
     T.setflags(write=False)

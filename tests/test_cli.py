@@ -323,6 +323,43 @@ def test_cli_overflowing_leaf_prints_only_its_failure(tmp_path, capsys):
     )
 
 
+def test_cli_leaf_solve_whose_square_overflows_names_r(tmp_path, capsys):
+    E = Polynomial.monomial(1, (2,), (2,), 0, 0.5)
+    doc_in = {
+        "model": model_doc([0.1], E=E),
+        "data": {"builtin": "identity"},
+        "r": 1e300,
+        "points": [{"re": 0.0, "im": 0.0}],
+    }
+    code, out, err = run(capsys, ["leaf-extend", write_json(tmp_path / "in.json", doc_in)])
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("crextend: numerical failure: leaf solve at r = 1e+300: r^2 overflows ")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        QuadricModel(A=np.array([[1, 0.3j], [-0.3j, 1]]), B=np.array([[0.1, 0.05], [0.05, 0.2]])),
+        normal_form_model([0.2]),
+        normal_form_model([0.1, 0.3]),
+    ],
+    ids=["congruent-n2", "nf-0.2", "nf-0.1-0.3"],
+)
+@pytest.mark.parametrize("obstructed", [False, True])
+def test_cli_extend_at_scale_1e200_reports_its_verdict(tmp_path, capsys, model, obstructed):
+    # squared coefficients overflow here: the residuals must stay finite and quiet
+    z1, w = Polynomial.z(model.n, 0), Polynomial.w(model.n)
+    f = 1e200 * (z1 * z1 * z1 + w * z1 + w * w).substitute_w(q_polynomial(model))
+    if obstructed:
+        f = f + 1e200 * Polynomial.zbar(model.n)
+    path = write_json(tmp_path / "in.json", {"model": model.to_json_dict(), "f": poly_doc(f)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["extend", path])
+    assert code == 0 and err == "" and caught == []
+    assert json.loads(out)["status"] == ("NotExtendible" if obstructed else "Extended")
+
+
 def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsys, monkeypatch):
     # a diagonal Q is divided, not solved as a graded block: zbar1^40 at n = 10
     # has no quotient, so P is empty and degree 40 fails without any power of

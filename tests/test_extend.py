@@ -698,3 +698,56 @@ def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
             res = extend_general(mono(3, (14, 0, 0)) + bad, m)
         assert res.status == "NotExtendible" and res.certificate.degree == d0
         assert sum(other == Q for other in calls) <= d0 // 2 - 1
+
+
+# A congruent n = 2 model: complex off-diagonal A, so Q is not even in each
+# coordinate and every degree is one dense least-squares solve.
+CONGRUENT_N2 = QuadricModel(A=np.array([[1, 0.3j], [-0.3j, 1]]), B=np.array([[0.1, 0.05], [0.05, 0.2]]))
+SCALE_MODELS = pytest.mark.parametrize(
+    "model",
+    [CONGRUENT_N2, normal_form_model([0.2]), normal_form_model([0.1, 0.3])],
+    ids=["congruent-n2", "nf-0.2", "nf-0.1-0.3"],
+)
+
+
+def cubic_P(n):
+    """P = z1^3 + w z1 + w^2."""
+    z1, w = Polynomial.z(n, 0), Polynomial.w(n)
+    return z1 * z1 * z1 + w * z1 + w * w
+
+
+@SCALE_MODELS
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e160, 1e200, 1e250])
+def test_extend_general_at_scales_whose_squares_overflow(model, scale):
+    # the residual and the noise rule square coefficients: at 1e155 a plain
+    # norm overflows, which pruned all of P, and at 1e200 it gave residual inf
+    P = cubic_P(model.n)
+    f = scale * P.substitute_w(q_polynomial(model))
+    res = extend_general(f, model)
+    assert res.extended and (res.P - scale * P).max_coeff() < 1e-9 * scale
+    assert np.isfinite(res.residual)
+    obstructed = extend_general(f + scale * Polynomial.zbar(model.n), model)
+    assert obstructed.status == "NotExtendible" and obstructed.certificate.degree == 1
+    assert np.isfinite(obstructed.residual) and obstructed.residual > 0.1 * scale
+
+
+@pytest.mark.parametrize(
+    "model, c, tol",
+    [
+        # no normal form, so no named condition
+        (CONGRUENT_N2, 1.0, DEFAULT_EXTEND_TOL),
+        # X f's largest coefficient is 2e-13, below CR_ZERO_TOL = 1e-12
+        (normal_form_model([0.1, 0.3]), 1e-13, 1e-15),
+        # the involution deviation is 1.1e-11, below INVOLUTION_TOL = 1e-10
+        (normal_form_model([0.3]), 1e-12, 1e-15),
+    ],
+    ids=["congruent-n2", "nf-0.1-0.3", "nf-0.3"],
+)
+def test_unnamed_obstruction_gives_a_bare_certificate(model, c, tol):
+    zb = Polynomial.zbar(model.n)
+    f = cubic_P(model.n).substitute_w(q_polynomial(model)) + c * zb * zb
+    res = extend_general(f, model, tol=tol)
+    assert res.status == "NotExtendible" and res.P is None
+    cert = res.certificate
+    assert (cert.degree, cert.condition, cert.detail) == (2, None, {})
+    assert cert.residual == res.residual > 0
