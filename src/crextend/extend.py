@@ -6,8 +6,9 @@ Because Q is homogeneous of degree 2, matching the degree-d part of f only
 involves monomials z^alpha w^k with |alpha| + 2k = d, so the problem splits
 into one problem per degree.  On a diagonal Q (every normal form) P comes
 from exact division by dQ/dzbar_1, and only a degree that does not match
-is solved again by least squares; on any other Q each degree is one dense
-least-squares solve.  A failing degree is reported together with its
+is solved again by least squares, unless its certificate already proves
+that the least-squares residual fails; on any other Q each degree is one
+dense least-squares solve.  A failing degree is reported together with its
 residual and, when the model is in normal form, the structural obstruction
 behind it.
 """
@@ -19,8 +20,8 @@ from math import comb, factorial, hypot, inf, isfinite, isnan, prod
 
 import numpy as np
 
-from .errors import InputError, NotElliptic, NumericalFailure
-from .moments import cr_check
+from .errors import InputError, NotElliptic
+from .moments import cr_violations
 from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
 from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_polynomial
 
@@ -60,12 +61,18 @@ class DegreeReport:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Obstruction record for a NotExtendible verdict."""
+    """Obstruction record for a NotExtendible verdict.
+
+    lower_bound, when not None, is a proven lower bound on the least-squares
+    residual of the failing degree, read off the named condition (see
+    _structural_certificate).
+    """
 
     degree: int
     residual: float
     condition: str | None = None  # named structural condition when known
     detail: dict = field(default_factory=dict)
+    lower_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -121,23 +128,38 @@ def _structural_certificate(f, model, degree, residual):
     """Attach the named obstruction when the model's normal form exposes one.
 
     f is the part of the data in the failing degree; the model is elliptic.
+    Every coefficient of X f (the first violated CR field, n >= 2) is y . f
+    for a functional y that vanishes on each P(z, Q), so |y . f| <= |y|_2
+    times the least-squares residual, and |y|_2 <= d (|rho_j|_1 +
+    |rho_ell|_1) with |.|_1 the sum of coefficient moduli: lower_bound is
+    max |X f|, less a rounding allowance of NOISE_ULPS units, over that
+    norm.  At n = 1 with no z^2 term in Q every P(z, Q) has only terms
+    z^j zbar^k with j >= k, so lower_bound is the largest |coefficient|
+    with j < k.  Any other certificate has no lower_bound.
     """
-    condition, detail = None, {}
+    condition, detail, lower_bound = None, {}, None
     ok, lambdas = is_normal_form(model)
     if ok and model.n >= 2:
-        violations = cr_check(f, model)
-        if violations:
-            condition, detail = "CR field X f != 0", violations[0].to_json_dict()
+        violation = next(cr_violations(f, model), None)
+        if violation:
+            condition, detail = "CR field X f != 0", violation.to_json_dict()
+            rho = q_polynomial(model)
+            mass = sum(float(np.abs(rho.partial_derivative("zbar", j).coeffs).sum()) for j in detail["pair"])
+            norm_y = degree * mass
+            allowance = NOISE_ULPS * np.finfo(float).eps * norm_y * f.max_coeff()
+            lower_bound = max(0.0, violation.field_applied.max_coeff() - allowance) / norm_y
     elif ok and lambdas[0] <= 1e-12:
         bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])  # terms z^j zbar^k with j < k, in graded order
         if len(bad):
-            return _monomial_certificate(degree, residual, tuple(f.exps[bad[0], :2].tolist()))
+            certificate = _monomial_certificate(degree, residual, tuple(f.exps[bad[0], :2].tolist()))
+            exact = not model.B.any()  # no z^2 term in Q
+            return replace(certificate, lower_bound=float(np.abs(f.coeffs[bad]).max()) if exact else None)
     elif ok:
         lam = float(lambdas[0])
         invariant, deviation = check_involution_invariance(f, lam)
         if not invariant:
             condition, detail = "not involution-invariant", {"deviation": deviation, "lambda": lam}
-    return Certificate(degree=degree, residual=residual, condition=condition, detail=detail)
+    return Certificate(degree, residual, condition, detail, lower_bound)
 
 
 def _block_shape(n, d):
@@ -340,31 +362,27 @@ def _divided_P(f, Q):
     return rows, x, bound, remainder
 
 
-def _division_degrees(f, Q, bounds, recheck):
-    """Per degree of f: P_d from _divided_P and the residual P_d(z, Q) - f_d.
+def _division_degrees(f, powers, bounds):
+    """Per degree of f: P_d from _divided_P of Q = powers.q and the residual P_d(z, Q) - f_d.
 
     Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
     each degree d of f.  Coefficients below NOISE_ULPS units of their
     rounding bound are left out of x.  The report's residual is the 2-norm
-    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under one QPowers
-    of Q (each Q power built when a degree first needs it) and f_d's rows,
-    summed by sorted_runs; its condition is the recurrence's growth factor,
-    the largest rounding bound of P_d over its largest coefficient (at
-    least 1, and 1 for an empty P_d); its remainder is the division's.
+    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under powers (each
+    Q power built when a degree first needs it) and f_d's rows, summed by
+    sorted_runs; its condition is the recurrence's growth factor, the
+    largest rounding bound of P_d over its largest coefficient (at least 1,
+    and 1 for an empty P_d); its remainder is the division's.
 
     The division's P_d need not minimise the residual: on data off the
     image it can exceed the least-squares minimum by a factor that grows
     with the degree and |mu| (about 1000 at n = 1, lambda = 0.49, degree
-    20).  So a degree whose residual exceeds recheck is solved again by
-    _dense_degree on the same QPowers, by parity class, which gives it the
-    least-squares residual, condition and P_d, when its graded block fits
-    MAX_GRADED_ENTRIES; beyond that the division's residual stands.
+    20).  extend_general decides which degrees are solved again.
     """
     n = f.n
-    rows, x, bound, remainder = _divided_P(f, Q)
+    rows, x, bound, remainder = _divided_P(f, powers.q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
-    powers = QPowers(Q)
     for d in range(len(bounds) - 1):
         lo, hi = bounds[d], bounds[d + 1]
         if lo == hi:
@@ -378,12 +396,7 @@ def _division_degrees(f, Q, bounds, recheck):
         vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
         order, starts = sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
-        residual = _norm(R)
-        if residual > recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
-            P_rows, P_x, largest, report = _dense_degree(f, powers, d, lo, hi)
-            yield P_rows, P_x, largest, replace(report, remainder=float(remainder[d]))
-            continue
-        report = DegreeReport(degree=d, residual=residual, condition=condition, remainder=float(remainder[d]))
+        report = DegreeReport(degree=d, residual=_norm(R), condition=condition, remainder=float(remainder[d]))
         yield P_rows, P_x, float(np.abs(R).max()), report
 
 
@@ -394,19 +407,23 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
     the degree-d part of f.  When every term of Q is even in each coordinate
     (_even_coordinates; A and B diagonal: every normal form and every n = 1
-    model), P comes from exact division (_divided_P), and a degree whose
-    residual exceeds the warning floor below is solved again by least
-    squares (_division_degrees); any other Q gets one dense least-squares
+    model), P comes from exact division (_division_degrees), and a degree
+    whose residual exceeds the warning floor below is solved again by least
+    squares (_dense_degree, by parity class, on the same QPowers) when its
+    block fits MAX_GRADED_ENTRIES; any other Q gets one dense least-squares
     solve per degree (_dense_degree, whose classes read the same test: one
-    class).  Either way a degree's verdict and warning rest on the
-    least-squares residual wherever its block fits MAX_GRADED_ENTRIES, and
-    each residual is an overflow-safe 2-norm (_norm), finite for data of any
-    finite scale.  Degrees are gated in ascending order: the failure
-    threshold for a degree's residual is tol * (1 + max |coeff f|), and
-    residuals inside (1e-11, tol) of that scale pass with a conditioning
+    class).  Each residual is an overflow-safe 2-norm (_norm), finite for
+    data of any finite scale.  Degrees are gated in ascending order: the
+    failure threshold for a degree's residual is tol * (1 + max |coeff f|),
+    and residuals inside (1e-11, tol) of that scale pass with a conditioning
     warning.  The first failing degree ends the run with a certificate built
-    from f's part in that degree.  The reported residual is the largest
-    coefficient of P(z, Q) - f over the degrees.
+    from f's part in that degree.  On the division route that certificate
+    is built first, and when its lower_bound on the least-squares residual
+    reaches the threshold the degree fails on the division's residual and
+    growth factor with no least-squares solve; otherwise a degree's verdict
+    and warning rest on the least-squares residual wherever its block fits.
+    The reported residual is the largest coefficient of P(z, Q) - f over
+    the degrees.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -428,10 +445,11 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     threshold = tol * scale
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
-    if _even_coordinates(Q) and len(f.coeffs):
-        degrees = _division_degrees(f, Q, bounds, CONDITIONING_WARN_FLOOR * scale)
+    powers = QPowers(Q)
+    division = _even_coordinates(Q) and len(f.coeffs)
+    if division:
+        degrees = _division_degrees(f, powers, bounds)
     else:
-        powers = QPowers(Q)
         degrees = (
             _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
             for d in range(len(bounds) - 1)
@@ -441,14 +459,22 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for rows, x, largest, report in degrees:
-        d, residual = report.degree, report.residual
+        d, residual, certificate = report.degree, report.residual, None
+        recheck = division and residual > CONDITIONING_WARN_FLOOR * scale
+        if recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
+            if residual >= threshold:
+                certificate = _structural_certificate(f.homogeneous_part(d), model, d, residual)
+            if certificate is None or certificate.lower_bound is None or certificate.lower_bound < threshold:
+                rows, x, largest, dense = _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
+                report, residual = replace(dense, remainder=report.remainder), dense.residual
         if residual >= threshold:
             reports.append(replace(report, warning=None))
+            certificate = certificate or _structural_certificate(f.homogeneous_part(d), model, d, residual)
             return ExtensionResult(
                 status="NotExtendible",
                 P=None,
                 residual=residual,
-                certificate=_structural_certificate(f.homogeneous_part(d), model, d, residual),
+                certificate=replace(certificate, residual=residual),
                 degree_reports=tuple(reports),
             )
         if report.warning is None and residual > CONDITIONING_WARN_FLOOR * scale:
@@ -491,13 +517,18 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
     n = 1 quadric with invariant lambda' = |sum_j lambda_j v_j^2| after a
     rotation of xi; the restricted data is extended from scratch there and
     compared with P restricted to the same rotated line.  Returns the
-    maximum coefficient deviation over all directions.
+    maximum coefficient deviation over all directions.  A model with some
+    lambda_j >= 1/2 is not elliptic and is refused (NotElliptic) before any
+    slice; otherwise every lambda' <= max lambda_j is below 1/2.
     """
     if not P.is_holomorphic():
         raise InputError("slice_oracle: P must be holomorphic (no zbar terms)")
     ok, lambdas = is_normal_form(model)
     if not ok:
         raise InputError("slice_oracle: model must be in Bishop normal form")
+    if lambdas.max() >= 0.5:
+        j = int(lambdas.argmax())
+        raise NotElliptic(f"slice_oracle: invariant lambda_{j + 1} = {lambdas[j]} is at least 1/2, not elliptic")
     max_dev = 0.0
     for v in directions:
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -510,11 +541,6 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
         mu = complex(np.sum(lambdas * v**2))
         lam_prime = abs(mu)
         rotation = 0.0 if lam_prime == 0 else -np.angle(mu) / 2
-        if lam_prime >= 0.5 - 1e-10:
-            raise NumericalFailure(
-                f"slice_oracle: restricted invariant {lam_prime} is not elliptic "
-                "(cannot happen for an elliptic ambient model)"
-            )
         sliced_model = QuadricModel(A=np.eye(1), B=np.array([[lam_prime]]))
         f_v = _restrict(f, v, rotation)
         result = extend_general(f_v, sliced_model)

@@ -322,9 +322,17 @@ def cr_check(f: Polynomial, model: QuadricModel):
     """Apply every tangential CR field to f symbolically (n >= 2).
 
     The fields are X = rho_zbar_j d/dzbar_ell - rho_zbar_ell d/dzbar_j
-    for j < ell, with rho = Q + E.  Returns the list of violations; f is
-    a CR function on the model exactly when the list is empty.
+    for j < ell, with rho = Q + E.  Returns the list of violations, pairs
+    (j, ell) in ascending order; f is a CR function on the model exactly
+    when the list is empty.  cr_violations yields the same violations one
+    at a time, so a caller that needs only the first applies no further
+    field.
     """
+    return list(cr_violations(f, model))
+
+
+def cr_violations(f: Polynomial, model: QuadricModel):
+    """The violations of cr_check, generated pair by pair."""
     if model.n < 2:
         raise InputError("cr_check requires n >= 2; use moment conditions for n = 1")
     if f.n != model.n:
@@ -334,10 +342,8 @@ def cr_check(f: Polynomial, model: QuadricModel):
     rho = q_polynomial(model)
     rho_zb = [rho.partial_derivative("zbar", j) for j in range(model.n)]
     f_zb = [f.partial_derivative("zbar", j) for j in range(model.n)]
-    violations = []
     for j in range(model.n):
         for ell in range(j + 1, model.n):
             Xf = rho_zb[j] * f_zb[ell] - rho_zb[ell] * f_zb[j]
             if Xf.max_coeff() >= CR_ZERO_TOL:
-                violations.append(CRFieldViolation(j=j, ell=ell, field_applied=Xf))
-    return violations
+                yield CRFieldViolation(j=j, ell=ell, field_applied=Xf)

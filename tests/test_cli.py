@@ -385,6 +385,43 @@ def test_cli_extend_n10_zbar40_is_not_extendible_in_bounded_time(tmp_path, capsy
     assert [d["degree"] for d in report["degrees"]] == [40]
 
 
+def _extend_recording_lstsq(tmp_path, capsys, monkeypatch, doc):
+    """(report, lstsq calls, threshold) of `extend` on a corpus document."""
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: calls.append(args) or lstsq(*args, **kwargs))
+    code, out, err = run(capsys, [doc.command, write_json(tmp_path / "in.json", json.loads(doc.text)), *doc.flags])
+    assert code == 0 and err == ""
+    f = Polynomial.from_json_dict(json.loads(doc.text)["f"])
+    return json.loads(out), calls, extend.DEFAULT_EXTEND_TOL * (1 + f.max_coeff())
+
+
+def test_cli_extend_proven_obstruction_makes_no_least_squares_solve(tmp_path, capsys, monkeypatch):
+    # an obstructed n = 3 normal form: the CR-field certificate's lower bound
+    # passes the threshold, so the failing degree takes no dense solve and
+    # reports the division's residual
+    doc = perfbench_corpus().extend_doc(np.random.default_rng(5), 3, 8, "nf", d0=5)
+    report, calls, threshold = _extend_recording_lstsq(tmp_path, capsys, monkeypatch, doc)
+    cert = report["certificate"]
+    assert not calls and report["status"] == "NotExtendible"
+    assert (cert["degree"], cert["condition"]) == (5, "CR field X f != 0")
+    assert cert["lower_bound"] >= threshold
+    assert report["residual"] == cert["residual"] == report["degrees"][-1]["residual"] >= cert["lower_bound"]
+
+
+@pytest.mark.parametrize("n, kind, lam", [(1, "nf", 0.3), (2, "nn", None)], ids=["involution-0.3", "congruent-n2"])
+def test_cli_extend_unproven_obstruction_keeps_least_squares(tmp_path, capsys, monkeypatch, n, kind, lam):
+    # the involution (n = 1, lambda > 0) and a congruent model have no lower
+    # bound, so their failing degree's residual is the least-squares one
+    doc = perfbench_corpus().extend_doc(np.random.default_rng(9), n, 4, kind, d0=3, lam=lam)
+    report, calls, threshold = _extend_recording_lstsq(tmp_path, capsys, monkeypatch, doc)
+    cert = report["certificate"]
+    assert calls and report["status"] == "NotExtendible" and report["residual"] >= threshold
+    assert cert["lower_bound"] is None and cert["degree"] == 3
+    assert cert["condition"] == ("not involution-invariant" if kind == "nf" else None)
+    if kind == "nn":
+        assert cert["detail"] == {}
+
+
 @pytest.mark.parametrize("n, degree, kind", [(3, 14, "nf"), (3, 6, "nn")])
 def test_cli_extend_largest_corpus_shapes_sort_without_lexsort(tmp_path, capsys, monkeypatch, n, degree, kind):
     # the benchmark corpus's largest extend documents, a normal form at

@@ -21,6 +21,7 @@ from crextend.extend import (
     NOISE_ULPS,
     VERIFY_SAMPLES,
     _division_degrees,
+    _structural_certificate,
     check_involution_invariance,
 )
 from crextend.polyalg import monomials
@@ -240,6 +241,19 @@ def test_slice_oracle_random_directions():
         assert slice_oracle(f, m, P, dirs) < 1e-8
 
 
+def test_slice_oracle_refuses_a_hyperbolic_normal_form():
+    # lambda >= 1/2 is refused up front, naming the invariant, along every
+    # direction: e_1 at (0.3, 0.7) returned a deviation, e_2 and (0.6) raised
+    # NumericalFailure
+    z = Polynomial.z(1)
+    with pytest.raises(NotElliptic, match=r"lambda_1 = 0\.6 is at least 1/2"):
+        slice_oracle(z, normal_form_model([0.6]), z, [[1.0]])
+    z1 = Polynomial.z(2, 0)
+    for direction in ([1.0, 0.0], [0.0, 1.0]):
+        with pytest.raises(NotElliptic, match=r"lambda_2 = 0\.7 is at least 1/2"):
+            slice_oracle(z1, normal_form_model([0.3, 0.7]), z1, [direction])
+
+
 def test_verify_extension():
     m = normal_form_model([0.25])
     rho = q_polynomial(m)
@@ -383,11 +397,12 @@ def record_lstsq(monkeypatch):
 def test_division_matches_whole_block_solve(monkeypatch):
     # diagonal models (every n = 1 model among them) are divided, and only the
     # failing degree of obstructed data is solved again by least squares, one
-    # solve per parity class at n >= 2; a congruent model at n >= 2 keeps one
-    # solve of the whole block per degree; each solved degree has the
-    # reference's columns, rank, residual and condition
+    # solve per parity class at n >= 2, unless its certificate's lower bound
+    # proves the failure, which takes no solve; a congruent model at n >= 2
+    # keeps one solve of the whole block per degree; each solved degree has
+    # the reference's columns, rank, residual and condition
     rng = np.random.default_rng(59)
-    statuses, dense = set(), 0
+    statuses, dense, proven = set(), 0, 0
     for n in (1, 2, 3):
         lambdas = random_lambdas(rng, n)
         models = {
@@ -405,7 +420,13 @@ def test_division_matches_whole_block_solve(monkeypatch):
                 status, whole = whole_block_solve(data, m)
                 statuses.add(assert_matches_reference(data, m))
                 divided = kind != "congruent" or n == 1
-                if divided:
+                threshold = DEFAULT_EXTEND_TOL * (1 + data.max_coeff())
+                bound = res.certificate.lower_bound if res.certificate else None
+                if bound is not None and bound >= threshold:
+                    proven += 1
+                    assert not calls and status == "NotExtendible" and res.certificate.degree == whole[-1][0]
+                    assert res.residual >= whole[-1][4] and threshold <= bound <= whole[-1][4]
+                elif divided:
                     # the failing degree alone, one solve per parity class with rows
                     assert bool(calls) == (status == "NotExtendible") and len(calls) <= 2 ** (n - 1), (n, kind)
                     if calls:  # together the classes span the whole block
@@ -424,7 +445,60 @@ def test_division_matches_whole_block_solve(monkeypatch):
                     if res.P is not None:
                         got = np.array([coeffs.get((*a, *(0,) * n, k), 0) for a, k in basis])
                         assert np.max(np.abs(got - x)) <= 1e-13 * np.linalg.norm(x)
-    assert statuses == {"Extended", "NotExtendible"} and dense == 4
+    assert statuses == {"Extended", "NotExtendible"} and dense == 4 and proven > 0
+
+
+def random_part(rng, n, d, nterms, holomorphic=False):
+    """nterms random terms of degree d (weighted, z^alpha w^k, when holomorphic)."""
+    if holomorphic:
+        rows = [(*a, *(0,) * n, k) for k in range(d // 2 + 1) for a in monomials(n, d - 2 * k)]
+    else:
+        rows = [(*a, *b, 0) for j in range(d + 1) for a in monomials(n, j) for b in monomials(n, d - j)]
+    pick = rng.choice(len(rows), size=min(nterms, len(rows)), replace=False)
+    coeffs = rng.standard_normal(len(pick)) + 1j * rng.standard_normal(len(pick))
+    return Polynomial(n, np.array([rows[i] for i in pick], dtype=np.int64), coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_lower_bound_is_below_the_least_squares_residual(n):
+    # f_d = P_d(z, Q) plus terms off the image (zbar_1^d among them), from
+    # 1e-6 to 1 of P_d's size, at every degree up to 10 and some twice:
+    # the certificate's lower_bound never exceeds the whole-block
+    # least-squares residual (lambda = 0 at n = 1, where the bound is exact)
+    rng = np.random.default_rng(101 + n)
+    ratios = []
+    for d in (*range(1, 11), *range(1, 11, 3)):
+        m = normal_form_model([0.0] if n == 1 else rng.choice([0.0, 0.25, 0.49], n))
+        f = random_part(rng, n, d, 6, holomorphic=True).substitute_w(q_polynomial(m))
+        off = random_part(rng, n, d, 3) + mono(n, (0,) * n, (d, *(0,) * (n - 1)))  # zbar_1^d: obstructed
+        f = f + 10.0 ** rng.uniform(-6, 0) * off
+        _, whole = whole_block_solve(f, m)
+        residual = whole[-1][4]
+        bound = _structural_certificate(f, m, d, residual).lower_bound
+        assert bound is not None and bound <= residual * (1 + 1e-12), (d, bound, residual)
+        ratios.append(bound / residual)
+    assert max(ratios) > 0.1  # the bound is not vacuous
+
+
+def test_a_bound_below_the_threshold_leaves_the_verdict_to_least_squares(monkeypatch):
+    # f_1 = c zbar_1 at n = 2, lambda = 0: the least-squares residual is c and
+    # X f = -c z_2, over |y|_2 <= 1 * (1 + 1), gives lower_bound c / 2.  At
+    # c = 1.5 threshold the bound does not decide and least squares fails the
+    # degree as before; at 3 threshold the bound decides without a solve.
+    m = normal_form_model([0.0, 0.0])
+    base = cubic_P(2).substitute_w(q_polynomial(m))
+    for size, solved in ((1.5, True), (3.0, False)):
+        c = size * DEFAULT_EXTEND_TOL * (1 + base.max_coeff())
+        f = base + c * Polynomial.zbar(2)
+        with monkeypatch.context() as patch:
+            calls = record_lstsq(patch)
+            res = extend_general(f, m)
+        status, whole = whole_block_solve(f, m)
+        assert bool(calls) == solved
+        assert res.status == status == "NotExtendible" and res.certificate.degree == whole[-1][0] == 1
+        assert res.certificate.condition == "CR field X f != 0"
+        assert res.certificate.lower_bound == pytest.approx(c / 2, rel=1e-12)
+        assert res.residual == res.certificate.residual == pytest.approx(whole[-1][4], rel=1e-12)
 
 
 def test_dense_block_only_for_non_diagonal_models(monkeypatch):
@@ -608,7 +682,7 @@ def division_residual_map(m, d):
     for j, row in enumerate(rows):
         f = Polynomial(n, np.array([row]), [1.0])
         bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(d + 2))
-        (P_rows, P_x, _, _), = _division_degrees(f, Q, bounds, recheck=np.inf)
+        (P_rows, P_x, _, _), = _division_degrees(f, polyalg.QPowers(Q), bounds)
         for e, c in term_dict(Polynomial(n, P_rows, P_x).substitute_w(Q) - f).items():
             R[index[(*e.alpha, *e.beta, 0)], j] += c
     return R, np.array(rows)
