@@ -9,7 +9,7 @@ from exact division by dQ/dzbar_1, and only a degree that does not match
 is solved again by least squares, unless its certificate already proves
 that the least-squares residual fails; on any other Q each degree is one
 dense least-squares solve.  A failing degree is reported together with its
-residual and, when the model is in normal form, the structural obstruction
+residual and, when the model exposes one, the structural obstruction
 behind it.
 """
 
@@ -125,30 +125,33 @@ def _graded_basis(n, d):
 
 
 def _structural_certificate(f, model, degree, residual):
-    """Attach the named obstruction when the model's normal form exposes one.
+    """Attach the named obstruction when the model exposes one.
 
     f is the part of the data in the failing degree; the model is elliptic.
-    Every coefficient of X f (the first violated CR field, n >= 2) is y . f
-    for a functional y that vanishes on each P(z, Q), so |y . f| <= |y|_2
-    times the least-squares residual, and |y|_2 <= d (|rho_j|_1 +
+    At n >= 2 on a Q even in each coordinate (A and B diagonal) it is the
+    first violated CR field X.  Every coefficient of X f is y . f for a
+    functional y that vanishes on each P(z, Q), for any Q, so |y . f| <=
+    |y|_2 times the least-squares residual, and |y|_2 <= d (|rho_j|_1 +
     |rho_ell|_1) with |.|_1 the sum of coefficient moduli: lower_bound is
     max |X f|, less a rounding allowance of NOISE_ULPS units, over that
-    norm.  At n = 1 with no z^2 term in Q every P(z, Q) has only terms
-    z^j zbar^k with j >= k, so lower_bound is the largest |coefficient|
-    with j < k.  Any other certificate has no lower_bound.
+    norm.  A congruent model's certificate stays bare (ROADMAP item 7).
+    At n = 1 on a normal form with no z^2 term in Q every P(z, Q) has only
+    terms z^j zbar^k with j >= k, so lower_bound is the largest
+    |coefficient| with j < k.  Any other certificate has no lower_bound.
     """
     condition, detail, lower_bound = None, {}, None
-    ok, lambdas = is_normal_form(model)
-    if ok and model.n >= 2:
-        violation = next(cr_violations(f, model), None)
+    if model.n >= 2:
+        rho = q_polynomial(model)
+        violation = _even_coordinates(rho) and next(cr_violations(f, model), None)
         if violation:
             condition, detail = "CR field X f != 0", violation.to_json_dict()
-            rho = q_polynomial(model)
             mass = sum(float(np.abs(rho.partial_derivative("zbar", j).coeffs).sum()) for j in detail["pair"])
             norm_y = degree * mass
             allowance = NOISE_ULPS * np.finfo(float).eps * norm_y * f.max_coeff()
             lower_bound = max(0.0, violation.field_applied.max_coeff() - allowance) / norm_y
-    elif ok and lambdas[0] <= 1e-12:
+        return Certificate(degree, residual, condition, detail, lower_bound)
+    ok, lambdas = is_normal_form(model)
+    if ok and lambdas[0] <= 1e-12:
         bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])  # terms z^j zbar^k with j < k, in graded order
         if len(bad):
             certificate = _monomial_certificate(degree, residual, tuple(f.exps[bad[0], :2].tolist()))

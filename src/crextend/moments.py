@@ -89,11 +89,14 @@ class LeafGrid:
 
     Built once per (model, N): it checks that the model has n = 1, is in
     normal form with lam < 1/2, and that N is a power of two >= 64, and
-    holds theta, e^(i theta), base = 1 + 2 lam cos 2theta, the closed-form
-    profile phi0 = base^(-1/2), which is exact for E = 0, and E with E_z.
+    holds theta, e^(i theta), base = 1 + 2 lam cos 2theta and the
+    closed-form profile phi0 = base^(-1/2), which is exact for E = 0.
     Without E every leaf's profile is phi0, so phi0, its Fourier
     derivative and its residual are formed here once; with E, leaf(r)
-    runs Newton from phi0 for that leaf alone.
+    runs Newton from phi0 for that leaf alone.  On the leaf z = r phi
+    e^(i theta), E = sum_d (r phi)^d G_d with the real angular parts
+    G_d = Re sum_(a+b=d) c_ab e^(i (a-b) theta); G holds them, row d - 3
+    for degree d, 3 <= d <= deg E.
     """
 
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
@@ -116,7 +119,17 @@ class LeafGrid:
             self.residual0 = float(np.max(np.abs(self.phi0**2 * self.base - 1.0)))
             _read_only(self.phi0_theta)
         else:
-            self.Ez = self.E.partial_derivative("z")
+            a, b = self.E.exps[:, 0], self.E.exps[:, 1]
+            # Re(c e^(-i k theta)) = Re(conj(c) e^(i k theta)): one coefficient per degree and k = |a - b|
+            angular = np.zeros((int((a + b).max()) - 2, int(np.abs(a - b).max()) + 1), dtype=complex)
+            np.add.at(angular, (a + b - 3, np.abs(a - b)), np.where(a >= b, self.E.coeffs, self.E.coeffs.conj()))
+            self.G = np.zeros((len(angular), N))
+            turn = np.ones(N, dtype=complex)  # e^(i k theta), by repeated multiplication
+            for column in angular.T:
+                for d in np.flatnonzero(column):
+                    self.G[d] += column[d].real * turn.real - column[d].imag * turn.imag
+                turn = turn * self.eit
+            _read_only(self.G)
         _read_only(self.theta, self.eit, self.base, self.phi0)
 
     def leaf(self, r, tol=LEAF_RESIDUAL_TOL):
@@ -141,31 +154,43 @@ class LeafGrid:
     def _newton(self, r):
         """phi at label r and its residual, by Newton from phi0.
 
-        The loop ends at the first defect whose sup is below NEWTON_TOL;
-        that sup is the residual.  One set of power tables per pass serves
-        E and E_z.  E is real, so E_zbar = conj(E_z) and
-        dE/dphi = 2 r Re(E_z e^(i theta)).  Iterates that overflow are not
-        warned about: they never meet NEWTON_TOL, so the loop ends in the
-        LeafSolveError that reports the failure, as does an r^2 that overflows.
+        Each pass takes g and g' from _defect, with C_d = r^(d-2) G_d
+        scaled once per leaf; the first g whose sup is below NEWTON_TOL
+        ends the loop, and that sup is the residual.  An r whose square
+        overflows is refused by name; a larger power or an iterate that
+        overflows is not warned about: it never meets NEWTON_TOL, so the
+        loop ends in the LeafSolveError that reports the failure.
         """
         try:
-            r2 = r**2  # Python's pow, not r * r: about 1 in 1000 differs in the last bit
+            r**2  # only to refuse an r whose square overflows
         except OverflowError as exc:
             raise LeafSolveError(f"leaf solve at r = {r:g}: r^2 overflows {exc}") from exc
         phi = self.phi0
         with np.errstate(all="ignore"):
+            degrees = np.arange(3, len(self.G) + 3)
+            C = self.G * (np.float64(r) ** (degrees - 2))[:, None]
+            dC = C * degrees[:, None]
             for _ in range(NEWTON_MAX_ITER):
-                tables = self.E.power_tables((r * phi * self.eit)[..., None])
-                g = phi**2 * self.base - 1.0
-                g += self.E.sum_terms(tables).real / r2
+                g, dg = self._defect(phi, C, dC)
                 residual = float(np.max(np.abs(g)))
                 if residual < NEWTON_TOL:
                     return phi, residual
-                phi = phi - g / (2 * phi * self.base + 2 * (self.Ez.sum_terms(tables) * self.eit).real / r)
+                phi = phi - g / dg
         raise LeafSolveError(
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
             "(leaf may be outside the model's validity radius)"
         )
+
+    def _defect(self, phi, C, dC):
+        """g = phi^2 base - 1 + sum_d C_d phi^d and g' = dg/dphi at phi, by one Horner pass each.
+
+        Row d - 3 of C and dC holds C_d and d C_d.
+        """
+        h, dh = C[-1], dC[-1]  # sum_d C_d phi^(d-3) and sum_d d C_d phi^(d-3)
+        for c, dc in zip(C[-2::-1], dC[-2::-1]):
+            h = h * phi + c
+            dh = dh * phi + dc
+        return phi * phi * (self.base + phi * h) - 1.0, phi * (2 * self.base + phi * dh)
 
 
 def solve_leaf(

@@ -562,7 +562,11 @@ def _real(x):
 
 _ZEROS = [[_real(0.0)] * 2] * 2
 # Q^2 overflows at A = 1e200; on both routes the overflowing power used to
-# reach lstsq, whose LAPACK error lines went to file descriptor 1
+# reach lstsq, whose LAPACK error lines went to file descriptor 1.  At n = 2
+# on the division route the CR-field certificate proves degree 24 first
+# (X f = -1.2e201 z1^12 z2 zb1^11 over |y|_2 <= 24 * 2e200), so that run ends
+# NotExtendible, exit 0; the n = 1 model is not a normal form, no certificate
+# decides its degree, and the division route still refuses Q^2 there.
 OVERFLOWING_Q = {
     "n1-division": (
         {"n": 1, "A": [[_real(1e200)]], "B": [[_real(0.0)]]},
@@ -580,10 +584,19 @@ OVERFLOWING_Q = {
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_Q))
-def test_cli_overflowing_q_power_is_refused_before_any_solve(tmp_path, capfd, name):
+def test_cli_overflowing_q_power_is_refused_before_any_solve(tmp_path, capfd, monkeypatch, name):
     model, f = OVERFLOWING_Q[name]
+    solves, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(args) or lstsq(*args, **kwargs))
     code = main(["extend", write_json(tmp_path / "in.json", {"model": model, "f": poly_doc(f)})])
     out, err = capfd.readouterr()  # file descriptors 1 and 2, where LAPACK writes too
+    if name == "n2-division":
+        report = json.loads(out)
+        assert code == 0 and err == "" and solves == [] and report["status"] == "NotExtendible"
+        assert report["certificate"]["degree"] == 24
+        assert report["certificate"]["condition"] == "CR field X f != 0"
+        assert report["certificate"]["lower_bound"] == pytest.approx(0.25, rel=1e-12)
+        return
     assert code == 3 and out == ""
     assert err == "crextend: numerical failure: q^2, substituted for w^2, has a non-finite coefficient\n"
 

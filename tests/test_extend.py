@@ -501,6 +501,27 @@ def test_a_bound_below_the_threshold_leaves_the_verdict_to_least_squares(monkeyp
         assert res.residual == res.certificate.residual == pytest.approx(whole[-1][4], rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonal_models_off_normal_form_prove_their_obstructions(monkeypatch, n):
+    # X = rho_j d/dzbar_l - rho_l d/dzbar_j kills P(z, Q) for every Q, so on
+    # A = 2I and on a complex diagonal B the CR field names the obstruction and
+    # bounds the least-squares residual as on a normal form: a bound at the
+    # threshold or above fails the degree with no least-squares solve
+    rng = np.random.default_rng(67 + n)
+    lambdas = np.diag(random_lambdas(rng, n))
+    for m in (QuadricModel(A=2 * np.eye(n), B=lambdas), QuadricModel(A=np.eye(n), B=lambdas * np.exp(0.7j))):
+        off = random_part(rng, n, 3, 3) + mono(n, (0,) * n, (3, *(0,) * (n - 1)))  # zbar_1^3: obstructed
+        f = random_holomorphic(rng, n, 6).substitute_w(q_polynomial(m)) + 1e-3 * off
+        with monkeypatch.context() as patch:
+            calls = record_lstsq(patch)
+            res = extend_general(f, m)
+        status, whole = whole_block_solve(f, m)
+        cert = res.certificate
+        assert res.status == status == "NotExtendible" and cert.degree == whole[-1][0] == 3
+        assert cert.condition == "CR field X f != 0" and not calls
+        assert DEFAULT_EXTEND_TOL * (1 + f.max_coeff()) <= cert.lower_bound <= whole[-1][4] * (1 + 1e-12)
+
+
 def test_dense_block_only_for_non_diagonal_models(monkeypatch):
     # n = 3, degree 16: every diagonal model divides without a least-squares solve
     calls = record_lstsq(monkeypatch)

@@ -103,8 +103,8 @@ def test_leaf_generic_real_E_matches_per_angle_roots():
 
 
 def test_leaf_E_with_tolerated_imaginary_part_converges():
-    # E is accepted as real within HERMITIAN_TOL; Newton's E_zbar = conj(E_z)
-    # is then off by that much and must still converge
+    # E is accepted as real within HERMITIAN_TOL; its angular parts G_d take
+    # the real part, as the defect does, and Newton must still converge
     rng = np.random.default_rng(89)
     E = _generic_real_E(rng, 0.1) + Polynomial.monomial(1, (3,), (0,), 0, 1e-13j)
     m = normal_form_model([0.1], E=E)
@@ -112,6 +112,80 @@ def test_leaf_E_with_tolerated_imaginary_part_converges():
         leaf = solve_leaf(m, r, 256)
         rho = eval_on_grid(q_polynomial(m), leaf.points()).real
         assert np.max(np.abs(rho - leaf.level)) / leaf.level < 1e-12
+
+
+def _real_E(rng, degrees, size, nterms=6):
+    """p + conj(p) for random terms z^a zbar^b with a + b drawn from degrees."""
+    p = Polynomial.zero(1)
+    for _ in range(nterms):
+        d = int(rng.choice(degrees))
+        a = int(rng.integers(0, d + 1))
+        p = p + Polynomial.monomial(1, (a,), (d - a,), 0, size * random_coeff(rng))
+    return p + p.conjugate()
+
+
+E_DEGREES = {"3 to 8": tuple(range(3, 9)), "6 only": (6,), "odd only": (3, 5, 7)}
+
+
+@pytest.mark.parametrize("degrees", sorted(E_DEGREES))
+def test_polar_form_of_E_is_E_on_the_leaf(degrees):
+    # at z = u e^(i theta), u = r phi: sum_d u^d G_d = Re E, and the Horner
+    # defect and slope of the grid are phi^2 base - 1 + Re E / r^2 and
+    # 2 phi base + 2 Re(E_z e^(i theta)) / r, each within rounding of the
+    # coefficient mass sum |c_ab| u^(a+b) (times a + b for the slope)
+    rng = np.random.default_rng(113)
+    N = 512
+    for lam in LAMBDA_CHOICES:
+        E = _real_E(rng, E_DEGREES[degrees], 0.3)
+        grid = moments.LeafGrid(normal_form_model([lam], E=E), N)
+        d = np.arange(3, len(grid.G) + 3)
+        assert len(grid.G) == max(E_DEGREES[degrees]) - 2
+        for r in (0.05, 0.3, 1.5):
+            phi = grid.phi0 * rng.uniform(0.8, 1.2, N)
+            u = r * phi
+            top = np.abs(E.coeffs) * u.max() ** E.exps[:, :2].sum(axis=1)
+            z = (u * grid.eit)[:, None]
+            values = E.evaluate(z)
+            assert np.max(np.abs(sum(u**k * G for k, G in zip(d, grid.G)) - values.real)) <= 1e-14 * top.sum()
+            C = grid.G * r ** (d - 2.0)[:, None]
+            g, slope = grid._defect(phi, C, C * d[:, None])
+            g_ref = phi**2 * grid.base - 1.0 + values.real / r**2
+            slope_ref = 2 * phi * grid.base + 2 * (E.partial_derivative("z").evaluate(z) * grid.eit).real / r
+            assert np.max(np.abs(g - g_ref)) <= 1e-14 * (4 + top.sum() / r**2)
+            mass = (E.exps[:, :2].sum(axis=1) * top).sum() / u.max()
+            assert np.max(np.abs(slope - slope_ref)) <= 1e-14 * (8 + mass / r)
+
+
+@pytest.mark.parametrize("degrees", sorted(E_DEGREES))
+def test_leaf_with_E_up_to_degree_8_stays_on_its_level_set(degrees):
+    rng = np.random.default_rng(127)
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam], E=_real_E(rng, E_DEGREES[degrees], 0.3 * (1 - 2 * lam) ** 2))
+        for r in (0.05, 0.1, 0.2):
+            leaf = solve_leaf(m, r, 512)
+            rho = eval_on_grid(q_polynomial(m), leaf.points()).real
+            assert np.max(np.abs(rho - leaf.level)) / leaf.level < 1e-12
+
+
+def test_leaf_newton_builds_no_power_tables(monkeypatch):
+    # a grid with E solves its ladder from G alone: no power tables, no term
+    # sums and no E_z; its exact slope keeps Newton quadratic, at most 7
+    # passes a leaf on this ladder (3 to 7 measured)
+    calls = []
+    for cls, name in ((Polynomial, "power_tables"), (Polynomial, "sum_terms"), (moments.LeafGrid, "_defect")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name, lambda self, *args, name=name, method=method: calls.append(name) or method(self, *args)
+        )
+    rng = np.random.default_rng(131)
+    for lam in LAMBDA_CHOICES:
+        grid = moments.LeafGrid(normal_form_model([lam], E=_generic_real_E(rng, lam)), 512)
+        assert not hasattr(grid, "Ez")
+        for r in LADDER:
+            calls.clear()
+            leaf = grid.leaf(r)
+            assert set(calls) == {"_defect"} and len(calls) <= 7, (lam, r, calls)
+            assert not np.array_equal(leaf.phi, grid.phi0)
 
 
 def test_eval_on_grid_is_evaluate():
