@@ -23,7 +23,15 @@ import numpy as np
 from .errors import InputError, NotElliptic
 from .moments import cr_violations
 from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
-from .quadform import QuadricModel, classify, default_radii, is_normal_form, q_polynomial
+from .quadform import (
+    ELLIPTIC_MARGIN,
+    QuadricModel,
+    _classify_lambdas,
+    classify,
+    default_radii,
+    is_normal_form,
+    q_polynomial,
+)
 
 DEFAULT_EXTEND_TOL = 1e-9
 CONDITIONING_WARN_FLOOR = 1e-11
@@ -88,15 +96,6 @@ class ExtensionResult:
         return self.status == "Extended"
 
 
-def _monomial_certificate(degree, residual, offending):
-    return Certificate(
-        degree=degree,
-        residual=residual,
-        condition="monomial z^j zbar^k with j < k",
-        detail={"offending": offending},
-    )
-
-
 def check_involution_invariance(f: Polynomial, lam):
     """(invariant?, max coefficient deviation) under zbar <- -z/lam - zbar.
 
@@ -154,9 +153,10 @@ def _structural_certificate(f, model, degree, residual):
     if ok and lambdas[0] <= 1e-12:
         bad = np.flatnonzero(f.exps[:, 0] < f.exps[:, 1])  # terms z^j zbar^k with j < k, in graded order
         if len(bad):
-            certificate = _monomial_certificate(degree, residual, tuple(f.exps[bad[0], :2].tolist()))
-            exact = not model.B.any()  # no z^2 term in Q
-            return replace(certificate, lower_bound=float(np.abs(f.coeffs[bad]).max()) if exact else None)
+            condition = "monomial z^j zbar^k with j < k"
+            detail = {"offending": tuple(f.exps[bad[0], :2].tolist())}
+            if not model.B.any():  # no z^2 term in Q
+                lower_bound = float(np.abs(f.coeffs[bad]).max())
     elif ok:
         lam = float(lambdas[0])
         invariant, deviation = check_involution_invariance(f, lam)
@@ -520,18 +520,23 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
     n = 1 quadric with invariant lambda' = |sum_j lambda_j v_j^2| after a
     rotation of xi; the restricted data is extended from scratch there and
     compared with P restricted to the same rotated line.  Returns the
-    maximum coefficient deviation over all directions.  A model with some
-    lambda_j >= 1/2 is not elliptic and is refused (NotElliptic) before any
-    slice; otherwise every lambda' <= max lambda_j is below 1/2.
+    maximum coefficient deviation over all directions.  A model that is
+    not elliptic by quadform's rule (some lambda_j >= 1/2 - ELLIPTIC_MARGIN)
+    is refused (NotElliptic) before any slice; otherwise every
+    lambda' <= max lambda_j is elliptic too.
     """
     if not P.is_holomorphic():
         raise InputError("slice_oracle: P must be holomorphic (no zbar terms)")
     ok, lambdas = is_normal_form(model)
     if not ok:
         raise InputError("slice_oracle: model must be in Bishop normal form")
-    if lambdas.max() >= 0.5:
+    if _classify_lambdas(lambdas) != "elliptic":
         j = int(lambdas.argmax())
-        raise NotElliptic(f"slice_oracle: invariant lambda_{j + 1} = {lambdas[j]} is at least 1/2, not elliptic")
+        raise NotElliptic(
+            f"slice_oracle: invariant lambda_{j + 1} = {lambdas[j]} "
+            f"is at least 1/2 - {ELLIPTIC_MARGIN:g}, not elliptic",
+            eigenvalue=float(lambdas[j]),
+        )
     max_dev = 0.0
     for v in directions:
         v = np.asarray(v, dtype=complex).reshape(-1)

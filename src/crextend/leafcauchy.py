@@ -241,7 +241,6 @@ class ZDerivReport:
     ok: bool
     max_fz: float
     sup_bound: float
-    margin: float
 
 
 def zderiv_bound_check(data: BoundaryData, leaf: LeafParametrization, interior_points) -> ZDerivReport:
@@ -270,5 +269,4 @@ def zderiv_bound_check(data: BoundaryData, leaf: LeafParametrization, interior_p
         ok=max_fz <= sup_bound + ZDERIV_SLACK,
         max_fz=max_fz,
         sup_bound=sup_bound,
-        margin=sup_bound + ZDERIV_SLACK - max_fz,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, LeafSolveError, NotElliptic, NumericalError
 from .polyalg import DEGREE_CAP, Polynomial
-from .quadform import QuadricModel, default_radii, is_normal_form, q_polynomial
+from .quadform import QuadricModel, _classify_lambdas, default_radii, is_normal_form, q_polynomial
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
@@ -88,7 +88,8 @@ class LeafGrid:
     """The theta grid of one n = 1 model in Bishop normal form, shared by its leaves.
 
     Built once per (model, N): it checks that the model has n = 1, is in
-    normal form with lam < 1/2, and that N is a power of two >= 64, and
+    normal form and elliptic (lam < 1/2 by quadform's ELLIPTIC_MARGIN
+    rule), and that N is a power of two >= 64, and
     holds theta, e^(i theta), base = 1 + 2 lam cos 2theta and the
     closed-form profile phi0 = base^(-1/2), which is exact for E = 0.
     Without E every leaf's profile is phi0, so phi0, its Fourier
@@ -106,7 +107,7 @@ class LeafGrid:
         if not ok:
             raise InputError("solve_leaf: model must be in Bishop normal form (A = I, B = diag)")
         lam = float(lambdas[0])
-        if lam >= 0.5 - 1e-10:
+        if _classify_lambdas(lambdas) != "elliptic":
             raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
         _check_grid_size(N)
         self.theta = 2 * np.pi * np.arange(N) / N
@@ -154,12 +155,13 @@ class LeafGrid:
     def _newton(self, r):
         """phi at label r and its residual, by Newton from phi0.
 
-        Each pass takes g and g' from _defect, with C_d = r^(d-2) G_d
-        scaled once per leaf; the first g whose sup is below NEWTON_TOL
-        ends the loop, and that sup is the residual.  An r whose square
-        overflows is refused by name; a larger power or an iterate that
-        overflows is not warned about: it never meets NEWTON_TOL, so the
-        loop ends in the LeafSolveError that reports the failure.
+        Each pass takes g from _defect, with C_d = r^(d-2) G_d scaled
+        once per leaf; the first g whose sup is below NEWTON_TOL ends the
+        loop, and that sup is the residual.  Only a pass that goes on to
+        step forms g', from _slope.  An r whose square overflows is
+        refused by name; a larger power or an iterate that overflows is
+        not warned about: it never meets NEWTON_TOL, so the loop ends in
+        the LeafSolveError that reports the failure.
         """
         try:
             r**2  # only to refuse an r whose square overflows
@@ -171,26 +173,29 @@ class LeafGrid:
             C = self.G * (np.float64(r) ** (degrees - 2))[:, None]
             dC = C * degrees[:, None]
             for _ in range(NEWTON_MAX_ITER):
-                g, dg = self._defect(phi, C, dC)
+                g = self._defect(phi, C)
                 residual = float(np.max(np.abs(g)))
                 if residual < NEWTON_TOL:
                     return phi, residual
-                phi = phi - g / dg
+                phi = phi - g / self._slope(phi, dC)
         raise LeafSolveError(
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
             "(leaf may be outside the model's validity radius)"
         )
 
-    def _defect(self, phi, C, dC):
-        """g = phi^2 base - 1 + sum_d C_d phi^d and g' = dg/dphi at phi, by one Horner pass each.
-
-        Row d - 3 of C and dC holds C_d and d C_d.
-        """
-        h, dh = C[-1], dC[-1]  # sum_d C_d phi^(d-3) and sum_d d C_d phi^(d-3)
-        for c, dc in zip(C[-2::-1], dC[-2::-1]):
+    def _defect(self, phi, C):
+        """g = phi^2 base - 1 + sum_d C_d phi^d at phi, by one Horner pass; row d - 3 of C is C_d."""
+        h = C[-1]  # sum_d C_d phi^(d-3)
+        for c in C[-2::-1]:
             h = h * phi + c
+        return phi * phi * (self.base + phi * h) - 1.0
+
+    def _slope(self, phi, dC):
+        """g' = dg/dphi at phi, by one Horner pass; row d - 3 of dC is d C_d."""
+        dh = dC[-1]  # sum_d d C_d phi^(d-3)
+        for dc in dC[-2::-1]:
             dh = dh * phi + dc
-        return phi * phi * (self.base + phi * h) - 1.0, phi * (2 * self.base + phi * dh)
+        return phi * (2 * self.base + phi * dh)
 
 
 def solve_leaf(

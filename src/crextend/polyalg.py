@@ -208,10 +208,6 @@ class Polynomial:
         """Total degree (w counted once); -1 for the zero polynomial."""
         return int(self.exps.sum(axis=1).max()) if len(self.coeffs) else -1
 
-    def weighted_degree(self):
-        """Weighted degree of the last row, the largest in graded order."""
-        return int(self.exps[-1].sum() + self.exps[-1, -1]) if len(self.coeffs) else -1
-
     def max_coeff(self):
         """Largest coefficient modulus, 0 for the zero polynomial."""
         return float(np.abs(self.coeffs).max()) if len(self.coeffs) else 0.0
@@ -402,15 +398,15 @@ class Polynomial:
         exps[:, col] -= 1
         return Polynomial._wrap(self.n, *_prune(exps, power[keep] * self.coeffs[keep]))
 
-    def power_tables(self, z, w=0.0):
-        """Power tables of the columns z_j, zbar_j and w at points z of shape (..., n).
+    def evaluate(self, z, w=0.0):
+        """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
 
-        zbar is the actual conjugate of z; for n = 1 a scalar is one point,
-        and w broadcasts over the point shape.  Each column gets one table
-        of its powers up to its largest exponent in this polynomial, by
-        repeated multiplication (entry 0 unused).  sum_terms of this
-        polynomial, or of one whose exponents are no larger column by column
-        (a derivative of it), reads its values from them.
+        For n = 1 a scalar is one point; w broadcasts over the point shape.
+        Returns a complex for one point, else an array.  Each column (z_j,
+        zbar_j, w) gets one table of its powers up to its largest exponent,
+        by repeated multiplication, and the terms are summed one at a time
+        in graded order, so memory is the tables plus one term, never a
+        points x terms array.
         """
         n = self.n
         z = np.asarray(z, dtype=complex)
@@ -421,34 +417,17 @@ class Polynomial:
                 f"evaluate: expected points with {n} coordinates, got shape {z.shape}"
             )
         zb = np.conj(z)
-        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)]
-        columns.append(np.asarray(w, dtype=complex))
+        w = np.asarray(w, dtype=complex)
+        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [w]
         tops = self.exps.max(axis=0, initial=0).tolist()
-        return [_powers(x, top) for x, top in zip(columns, tops)]
-
-    def sum_terms(self, tables):
-        """The values at the points of power_tables' tables, summed one term at a time.
-
-        Each term is c * z^alpha * zbar^beta * w^k from the tables, so memory
-        is the tables plus one term, never a points x terms array.
-        """
-        total = np.zeros(np.broadcast(tables[0][1], tables[-1][1]).shape, dtype=complex)
+        tables = [_powers(x, top) for x, top in zip(columns, tops)]
+        total = np.zeros(np.broadcast(columns[0], w).shape, dtype=complex)
         for row, c in self.terms:
             val = c
             for table, e in zip(tables, row):
                 if e:
                     val = val * table[e]
             total += val
-        return total
-
-    def evaluate(self, z, w=0.0):
-        """Evaluate at points z of shape (..., n); zbar is the actual conjugate of z.
-
-        For n = 1 a scalar is one point; w broadcasts over the point shape.
-        Returns a complex for one point, else an array: sum_terms over this
-        polynomial's power_tables.
-        """
-        total = self.sum_terms(self.power_tables(z, w))
         return complex(total) if total.ndim == 0 else total
 
     # -- serialization -------------------------------------------------------

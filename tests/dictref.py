@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from crextend import InputError, Polynomial
-from crextend.extend import ExtensionResult, _monomial_certificate
+from crextend.extend import Certificate, ExtensionResult
 from crextend.polyalg import ZERO_THRESHOLD
 
 
@@ -95,7 +95,9 @@ def extend_lambda0(f):
             status="NotExtendible",
             P=None,
             residual=residual,
-            certificate=_monomial_certificate(d, residual, offending),
+            certificate=Certificate(
+                d, residual, "monomial z^j zbar^k with j < k", {"offending": offending}
+            ),
         )
     P = from_terms(1, {((e.alpha[0] - e.beta[0],), (0,), e.beta[0]): c for e, c in terms.items()})
     rho = Polynomial.monomial(1, (1,), (1,), 0)

@@ -14,6 +14,7 @@ from conftest import (
     random_polynomial,
     random_unit_vector,
 )
+import crextend.extend as extend_module
 import crextend.polyalg as polyalg
 from crextend.extend import (
     CONDITIONING_WARN_FLOOR,
@@ -32,6 +33,7 @@ from crextend import (
     NotElliptic,
     Polynomial,
     QuadricModel,
+    classify,
     extend_general,
     normal_form_model,
     q_polynomial,
@@ -252,6 +254,18 @@ def test_slice_oracle_refuses_a_hyperbolic_normal_form():
     for direction in ([1.0, 0.0], [0.0, 1.0]):
         with pytest.raises(NotElliptic, match=r"lambda_2 = 0\.7 is at least 1/2"):
             slice_oracle(z1, normal_form_model([0.3, 0.7]), z1, [direction])
+
+
+def test_slice_oracle_refuses_what_classify_calls_parabolic(monkeypatch):
+    # lambda = 1/2 - 5e-11 is parabolic by quadform's margin rule, so it is
+    # refused up front, as classify sees it, before any slice is extended
+    m = normal_form_model([0.1, 0.5 - 5e-11])
+    assert classify(m).classification == "parabolic"
+    monkeypatch.setattr(extend_module, "extend_general", lambda *args: pytest.fail("a slice was solved"))
+    z1 = Polynomial.z(2, 0)
+    with pytest.raises(NotElliptic, match=r"^slice_oracle: invariant lambda_2 = 0\.49999999995 ") as info:
+        slice_oracle(z1, m, z1, [[0.0, 1.0]])
+    assert info.value.eigenvalue == 0.5 - 5e-11
 
 
 def test_verify_extension():

@@ -148,7 +148,7 @@ def test_polar_form_of_E_is_E_on_the_leaf(degrees):
             values = E.evaluate(z)
             assert np.max(np.abs(sum(u**k * G for k, G in zip(d, grid.G)) - values.real)) <= 1e-14 * top.sum()
             C = grid.G * r ** (d - 2.0)[:, None]
-            g, slope = grid._defect(phi, C, C * d[:, None])
+            g, slope = grid._defect(phi, C), grid._slope(phi, C * d[:, None])
             g_ref = phi**2 * grid.base - 1.0 + values.real / r**2
             slope_ref = 2 * phi * grid.base + 2 * (E.partial_derivative("z").evaluate(z) * grid.eit).real / r
             assert np.max(np.abs(g - g_ref)) <= 1e-14 * (4 + top.sum() / r**2)
@@ -167,12 +167,13 @@ def test_leaf_with_E_up_to_degree_8_stays_on_its_level_set(degrees):
             assert np.max(np.abs(rho - leaf.level)) / leaf.level < 1e-12
 
 
-def test_leaf_newton_builds_no_power_tables(monkeypatch):
-    # a grid with E solves its ladder from G alone: no power tables, no term
-    # sums and no E_z; its exact slope keeps Newton quadratic, at most 7
-    # passes a leaf on this ladder (3 to 7 measured)
+def test_leaf_newton_evaluates_no_polynomial(monkeypatch):
+    # a grid with E solves its ladder from G alone: no polynomial evaluation
+    # and no E_z; its exact slope keeps Newton quadratic, at most 7 passes a
+    # leaf on this ladder (3 to 7 measured), and the slope is formed only
+    # for a pass that steps, so every leaf makes one more defect than slope
     calls = []
-    for cls, name in ((Polynomial, "power_tables"), (Polynomial, "sum_terms"), (moments.LeafGrid, "_defect")):
+    for cls, name in ((Polynomial, "evaluate"), (moments.LeafGrid, "_defect"), (moments.LeafGrid, "_slope")):
         method = getattr(cls, name)
         monkeypatch.setattr(
             cls, name, lambda self, *args, name=name, method=method: calls.append(name) or method(self, *args)
@@ -184,7 +185,9 @@ def test_leaf_newton_builds_no_power_tables(monkeypatch):
         for r in LADDER:
             calls.clear()
             leaf = grid.leaf(r)
-            assert set(calls) == {"_defect"} and len(calls) <= 7, (lam, r, calls)
+            defects = calls.count("_defect")
+            assert set(calls) == {"_defect", "_slope"} and defects <= 7, (lam, r, calls)
+            assert calls.count("_slope") == defects - 1 and calls[-1] == "_defect", (lam, r, calls)
             assert not np.array_equal(leaf.phi, grid.phi0)
 
 
