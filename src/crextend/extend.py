@@ -5,10 +5,12 @@ means there is a holomorphic polynomial P(z, w) with P(z, Q(z, zbar)) = f.
 Because Q is homogeneous of degree 2, matching the degree-d part of f only
 involves monomials z^alpha w^k with |alpha| + 2k = d, so the problem splits
 into one problem per degree.  On a diagonal Q (every normal form) P comes
-from exact division by dQ/dzbar_1, and only a degree that does not match
-is solved again by least squares, unless its certificate already proves
-that the least-squares residual fails; on any other Q each degree is one
-dense least-squares solve.  A failing degree is reported together with its
+from exact division by dQ/dzbar_1 for every degree at once, and the
+degrees are checked in ascending batches, each P_d(z, Q) - f_d of a batch
+expanded and summed together; only a degree that does not match is solved
+again by least squares, unless its certificate already proves that the
+least-squares residual fails.  On any other Q each degree is one dense
+least-squares solve.  A failing degree is reported together with its
 residual and, when the model exposes one, the structural obstruction
 behind it.
 """
@@ -20,7 +22,8 @@ from math import comb, factorial, hypot, inf, isfinite, isnan, prod
 
 import numpy as np
 
-from .errors import InputError, NotElliptic
+from . import polyalg
+from .errors import InputError, NotElliptic, NumericalFailure
 from .moments import cr_violations
 from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
 from .quadform import (
@@ -52,6 +55,15 @@ NOISE_ULPS = 256
 # it); it solves a degree densely only to recheck a residual above the
 # warning floor, and only when that degree's block fits.
 MAX_GRADED_ENTRIES = 2**24
+# Most image entries one batch of the division's gate expands (_division_degrees).
+# Measured with extend_general on the 102 extend documents of the benchmark
+# corpus extend-graded, seeds 7-8, blocks 0-2 (best of 15, one BLAS thread,
+# 2-vCPU Xeon VM): 278 ms with one degree per batch, 225-228 ms for every
+# bound from 2**8 to 2**12.  Larger batches speed up extendible data (n = 3,
+# degree 10: 10.1 ms at 2**8, 8.7 ms at 2**12) and slow obstructions found
+# at a low degree, which expand the rest of their batch for nothing (n = 3,
+# degree 14: 16.1 and 18.0 ms).  2**9 sits between.
+GATE_ENTRIES = 2**9
 
 
 @dataclass(frozen=True)
@@ -371,11 +383,24 @@ def _division_degrees(f, powers, bounds):
     Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
     each degree d of f.  Coefficients below NOISE_ULPS units of their
     rounding bound are left out of x.  The report's residual is the 2-norm
-    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under powers (each
-    Q power built when a degree first needs it) and f_d's rows, summed by
-    sorted_runs; its condition is the recurrence's growth factor, the
-    largest rounding bound of P_d over its largest coefficient (at least 1,
-    and 1 for an empty P_d); its remainder is the division's.
+    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under powers and
+    f_d's rows, summed by sorted_runs; its condition is the recurrence's
+    growth factor, the largest rounding bound of P_d over its largest
+    coefficient (at least 1, and 1 for an empty P_d); its remainder is the
+    division's.
+
+    The degrees are gated in ascending groups, each expanded by one images,
+    sorted_runs and reduceat and then split by degree: the runs come in
+    graded order, so each degree's are one slice, summed in the order a
+    degree alone would sum them.  A group takes the next degree while its
+    image entries stay within GATE_ENTRIES (and MAX_TERM_PAIRS), counted
+    with the size of each built Q power and the number of monomials of its
+    degree for one not yet built.  The first degree of a group always
+    joins, so a degree of more than MAX_TERM_PAIRS entries is refused
+    (InputError) alone, with its own count.  A later degree whose Q power
+    cannot be built (an overflow, NumericalFailure, or a product beyond the
+    pair limit) closes the group before it and meets that error alone, so
+    a failing degree ends the run before anything above it can.
 
     The division's P_d need not minimise the residual: on data off the
     image it can exceed the least-squares minimum by a factor that grows
@@ -385,22 +410,56 @@ def _division_degrees(f, powers, bounds):
     n = f.n
     rows, x, bound, remainder = _divided_P(f, powers.q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
+    degrees = np.flatnonzero(np.diff(bounds))  # P has rows in these degrees only
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
-    for d in range(len(bounds) - 1):
-        lo, hi = bounds[d], bounds[d + 1]
-        if lo == hi:
-            continue
-        p0, p1 = wdeg[d], wdeg[d + 1]
-        keep = np.flatnonzero(x[p0:p1]) + p0
-        P_rows, P_x = rows[keep], x[keep]
-        condition = max(1.0, bound[p0:p1].max() / np.abs(P_x).max()) if len(keep) else 1.0
+    keep = np.flatnonzero(x)
+    cut = np.searchsorted(keep, wdeg)  # P_d's kept rows are keep[cut[d]:cut[d + 1]]
+    ks = rows[keep, -1]
+    # per degree of f by reduceat: P has rows in those degrees only, so each
+    # segment ends where the next one starts, and a sentinel closes the last
+    nonempty = cut[degrees + 1] > cut[degrees]
+    top = np.maximum.reduceat(np.append(ks, 0), cut[degrees]) * nonempty  # the highest Q power P_d needs
+    bmax = np.maximum.reduceat(np.append(bound, 0), wdeg[degrees])
+    xmax = np.maximum.reduceat(np.append(np.abs(x), 0), wdeg[degrees])
+    # terms of Q^k: at most the monomials of degree 2k in z, zbar until it is built
+    upper = np.array([comb(2 * k + 2 * n - 1, 2 * n - 1) for k in range(int(top.max()) + 1)], dtype=float)
+    limit = min(GATE_ENTRIES, polyalg.MAX_TERM_PAIRS)
+    i = 0
+    while i < len(degrees):
+        built = min(len(upper), len(powers.size))
+        sizes = np.concatenate((powers.size[:built], upper[built:]))
+        cost = np.append(0, np.cumsum(sizes[ks]))
+        cost = cost[cut[degrees[i:] + 1]] - cost[cut[degrees[i]]]  # entries of degrees i, i + 1, ... together
+        j = i + max(1, int(np.searchsorted(cost, limit, side="right")))
+        for g in range(i, j):
+            try:
+                powers.grow(top[g])
+            except (InputError, NumericalFailure):
+                if g == i:
+                    raise
+                j = g
+                break
+        da, db = degrees[i], degrees[j - 1]
+        lo, hi = bounds[da], bounds[db + 1]
+        batch = keep[cut[da] : cut[db + 1]]
+        P_rows, P_x = rows[batch], x[batch]
         entries, src, count = powers.images(P_rows, "extend_general: P_d(z, Q)")
         entries = np.concatenate((entries, f.exps[lo:hi]))
         vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
         order, starts = sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
-        report = DegreeReport(degree=d, residual=_norm(R), condition=condition, remainder=float(remainder[d]))
-        yield P_rows, P_x, float(np.abs(R).max()), report
+        split = np.searchsorted(entries[order[starts]].sum(axis=1), degrees[i:j], side="right")
+        largest = np.maximum.reduceat(np.abs(R), np.append(0, split[:-1]))
+        r0 = 0
+        for g, r1, big in zip(range(i, j), split.tolist(), largest.tolist()):
+            d = int(degrees[g])
+            p0, p1 = cut[d] - cut[da], cut[d + 1] - cut[da]
+            condition = max(1.0, bmax[g] / xmax[g]) if nonempty[g] else 1.0
+            residual = _norm(R[r0:r1])
+            report = DegreeReport(degree=d, residual=residual, condition=condition, remainder=float(remainder[d]))
+            yield P_rows[p0:p1], P_x[p0:p1], big, report
+            r0 = r1
+        i = j
 
 
 def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -> ExtensionResult:
@@ -560,20 +619,19 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
 
 
 def verify_extension(P: Polynomial, f: Polynomial, model: QuadricModel, seed=0):
-    """Max of |P(z, rho(z)) - f(z)| over VERIFY_SAMPLES random z in the ball of radius default_radii(model)."""
+    """Max of |P(z, rho(z)) - f(z)| over VERIFY_SAMPLES random z in the ball of radius default_radii(model).
+
+    The points are uniform in the ball: from the generator seeded with seed,
+    one standard_normal draw gives every sample's direction (a row of 2n
+    normals: Re z, then Im z) and one uniform draw every radius t^(1/2n).
+    """
     if not P.is_holomorphic():
         raise InputError("verify_extension: P must be holomorphic")
-    rho = q_polynomial(model)
-    radius = default_radii(model)
-    rng = np.random.default_rng(seed)
     n = model.n
-    draws = []
-    for _ in range(VERIFY_SAMPLES):
-        direction = rng.standard_normal(2 * n)
-        direction /= np.linalg.norm(direction)
-        t = rng.uniform() ** (1.0 / (2 * n))
-        draws.append(radius * t * direction)
-    zr = np.reshape(draws, (VERIFY_SAMPLES, 2 * n))
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((VERIFY_SAMPLES, 2 * n))
+    t = rng.uniform(size=VERIFY_SAMPLES) ** (1.0 / (2 * n))
+    zr = directions * (default_radii(model) * t / np.linalg.norm(directions, axis=1))[:, None]
     z = zr[:, :n] + 1j * zr[:, n:]
-    err = np.abs(P.evaluate(z, rho.evaluate(z).real) - f.evaluate(z))
+    err = np.abs(P.evaluate(z, q_polynomial(model).evaluate(z).real) - f.evaluate(z))
     return float(np.max(err, initial=0.0))

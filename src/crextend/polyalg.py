@@ -486,6 +486,21 @@ class QPowers:
         self.exps, self.vals = one.exps, one.coeffs
         self.start, self.size = np.zeros(1, np.int64), np.ones(1, np.int64)
 
+    def grow(self, top):
+        """Build every power up to q^top.  A power with a non-finite coefficient
+        is refused (NumericalFailure naming k) and not kept, so asking for it
+        again meets the same refusal."""
+        while len(self.size) <= top:
+            last = self.last * self.q if len(self.size) > 1 else self.last
+            if not np.isfinite(last.coeffs).all():
+                k = len(self.size)
+                raise NumericalFailure(f"q^{k}, substituted for w^{k}, has a non-finite coefficient")
+            self.last = last
+            self.start = np.append(self.start, len(self.vals))
+            self.size = np.append(self.size, len(last.coeffs))
+            self.exps = np.concatenate((self.exps, last.exps))
+            self.vals = np.concatenate((self.vals, last.coeffs))
+
     def images(self, rows, what=None):
         """(entries, src, count) of the rows alpha | beta | k of terms z^alpha zbar^beta w^k.
 
@@ -494,20 +509,11 @@ class QPowers:
         entries.  Given what, more than MAX_TERM_PAIRS entries in all are
         refused (InputError naming what) before they are formed.  A power
         with a non-finite coefficient is refused (NumericalFailure naming k)
-        as it is built, so no inf or nan reaches a caller's solve.
+        as it is built (grow), so no inf or nan reaches a caller's solve.
         """
         p = 2 * self.q.n
         ks = rows[:, -1]
-        while len(self.size) <= ks.max(initial=0):
-            if len(self.size) > 1:
-                self.last = self.last * self.q
-            if not np.isfinite(self.last.coeffs).all():
-                k = len(self.size)
-                raise NumericalFailure(f"q^{k}, substituted for w^{k}, has a non-finite coefficient")
-            self.start = np.append(self.start, len(self.vals))
-            self.size = np.append(self.size, len(self.last.coeffs))
-            self.exps = np.concatenate((self.exps, self.last.exps))
-            self.vals = np.concatenate((self.vals, self.last.coeffs))
+        self.grow(ks.max(initial=0))
         count = self.size[ks]
         total = int(count.sum())
         if what is not None:

@@ -15,6 +15,7 @@ perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,29 @@ class QuadricModel:
     @property
     def n(self):
         return self.A.shape[0]
+
+    @cached_property
+    def rho(self):
+        """The defining function rho = Q + E as a Polynomial in z, zbar, built on first use.
+
+        The model and Polynomial are immutable, so every caller of one model
+        shares this one Polynomial.
+        """
+        n = self.n
+        unit = np.eye(n, dtype=np.int64)
+        zj, zk = np.repeat(unit, n, axis=0), np.tile(unit, (n, 1))  # row j * n + k: e_j and e_k
+        none = np.zeros((n * n, n), dtype=np.int64)
+        k0 = np.zeros((n * n, 1), dtype=np.int64)
+        exps = np.concatenate(
+            (
+                np.hstack((zj, zk, k0)),  # A_jk z_j zbar_k
+                np.hstack((zj + zk, none, k0)),  # B_jk z_j z_k
+                np.hstack((none, zj + zk, k0)),  # conj(B_jk) zbar_j zbar_k
+            )
+        )
+        coeffs = np.concatenate((self.A.ravel(), self.B.ravel(), self.B.conj().ravel()))
+        rho = Polynomial(n, exps, coeffs)
+        return rho if self.E is None else rho + self.E
 
     def to_json_dict(self):
         doc = {
@@ -287,24 +311,8 @@ def ellipticity_oracle(model: QuadricModel) -> bool:
 
 
 def q_polynomial(model: QuadricModel) -> Polynomial:
-    """The defining function rho = Q + E as a Polynomial in z, zbar."""
-    n = model.n
-    unit = np.eye(n, dtype=np.int64)
-    zj, zk = np.repeat(unit, n, axis=0), np.tile(unit, (n, 1))  # row j * n + k: e_j and e_k
-    none = np.zeros((n * n, n), dtype=np.int64)
-    k0 = np.zeros((n * n, 1), dtype=np.int64)
-    exps = np.concatenate(
-        (
-            np.hstack((zj, zk, k0)),  # A_jk z_j zbar_k
-            np.hstack((zj + zk, none, k0)),  # B_jk z_j z_k
-            np.hstack((none, zj + zk, k0)),  # conj(B_jk) zbar_j zbar_k
-        )
-    )
-    coeffs = np.concatenate((model.A.ravel(), model.B.ravel(), model.B.conj().ravel()))
-    rho = Polynomial(n, exps, coeffs)
-    if model.E is not None:
-        rho = rho + model.E
-    return rho
+    """The defining function rho = Q + E as a Polynomial in z, zbar (QuadricModel.rho)."""
+    return model.rho
 
 
 def is_normal_form(model: QuadricModel):

@@ -31,6 +31,7 @@ from dictref import extend_lambda0, from_terms, term_dict
 from crextend import (
     InputError,
     NotElliptic,
+    NumericalFailure,
     Polynomial,
     QuadricModel,
     classify,
@@ -278,18 +279,22 @@ def test_verify_extension():
     assert verify_extension(P, f, m, seed=1) == verify_extension(P, f, m, seed=1)
 
 
-def loop_verify(P, f, model, seed):
-    """Reference for verify_extension: one point at a time, same draws."""
-    rho = q_polynomial(model)
-    radius = default_radii(model)
+def verify_points(model, seed):
+    """verify_extension's sample points as (samples, 2n) rows Re z | Im z: every
+    direction from one standard_normal draw, then every radius from one uniform draw."""
     rng = np.random.default_rng(seed)
     n = model.n
+    directions = rng.standard_normal((VERIFY_SAMPLES, 2 * n))
+    t = rng.uniform(size=VERIFY_SAMPLES) ** (1.0 / (2 * n))
+    return [default_radii(model) * t[i] * (v / np.linalg.norm(v)) for i, v in enumerate(directions)]
+
+
+def loop_verify(P, f, model, seed):
+    """Reference for verify_extension's evaluation: one point at a time, the same draws."""
+    rho = q_polynomial(model)
+    n = model.n
     worst = 0.0
-    for _ in range(VERIFY_SAMPLES):
-        direction = rng.standard_normal(2 * n)
-        direction /= np.linalg.norm(direction)
-        t = rng.uniform() ** (1.0 / (2 * n))
-        zr = radius * t * direction
+    for zr in verify_points(model, seed):
         z = [complex(zr[j], zr[n + j]) for j in range(n)]
         w = loop_evaluate(rho, z).real
         worst = max(worst, abs(loop_evaluate(P, z, w) - loop_evaluate(f, z)))
@@ -306,6 +311,66 @@ def test_verify_extension_matches_loop_reference():
             ref = loop_verify(P, f, m, seed)
             assert ref > 1e-8  # the perturbation is seen
             assert verify_extension(P, f, m, seed=seed) == pytest.approx(ref, rel=1e-10)
+
+
+def sampled_points(monkeypatch, P, f, model, seed):
+    """(value, points) of verify_extension: the points are those f is evaluated at."""
+    points = []
+    evaluate = Polynomial.evaluate
+
+    def recorded(self, z, w=0.0):
+        if self is f:
+            points.append(np.array(z))
+        return evaluate(self, z, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Polynomial, "evaluate", recorded)
+        value = verify_extension(P, f, model, seed=seed)
+    (z,) = points
+    return value, z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_samples_lie_in_the_closed_ball(monkeypatch, n):
+    rng = np.random.default_rng(41 + n)
+    m = QuadricModel(A=np.diag(rng.uniform(0.5, 2.0, n)), B=np.diag(random_lambdas(rng, n)) * 0.5)
+    P = random_holomorphic(rng, n, 5)
+    f = P.substitute_w(q_polynomial(m))
+    radius = default_radii(m)
+    for seed in range(5):
+        _, z = sampled_points(monkeypatch, P, f, m, seed)
+        assert z.shape == (VERIFY_SAMPLES, n)
+        moduli = np.linalg.norm(z, axis=1)
+        assert moduli.max() <= radius * (1 + 4 * np.finfo(float).eps)
+        assert moduli.max() > 0.5 * radius  # the samples fill the ball, not a point
+        expected = np.array(verify_points(m, seed))
+        assert np.allclose(z, expected[:, :n] + 1j * expected[:, n:], rtol=1e-14, atol=0)  # the same draws
+
+
+def test_verify_same_seed_same_points_and_value(monkeypatch):
+    rng = np.random.default_rng(43)
+    m = normal_form_model([0.1, 0.35])
+    P = random_holomorphic(rng, 2, 6)
+    f = P.substitute_w(q_polynomial(m)) + 1e-4 * random_polynomial(rng, 2, 3)
+    first, z1 = sampled_points(monkeypatch, P, f, m, 11)
+    second, z2 = sampled_points(monkeypatch, P, f, m, 11)
+    assert z1.tobytes() == z2.tobytes() and repr(first) == repr(second)
+    _, other = sampled_points(monkeypatch, P, f, m, 12)
+    assert not np.array_equal(z1, other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_catches_a_perturbed_P(n):
+    # an exact P verifies to rounding; P + 1e-6 (z_1 + w) is seen at every seed
+    rng = np.random.default_rng(47 + n)
+    m = normal_form_model(random_lambdas(rng, n))
+    res = extend_general(random_holomorphic(rng, n, 6).substitute_w(q_polynomial(m)), m)
+    P = res.P
+    f = P.substitute_w(q_polynomial(m))
+    wrong = P + 1e-6 * (Polynomial.z(n) + Polynomial.w(n))
+    for seed in range(5):
+        assert verify_extension(P, f, m, seed=seed) < 1e-12
+        assert verify_extension(wrong, f, m, seed=seed) > 1e-8
 
 
 def whole_block_solve(f, model, tol=1e-9):
@@ -807,6 +872,119 @@ def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
             res = extend_general(mono(3, (14, 0, 0)) + bad, m)
         assert res.status == "NotExtendible" and res.certificate.degree == d0
         assert sum(other == Q for other in calls) <= d0 // 2 - 1
+
+
+def per_degree_gate(f, powers, bounds):
+    """Reference for _division_degrees: the gate one degree at a time, each
+    degree's P_d(z, Q) - f_d expanded and summed on its own."""
+    n = f.n
+    rows, x, bound, remainder = extend_module._divided_P(f, powers.q)
+    x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
+    wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
+    for d in range(len(bounds) - 1):
+        lo, hi = bounds[d], bounds[d + 1]
+        if lo == hi:
+            continue
+        p0, p1 = wdeg[d], wdeg[d + 1]
+        keep = np.flatnonzero(x[p0:p1]) + p0
+        P_rows, P_x = rows[keep], x[keep]
+        condition = max(1.0, bound[p0:p1].max() / np.abs(P_x).max()) if len(keep) else 1.0
+        entries, src, count = powers.images(P_rows, "extend_general: P_d(z, Q)")
+        entries = np.concatenate((entries, f.exps[lo:hi]))
+        vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
+        order, starts = polyalg.sorted_runs(entries)
+        R = np.add.reduceat(vals[order], starts)
+        report = extend_module.DegreeReport(
+            degree=d, residual=extend_module._norm(R), condition=condition, remainder=float(remainder[d])
+        )
+        yield P_rows, P_x, float(np.abs(R).max()), report
+
+
+def assert_same_bits(res, ref):
+    """Two ExtensionResults with the same status, P arrays, reports and certificate, bit for bit."""
+    assert (res.status, repr(res.residual)) == (ref.status, repr(ref.residual))
+    assert (res.P is None) == (ref.P is None)
+    if res.P is not None:
+        assert res.P.exps.tobytes() == ref.P.exps.tobytes() and res.P.coeffs.tobytes() == ref.P.coeffs.tobytes()
+    assert repr(res.degree_reports) == repr(ref.degree_reports)
+    assert repr(res.certificate) == repr(ref.certificate)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_gate_matches_the_per_degree_gate_bit_for_bit(monkeypatch, n):
+    # extendible, obstructed (at a random degree) and near-threshold data on the
+    # diagonal models that take the division route; small and large batches
+    rng = np.random.default_rng(211 + n)
+    seen, warned = set(), False
+    for trial in range(12):
+        lambdas = random_lambdas(rng, n)
+        m = [
+            normal_form_model(lambdas),
+            QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas)),
+            QuadricModel(A=np.eye(n), B=np.diag(rng.uniform(0.05, 0.45, n)) * np.exp(0.7j)),
+        ][trial % 3]
+        top = (14, 12, 10)[n - 1]
+        f = random_holomorphic(rng, n, top, nterms=30).substitute_w(q_polynomial(m))
+        d0 = int(rng.integers(1, top + 1))
+        off = random_part(rng, n, d0, 2)
+        scale = DEFAULT_EXTEND_TOL * (1 + f.max_coeff()) / off.max_coeff()
+        for data in (f, f + 1e-3 * off, f + rng.uniform(0.05, 5) * scale * off):
+            for gate in (extend_module.GATE_ENTRIES, 2**16):
+                monkeypatch.setattr(extend_module, "GATE_ENTRIES", gate)
+                res = extend_general(data, m)
+                with monkeypatch.context() as patch:
+                    patch.setattr(extend_module, "_division_degrees", per_degree_gate)
+                    ref = extend_general(data, m)
+                assert_same_bits(res, ref)
+            seen.add(res.status)
+            warned = warned or any(r.warning for r in res.degree_reports)
+    assert seen == {"Extended", "NotExtendible"} and warned
+
+
+def dense_P(rng, n, d):
+    """Every z^alpha w^k with |alpha| + 2k <= d, with random coefficients."""
+    rows = [(*a, *(0,) * n, k) for e in range(d + 1) for k in range(e // 2 + 1) for a in monomials(n, e - 2 * k)]
+    return Polynomial(n, np.array(rows, dtype=np.int64), rng.standard_normal(len(rows)) + 0.5)
+
+
+def test_gate_forms_at_most_one_batch_past_an_early_obstruction(monkeypatch):
+    # a dense n = 3, degree-16 P(z, Q) with an obstruction at degree 2: the gate
+    # expands degrees above 2 only within the batch that holds degree 2
+    rng = np.random.default_rng(223)
+    m = normal_form_model([0.1, 0.2, 0.3])
+    P = dense_P(rng, 3, 16)
+    f = P.substitute_w(q_polynomial(m))
+    assert len(f.coeffs) > 10000
+    images = polyalg.QPowers.images
+    past = []
+
+    def counted(self, rows, what=None):
+        entries, src, count = images(self, rows, what)
+        past.append(int((entries.sum(axis=1) > 2).sum()))
+        return entries, src, count
+
+    monkeypatch.setattr(polyalg.QPowers, "images", counted)
+    res = extend_general(f + mono(3, (0, 0, 0), (2, 0, 0)), m)
+    assert res.status == "NotExtendible" and res.certificate.degree == 2
+    assert 0 < sum(past) <= extend_module.GATE_ENTRIES
+    past.clear()
+    res = extend_general(f, m)  # without the obstruction every degree is expanded
+    assert res.extended and (res.P - P).max_coeff() <= 1e-9 * P.max_coeff()
+    assert sum(past) > 100 * extend_module.GATE_ENTRIES
+
+
+def test_failing_degree_wins_over_a_later_overflowing_q_power():
+    # at A = 1e200 the gate's degree-4 P_4 = c w^2 needs Q^2, whose coefficients
+    # overflow; a failing degree 1 in the same batch still ends the run NotExtendible
+    m = QuadricModel(A=[[1e200]], B=[[2e199]])
+    f = Polynomial(1, np.array([[2, 2, 0]]), [1e100])  # P_4 = 1e-300 w^2 + ...
+    assert extend_module.GATE_ENTRIES >= 1 + comb(5, 1)  # Q^2 has at most 5 terms: one batch
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalFailure, match=r"^q\^2, substituted for w\^2, has a non-finite coefficient$"):
+            extend_general(f, m)
+        res = extend_general(f + 1e100 * Polynomial.zbar(1), m)
+    assert res.status == "NotExtendible" and res.certificate.degree == 1
+    assert [r.degree for r in res.degree_reports] == [1]
 
 
 # A congruent n = 2 model: complex off-diagonal A, so Q is not even in each

@@ -1,13 +1,17 @@
-"""One sha256 per benchmark-corpus document of what crextend.cli.main reports.
+"""sha256 digests, field by field, of what crextend.cli.main reports on the benchmark corpus.
 
     python3 tools/report_digest.py TREE OUT
 
 Runs every document of perfbench/corpus.py (each workload, seeds 1-2,
 blocks 0-2: 1020 documents) through crextend.cli.main of the checkout at
-TREE, in this process, and writes to OUT one line per document:
-workload, seed, block, index, the sha256 of its exit code, standard
-output and standard error, and the document's kind.  Two checkouts give
-the same reports when their OUT files are equal (`diff a.txt b.txt`).
+TREE, in this process, and writes to OUT one line per document and part
+of its outcome: workload, seed, block, index, the part, the sha256 of that
+part, and the document's kind.  The parts are `exit` (the exit code),
+`stderr`, `stdout` (the whole standard output) and, when standard output
+is one JSON object, each of its top-level fields by name (its value as
+canonical JSON).  Two checkouts give the same reports when their OUT files
+are equal, and `diff a.txt b.txt` names the documents and fields that
+moved.
 
 BLAS runs on one thread, fixed before numpy loads, and every document is
 read from the same path, so messages that name the input compare equal
@@ -54,6 +58,18 @@ def run(cli, doc):
     return code, out.getvalue(), err.getvalue()
 
 
+def parts(code, out, err):
+    """(part, sha256) pairs of one outcome: exit code, stderr, stdout, then each top-level report field."""
+    found = {"exit": json.dumps(code), "stderr": err, "stdout": out}
+    try:
+        report = json.loads(out)
+    except ValueError:
+        report = None
+    if isinstance(report, dict):
+        found.update((key, json.dumps(value, sort_keys=True)) for key, value in report.items())
+    return [(part, hashlib.sha256(text.encode()).hexdigest()) for part, text in found.items()]
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -71,12 +87,13 @@ def main(argv=None):
                 for seed in SEEDS:
                     for index in BLOCKS:
                         for i, doc in enumerate(corpus.block(workload, seed, index)):
-                            digest = hashlib.sha256(json.dumps(run(cli, doc)).encode()).hexdigest()
-                            lines.append(f"{workload} {seed} {index} {i} {digest} {doc.kind}\n")
+                            for part, digest in parts(*run(cli, doc)):
+                                lines.append(f"{workload} {seed} {index} {i} {part} {digest} {doc.kind}\n")
         finally:
             INPUT.unlink(missing_ok=True)
     out_path.write_text("".join(lines), encoding="utf-8")
-    print(f"{len(lines)} documents, crextend from {cli.__file__}")
+    documents = sum(line.split(maxsplit=5)[4] == "exit" for line in lines)
+    print(f"{documents} documents, {len(lines)} digests, crextend from {cli.__file__}")
 
 
 if __name__ == "__main__":
