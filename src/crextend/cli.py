@@ -385,7 +385,7 @@ def _parser():
     parser.add_argument("--seed", type=int, help="seed for all sampling (default 0)")
     parser.add_argument("--tol-extend", type=float, help="extension residual tolerance")
     parser.add_argument("--tol-moment", type=float, help="moment modulus tolerance")
-    parser.add_argument("--grid-n", type=int, help="theta grid size (power of two in [64, 4096])")
+    parser.add_argument("--grid-n", type=int, help="leaf grid size (power of two in [64, 4096])")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     return parser
 

@@ -1,10 +1,15 @@
 """Leaf parametrization and moment conditions on n = 1 models, CR fields for n >= 2.
 
-The hull leaf at level s = r^2 of an elliptic model in normal form,
-w = z*zbar + lam*(z^2 + zbar^2) + E, is parametrized as
-zeta(theta) = r * phi(theta) * exp(i theta) where phi > 0 solves
+The hull leaf at level s = r^2 of the normal form w = z*zbar +
+lam*(z^2 + zbar^2) is the ellipse zeta(t) = r w(t), parametrized by
 
-    phi^2 + 2*lam*phi^2*cos(2 theta) + E(zeta, conj(zeta)) / r^2 = 1.
+    w(t) = p cos t + i q sin t = a e^(it) + b e^(-it),
+
+with p = (1 + 2 lam)^(-1/2), q = (1 - 2 lam)^(-1/2) and a, b = (p +- q)/2,
+so that Q(w(t)) = 1.  With a real higher order term E the leaf is
+zeta(t) = r psi(t) w(t), where the radial factor psi > 0 solves
+
+    psi^2 + E(zeta, conj(zeta)) / r^2 = 1.
 
 Boundary data f extends holomorphically to the filled leaves exactly
 when every moment integral over every leaf vanishes:
@@ -45,30 +50,29 @@ def eval_on_grid(p: Polynomial, z):
 
 @dataclass(frozen=True)
 class LeafParametrization:
-    """One hull leaf of an n = 1 model, sampled on an equispaced theta grid.
+    """One hull leaf of an n = 1 model, sampled on an equispaced grid in t.
 
-    eit is e^(i theta) on the grid; the leaves of one LeafGrid or one
-    radial_leaf_family share it and theta.
+    u is the leaf at r = 1 and du its t-derivative: the leaf is r u.  The
+    E = None leaves of one LeafGrid, and the leaves of one
+    radial_leaf_family, share both arrays.
     """
 
     r: float
     level: float  # value of w on the leaf
-    theta: np.ndarray
-    phi: np.ndarray
-    phi_theta: np.ndarray
-    eit: np.ndarray
+    u: np.ndarray
+    du: np.ndarray
 
     @property
     def N(self):
-        return len(self.theta)
+        return len(self.u)
 
     def points(self):
-        """Curve samples zeta_j = r * phi_j * exp(i theta_j)."""
-        return self.r * self.phi * self.eit
+        """Curve samples zeta_j = r * u_j."""
+        return self.r * self.u
 
     def tangent(self):
-        """d(zeta)/d(theta) on the grid."""
-        return self.r * (self.phi_theta + 1j * self.phi) * self.eit
+        """d(zeta)/dt on the grid."""
+        return self.r * self.du
 
 
 def fourier_derivative(values):
@@ -85,19 +89,18 @@ def _read_only(*arrays):
 
 
 class LeafGrid:
-    """The theta grid of one n = 1 model in Bishop normal form, shared by its leaves.
+    """The t grid of one n = 1 model in Bishop normal form, shared by its leaves.
 
     Built once per (model, N): it checks that the model has n = 1, is in
     normal form and elliptic (lam < 1/2 by quadform's ELLIPTIC_MARGIN
-    rule), and that N is a power of two >= 64, and
-    holds theta, e^(i theta), base = 1 + 2 lam cos 2theta and the
-    closed-form profile phi0 = base^(-1/2), which is exact for E = 0.
-    Without E every leaf's profile is phi0, so phi0, its Fourier
-    derivative and its residual are formed here once; with E, leaf(r)
-    runs Newton from phi0 for that leaf alone.  On the leaf z = r phi
-    e^(i theta), E = sum_d (r phi)^d G_d with the real angular parts
-    G_d = Re sum_(a+b=d) c_ab e^(i (a-b) theta); G holds them, row d - 3
-    for degree d, 3 <= d <= deg E.
+    rule), and that N is a power of two >= 64, and holds the unit leaf
+    w(t) = p cos t + i q sin t (Q(w) = 1) and its derivative wt, both in
+    closed form.  Without E every leaf is r w, so the residual max |Q(w) - 1|
+    is formed here once and a leaf needs no FFT; with E, leaf(r) runs
+    Newton for the radial factor psi of the leaf z = r psi w.  Then
+    E = sum_d (r psi)^d G_d with the real parts G_d = Re E_d(w) of E's
+    homogeneous parts on the grid; G holds them, row d - 3 for degree d,
+    3 <= d <= deg E, each from one evaluate here.
     """
 
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
@@ -110,28 +113,21 @@ class LeafGrid:
         if _classify_lambdas(lambdas) != "elliptic":
             raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
         _check_grid_size(N)
-        self.theta = 2 * np.pi * np.arange(N) / N
-        self.eit = np.exp(1j * self.theta)
-        self.base = 1.0 + 2.0 * lam * np.cos(2 * self.theta)
-        self.phi0 = self.base**-0.5
+        eit = np.exp(2j * np.pi * np.arange(N) / N)
+        p, q = (1.0 + 2.0 * lam) ** -0.5, (1.0 - 2.0 * lam) ** -0.5
+        self.w = p * eit.real + 1j * q * eit.imag
+        self.wt = 1j * q * eit.real - p * eit.imag
         self.E = model.E
         if self.E is None:
-            self.phi0_theta = fourier_derivative(self.phi0)
-            self.residual0 = float(np.max(np.abs(self.phi0**2 * self.base - 1.0)))
-            _read_only(self.phi0_theta)
+            Q = np.abs(self.w) ** 2 + 2.0 * lam * (self.w * self.w).real
+            self.residual = float(np.max(np.abs(Q - 1.0)))
         else:
-            a, b = self.E.exps[:, 0], self.E.exps[:, 1]
-            # Re(c e^(-i k theta)) = Re(conj(c) e^(i k theta)): one coefficient per degree and k = |a - b|
-            angular = np.zeros((int((a + b).max()) - 2, int(np.abs(a - b).max()) + 1), dtype=complex)
-            np.add.at(angular, (a + b - 3, np.abs(a - b)), np.where(a >= b, self.E.coeffs, self.E.coeffs.conj()))
-            self.G = np.zeros((len(angular), N))
-            turn = np.ones(N, dtype=complex)  # e^(i k theta), by repeated multiplication
-            for column in angular.T:
-                for d in np.flatnonzero(column):
-                    self.G[d] += column[d].real * turn.real - column[d].imag * turn.imag
-                turn = turn * self.eit
+            top = int(self.E.exps.sum(axis=1).max())
+            with np.errstate(all="ignore"):  # an overflowing G_d leaves Newton unconverged
+                parts = [self.E.homogeneous_part(d).evaluate(self.w[:, None]) for d in range(3, top + 1)]
+            self.G = np.array(parts).real
             _read_only(self.G)
-        _read_only(self.theta, self.eit, self.base, self.phi0)
+        _read_only(self.w, self.wt)
 
     def leaf(self, r, tol=LEAF_RESIDUAL_TOL):
         """The leaf at label r, with the bits and errors of solve_leaf(model, r, N, tol)."""
@@ -139,21 +135,19 @@ class LeafGrid:
         if not r > 0:
             raise InputError(f"solve_leaf: leaf label r must be positive, got {r}")
         if self.E is None:
-            phi, phi_theta, residual = self.phi0, self.phi0_theta, self.residual0
+            u, du, residual = self.w, self.wt, self.residual
         else:
-            phi, residual = self._newton(r)
-            phi_theta = fourier_derivative(phi)
-            _read_only(phi, phi_theta)
-        if np.any(phi <= 0):
-            raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
+            psi, residual = self._newton(r)
+            if np.any(psi <= 0):
+                raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
+            u, du = psi * self.w, fourier_derivative(psi) * self.w + psi * self.wt
+            _read_only(u, du)
         if residual >= tol:
             raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
-        return LeafParametrization(
-            r=r, level=r * r, theta=self.theta, phi=phi, phi_theta=phi_theta, eit=self.eit
-        )
+        return LeafParametrization(r=r, level=r * r, u=u, du=du)
 
     def _newton(self, r):
-        """phi at label r and its residual, by Newton from phi0.
+        """psi at label r and its residual, by Newton from psi = 1.
 
         Each pass takes g from _defect, with C_d = r^(d-2) G_d scaled
         once per leaf; the first g whose sup is below NEWTON_TOL ends the
@@ -167,47 +161,50 @@ class LeafGrid:
             r**2  # only to refuse an r whose square overflows
         except OverflowError as exc:
             raise LeafSolveError(f"leaf solve at r = {r:g}: r^2 overflows {exc}") from exc
-        phi = self.phi0
+        psi = np.ones(len(self.w))
         with np.errstate(all="ignore"):
             degrees = np.arange(3, len(self.G) + 3)
             C = self.G * (np.float64(r) ** (degrees - 2))[:, None]
             dC = C * degrees[:, None]
             for _ in range(NEWTON_MAX_ITER):
-                g = self._defect(phi, C)
+                g = _defect(psi, C)
                 residual = float(np.max(np.abs(g)))
                 if residual < NEWTON_TOL:
-                    return phi, residual
-                phi = phi - g / self._slope(phi, dC)
+                    return psi, residual
+                psi = psi - g / _slope(psi, dC)
         raise LeafSolveError(
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
             "(leaf may be outside the model's validity radius)"
         )
 
-    def _defect(self, phi, C):
-        """g = phi^2 base - 1 + sum_d C_d phi^d at phi, by one Horner pass; row d - 3 of C is C_d."""
-        h = C[-1]  # sum_d C_d phi^(d-3)
-        for c in C[-2::-1]:
-            h = h * phi + c
-        return phi * phi * (self.base + phi * h) - 1.0
 
-    def _slope(self, phi, dC):
-        """g' = dg/dphi at phi, by one Horner pass; row d - 3 of dC is d C_d."""
-        dh = dC[-1]  # sum_d d C_d phi^(d-3)
-        for dc in dC[-2::-1]:
-            dh = dh * phi + dc
-        return phi * (2 * self.base + phi * dh)
+def _defect(psi, C):
+    """g = psi^2 - 1 + sum_d C_d psi^d at psi, by one Horner pass; row d - 3 of C is C_d."""
+    h = C[-1]  # sum_d C_d psi^(d-3)
+    for c in C[-2::-1]:
+        h = h * psi + c
+    return psi * psi * (1.0 + psi * h) - 1.0
+
+
+def _slope(psi, dC):
+    """g' = dg/dpsi at psi, by one Horner pass; row d - 3 of dC is d C_d."""
+    dh = dC[-1]  # sum_d d C_d psi^(d-3)
+    for dc in dC[-2::-1]:
+        dh = dh * psi + dc
+    return psi * (2.0 + psi * dh)
 
 
 def solve_leaf(
     model: QuadricModel, r, N=DEFAULT_GRID_N, tol=LEAF_RESIDUAL_TOL
 ) -> LeafParametrization:
-    """Solve for the leaf profile phi at level r^2: one leaf of LeafGrid(model, N).
+    """The leaf at level r^2 in the ellipse parameter t: one leaf of LeafGrid(model, N).
 
-    The model must be n = 1 in Bishop normal form with lam < 1/2.  Newton
-    starts from the closed form phi = (1 + 2 lam cos 2theta)^(-1/2), which
-    is exact for E = 0, so then no Newton step is taken.  The last defect's
-    sup is the leaf residual: not below tol is a LeafSolveError, as is a
-    Newton loop that does not converge or a profile that is not positive.
+    The model must be n = 1 in Bishop normal form with lam < 1/2.  Without
+    E the leaf is r w(t) in closed form and no Newton step is taken; with
+    E, Newton solves for the radial factor psi from psi = 1.  The last
+    defect's sup (without E, max |Q(w) - 1|) is the leaf residual: not
+    below tol is a LeafSolveError, as is a Newton loop that does not
+    converge or a psi that is not positive.
     """
     return LeafGrid(model, N).leaf(r, tol)
 
@@ -215,10 +212,10 @@ def solve_leaf(
 def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
     """Trapezoidal value of the leaf moment integral of f * zeta^ell d(zeta).
 
-    With zeta = r u, u = phi e^(i theta), the integral is r^(ell+1) times
-    the sum of u^ell * f * (phi_theta + i phi) e^(i theta) * 2pi/N over the
-    grid; the trapezoid rule is spectrally accurate for these periodic
-    analytic integrands.
+    With zeta = r u(t), the integral is r^(ell+1) times the sum of
+    u^ell * f * du * 2pi/N over the grid; the rule is exact for a
+    trigonometric polynomial integrand of degree below N (polynomial f
+    on an E = None leaf) and spectrally accurate for smooth periodic ones.
     """
     if ell < 0:
         raise InputError(f"moment order ell must be >= 0, got {ell}")
@@ -230,15 +227,12 @@ def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
 def _leaf_moments(f, leaf, ells):
     """Moments of f of each order in ells on one leaf, from one weight per leaf.
 
-    The weight w = f * (phi_theta + i phi) e^(i theta) * 2pi/N and u = phi
-    e^(i theta) are formed once.  ells must ascend: the running product
-    w * u^ell is multiplied by u once per order and summed at each ell, so
-    an ell has the same bits whatever ells come with it.
+    The weight f(r u) * du * 2pi/N is formed once.  ells must ascend: the
+    running product weight * u^ell is multiplied by u once per order and
+    summed at each ell, so an ell has the same bits whatever ells come
+    with it.
     """
-    eit = leaf.eit
-    u = leaf.phi * eit
-    fvals = eval_on_grid(f, leaf.r * leaf.phi * eit)  # the bits of leaf.points()
-    term = fvals * (leaf.phi_theta + 1j * leaf.phi) * eit * (2 * np.pi / leaf.N)
+    term = eval_on_grid(f, leaf.points()) * leaf.du * (2 * np.pi / leaf.N)
     order = 0
     values = []
     for ell in ells:
@@ -249,7 +243,7 @@ def _leaf_moments(f, leaf, ells):
                 f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
             ) from exc
         for _ in range(ell - order):
-            term *= u
+            term *= leaf.u
         order = ell
         values.append(complex(scale * np.sum(term)))
     return values

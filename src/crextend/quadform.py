@@ -82,6 +82,17 @@ class QuadricModel:
         return self.A.shape[0]
 
     @cached_property
+    def eigh(self):
+        """A's eigenvalues (ascending) and eigenvectors from one eigh on first use, read-only.
+
+        classify, normalize and default_radii all read them.
+        """
+        eigs, V = np.linalg.eigh(self.A)
+        eigs.setflags(write=False)
+        V.setflags(write=False)
+        return eigs, V
+
+    @cached_property
     def rho(self):
         """The defining function rho = Q + E as a Polynomial in z, zbar, built on first use.
 
@@ -219,17 +230,14 @@ def _classify_lambdas(lambdas):
 def normalize(model: QuadricModel) -> BishopNormalForm:
     """Bishop normal form for positive definite A.
 
-    One eigendecomposition A = V diag(e) V^H gives T0 = V diag(e)^(-1/2) with
+    The model's eigendecomposition A = V diag(e) V^H gives T0 = V diag(e)^(-1/2) with
     T0^H A T0 = I; a Takagi factorization of T0^T B T0 = U diag(lambda) U^T
     then yields T = T0 conj(U), with lambda ascending.  Each column of T is
     signed so that its first entry of largest modulus has positive real part
     (or, if that is 0, positive imaginary part); for distinct nonzero lambdas T
     then depends only on (A, B).  Both congruences are re-checked a posteriori.
     """
-    return _normal_form(model, *np.linalg.eigh(model.A))
-
-
-def _normal_form(model, eigs, V):
+    eigs, V = model.eigh
     if eigs[0] <= DEGENERACY_TOL:
         raise NotElliptic(
             f"A is not positive definite (eigenvalue {eigs[0]:.3e})", eigenvalue=float(eigs[0])
@@ -260,10 +268,10 @@ def _normal_form(model, eigs, V):
 def classify(model: QuadricModel) -> ClassificationResult:
     """Total classification: degenerate, elliptic, parabolic or hyperbolic.
 
-    One eigendecomposition of A serves the nondegeneracy report, the
-    positive definiteness test and the normal form.
+    The model's one eigendecomposition of A (QuadricModel.eigh) serves the
+    nondegeneracy report, the positive definiteness test and the normal form.
     """
-    eigs, V = np.linalg.eigh(model.A)
+    eigs = model.eigh[0]
     report = _nondegeneracy(eigs)
     if not report.ok:
         return ClassificationResult(
@@ -280,7 +288,7 @@ def classify(model: QuadricModel) -> ClassificationResult:
             note="A is nonsingular but not positive definite; "
             "Bishop invariants in the elliptic sense are undefined",
         )
-    nf = _normal_form(model, eigs, V)
+    nf = normalize(model)
     return ClassificationResult(
         classification=nf.classification,
         lambdas=nf.lambdas,
@@ -338,11 +346,11 @@ def normal_form_model(lambdas, E=None) -> QuadricModel:
 def default_radii(model: QuadricModel) -> float:
     """Heuristic validity radius delta_z = 0.5 * sqrt(min eig A / max eig A) for positive definite A.
 
-    The sampling ball of verify_extension and the default leaf ladder of
+    The eigenvalues are the model's QuadricModel.eigh.  The sampling ball of verify_extension and the default leaf ladder of
     check_moments both scale with it.  Ellipticity is left to their callers:
     extend_general classifies the model first and LeafGrid refuses lambda >= 1/2.
     """
-    eigs = np.linalg.eigvalsh(model.A)
+    eigs = model.eigh[0]
     if eigs[0] <= DEGENERACY_TOL:
         raise NotElliptic("default_radii requires positive definite A", eigenvalue=float(eigs[0]))
     return 0.5 * float(np.sqrt(eigs[0] / eigs[-1]))

@@ -79,6 +79,12 @@ def test_cauchy_near_boundary_rejection():
         cauchy_extend(data, leaf, [0.5])  # outside, winding 0
 
 
+def test_point_outside_the_leaf_names_a_real_winding_number():
+    leaf = solve_leaf(normal_form_model([0.3]), 0.2, 256)
+    with pytest.raises(NearBoundary, match=r"\(winding number -?0\.000\)$"):
+        cauchy_extend(BoundaryData.builtin("constant"), leaf, [0.5 + 0.1j])
+
+
 def _boundary_sup_error(data, leaf):
     """cauchy_extend's diagnostic, spelled out: sup over 16 probes at 0.9 zeta_j of |F - f_j|."""
     zeta, dzeta = leaf.points(), leaf.tangent()
@@ -183,18 +189,15 @@ def test_probe_matches_per_rung_loop():
 def _offset_circle_family(center_from):
     """Circles of radius rho = sqrt(s), centred at 2 rho once s >= center_from, else at 0.
 
-    The circle about c is r phi e^(i theta) with r = 1 and the complex
-    phi = c e^(-i theta) + rho; an offset circle leaves 0 outside the leaf.
+    The circle about c is r u with r = 1 and u = c + rho e^(it); an offset
+    circle leaves 0 outside the leaf.
     """
-    theta = 2 * np.pi * np.arange(256) / 256
-    eit = np.exp(1j * theta)
+    eit = np.exp(2j * np.pi * np.arange(256) / 256)
 
     def family(s):
         rho = float(np.sqrt(s))
         c = 2 * rho if s >= center_from else 0.0
-        return LeafParametrization(
-            r=1.0, level=s, theta=theta, phi=c / eit + rho, phi_theta=-1j * c / eit, eit=eit
-        )
+        return LeafParametrization(r=1.0, level=s, u=c + rho * eit, du=1j * rho * eit)
 
     return family
 
@@ -234,8 +237,26 @@ def test_zderiv_bound_nondegenerate():
         BoundaryData.from_polynomial(f), leaf, interior_samples(leaf, 10, seed=5, fraction=0.6)
     )
     assert report.ok
-    assert report.max_fz == pytest.approx(1.0, abs=1e-4)  # F = w + z
+    assert report.max_fz == pytest.approx(1.0, abs=1e-12)  # F = w + z
     assert report.sup_bound > 1.0
+
+
+def test_zderiv_kernel_is_the_z_derivative_of_the_extension():
+    # for f = P(z, Q) the extension is F = P(z, s), so F_z = P_z(z, s); the
+    # differentiated trapezoid kernel has no step size to limit it (a central
+    # difference with h = 1e-5 inradius was off by up to 2.4e-11 here)
+    rng = np.random.default_rng(37)
+    for lam in (0.0, 0.3, 0.45):
+        m = normal_form_model([lam])
+        P = random_holomorphic(rng, 1, 6)
+        Pz = P.partial_derivative("z")
+        leaf = solve_leaf(m, 0.3, 512)
+        pts = interior_samples(leaf, 12, seed=7, fraction=0.6)
+        data = BoundaryData.from_polynomial(P.substitute_w(q_polynomial(m)))
+        for z in pts:
+            report = zderiv_bound_check(data, leaf, [z])
+            expected = abs(Pz.evaluate(complex(z), leaf.level))
+            assert abs(report.max_fz - expected) <= 1e-13 * max(1.0, report.sup_bound)
 
 
 def test_zderiv_bound_degenerate_constant_leafwise():
@@ -299,7 +320,7 @@ def test_leaf_family_levels():
 def test_radial_leaf_family_arrays_are_read_only():
     family = radial_leaf_family(lambda s: s**0.25, N=128)
     leaf, other = family(1e-2), family(4e-2)
-    for name in ("theta", "phi", "phi_theta"):
+    for name in ("u", "du"):
         shared = getattr(leaf, name)
         assert shared is getattr(other, name)  # one array serves every leaf
         with pytest.raises(ValueError):

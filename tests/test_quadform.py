@@ -368,6 +368,26 @@ def test_default_radii():
         default_radii(QuadricModel(A=-np.eye(1), B=np.zeros((1, 1))))
 
 
+def test_one_decomposition_of_a_serves_classify_normalize_and_default_radii(monkeypatch):
+    # the model caches eigh(A): classify, normalize and default_radii read
+    # it, and nothing calls eigvalsh on A
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(np.shape(M)) or eigh(M))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    rng = np.random.default_rng(67)
+    for n in (1, 2, 3):
+        m = random_model(rng, n)
+        calls.clear()
+        nf, res, delta_z = normalize(m), classify(m), default_radii(m)
+        assert calls.count((n, n)) == 1  # the rest are takagi's (2n, 2n) blocks
+        assert m.eigh is m.eigh and not m.eigh[0].flags.writeable and not m.eigh[1].flags.writeable
+        eigs = eigh(m.A)[0]
+        assert delta_z == 0.5 * float(np.sqrt(eigs[0] / eigs[-1]))
+        np.testing.assert_array_equal(res.normal_form.T, nf.T)
+        assert res.nondegeneracy.sigma_min == float(np.min(np.abs(eigs)))
+
+
 # -- serialization -----------------------------------------------------------------
 
 
