@@ -68,15 +68,14 @@ GATE_ENTRIES = 2**9
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Diagnostics for one degree: the 2-norm of P_d(z, Q) - f_d, the
+    """Diagnostics for one degree: the 2-norm of P_d(z, Q) - f_d and the
     solve's condition number (dense) or the recurrence's growth factor
-    (division), and the largest division remainder (division only)."""
+    (division)."""
 
     degree: int
     residual: float
     condition: float
     warning: str | None = None
-    remainder: float | None = None
 
 
 @dataclass(frozen=True)
@@ -292,21 +291,20 @@ def _coefficient(p, row):
 def _divided_P(f, Q):
     """P with f = P(z, Q) for Q even in each coordinate, by exact division along z_1.
 
-    Returns (rows, x, bound, remainder): P's rows alpha | 0 | k in graded
-    order, their coefficients, for each a bound on the moduli summed into it,
-    and the largest division remainder in each total degree of f.
+    Returns (rows, x, bound): P's rows alpha | 0 | k in graded order, their
+    coefficients, and for each a bound on the moduli summed into it.
 
     Such a Q is sum_j a_j z_j zbar_j + b_j z_j^2 + conj(b_j) zbar_j^2, so
     dQ/dzbar_1 = a_1 (z_1 + mu zbar_1) with mu = 2 conj(b_1) / a_1, and
     |mu| < 1 on an elliptic Q.  From H_0 = f, H_(m+1) = (dH_m/dzbar_1) /
-    (dQ/dzbar_1) is d^m P / dw^m (z, Q).  The terms of f fall into fibres:
-    the same exponents outside z_1, zbar_1 and the same degree e in z_1,
-    zbar_1.  One row of a (fibres x (deg + 1)) array holds a fibre's
-    coefficients by the exponent of z_1; d/dzbar_1 scales column a by
-    e - a, and the division is one product with the Toeplitz matrix of
-    (-mu)^j / a_1, exact from the top column down.  What is left at the
-    bottom, the quotient's value at the root z_1 = -mu zbar_1, is the
-    remainder.  The zbar-free parts H_m(z, 0) then give
+    (dQ/dzbar_1) is d^m P / dw^m (z, Q).  A term with some zbar_j, j >= 2,
+    keeps it through every step (dQ/dzbar_1 holds z_1, zbar_1 alone), so
+    it is dropped first.  The rest fall into fibres: the same exponents of
+    z_2 .. z_n and the same degree e in z_1, zbar_1.  One row of a
+    (fibres x (deg + 1)) array holds a fibre's coefficients by the
+    exponent of z_1; d/dzbar_1 scales column a by e - a, and the division
+    is one product with the Toeplitz matrix of (-mu)^j / a_1, exact from
+    the top column down.  The zbar-free parts H_m(z, 0) then give
     P = sum_m H_m(z, 0) / m! (w - q0)^m, q0 = Q(z, 0), summed by Horner.
     The same steps on the moduli, |f| through |Toeplitz| and |w - q0|,
     bound the rounding error of each coefficient of P.
@@ -321,43 +319,39 @@ def _divided_P(f, Q):
     unit = np.eye(2 * n + 1, dtype=np.int64)
     a1 = _coefficient(Q, unit[0] + unit[n]).real
     mu = 2 * _coefficient(Q, 2 * unit[n]) / a1
+    kept = ~f.exps[:, n + 1 : 2 * n].any(axis=1)
+    exps = f.exps[kept]
     # fibres: column 0 holds e = alpha_1 + beta_1, column n is cleared
-    e = f.exps[:, 0] + f.exps[:, n]
-    key = f.exps.copy()
+    e = exps[:, 0] + exps[:, n]
+    key = exps.copy()
     key[:, 0], key[:, n] = e, 0
     order, starts = sorted_runs(key)
     fibre = np.empty(len(e), dtype=np.int64)
     fibre[order] = np.arange(len(starts)).repeat(np.diff(np.append(starts, len(e))))
     rest = key[order[starts]]
-    e, degree = rest[:, 0].copy(), rest.sum(axis=1)
+    e = rest[:, 0].copy()
     rest[:, 0] = 0
-    holomorphic = ~rest[:, n : 2 * n].any(axis=1)
-    top = int(e.max())
+    top = int(e.max(initial=0))
     G = np.zeros((len(rest), top + 1), dtype=complex)
-    G[fibre, f.exps[:, 0]] = f.coeffs
+    G[fibre, exps[:, 0]] = f.coeffs[kept]
     Gabs = np.abs(G)
     # T[b, a] = (-mu)^(b - a - 1) / a_1 for b > a, else 0
     lag = np.arange(top + 1)[:, None] - np.arange(top + 1) - 1
     T = np.where(lag >= 0, (-mu) ** np.maximum(lag, 0), 0) / a1
     Tabs = np.abs(T)
-    root = (-mu) ** np.arange(top + 1)
-    remainder = np.zeros(f.degree() + 1)
     H = []  # (rows, coefficients, bounds) of H_m(z, 0) / m!
     for m in range(top // 2 + 1):
         cur = e - 2 * m  # each fibre's degree in z_1, zbar_1
         live = cur >= 0
-        G, Gabs, e, rest, degree, holomorphic, cur = (
-            a[live] for a in (G, Gabs, e, rest, degree, holomorphic, cur)
-        )
-        width = int(cur.max()) + 1
+        G, Gabs, e, rest, cur = (a[live] for a in (G, Gabs, e, rest, cur))
+        width = int(cur.max(initial=0)) + 1
         G, Gabs = G[:, :width], Gabs[:, :width]
-        pick = np.flatnonzero(holomorphic & (Gabs[np.arange(len(cur)), cur] > 0))
+        pick = np.flatnonzero(Gabs[np.arange(len(cur)), cur] > 0)
         rows = rest[pick]
         rows[:, 0] = cur[pick]
         H.append((rows, G[pick, cur[pick]] / factorial(m), Gabs[pick, cur[pick]] / factorial(m)))
         scale = np.maximum(cur[:, None] - np.arange(width), 0)
         G, Gabs = G * scale, Gabs * scale
-        np.maximum.at(remainder, degree, np.abs(G @ root[:width]))
         G, Gabs = G @ T[:width, :width], Gabs @ Tabs[:width, :width]
     # Horner: P = H_0 + (w - q0)(H_1 / 1! + (w - q0)(H_2 / 2! + ...)), with the moduli alongside
     q0 = ~Q.exps[:, n : 2 * n].any(axis=1)
@@ -374,7 +368,7 @@ def _divided_P(f, Q):
             order, starts = sorted_runs(rows)
             rows = rows[order[starts]]
             x, bound = np.add.reduceat(x[order], starts), np.add.reduceat(bound[order], starts)
-    return rows, x, bound, remainder
+    return rows, x, bound
 
 
 def _division_degrees(f, powers, bounds):
@@ -386,8 +380,7 @@ def _division_degrees(f, powers, bounds):
     (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under powers and
     f_d's rows, summed by sorted_runs; its condition is the recurrence's
     growth factor, the largest rounding bound of P_d over its largest
-    coefficient (at least 1, and 1 for an empty P_d); its remainder is the
-    division's.
+    coefficient (at least 1, and 1 for an empty P_d).
 
     The degrees are gated in ascending groups, each expanded by one images,
     sorted_runs and reduceat and then split by degree: the runs come in
@@ -408,7 +401,7 @@ def _division_degrees(f, powers, bounds):
     20).  extend_general decides which degrees are solved again.
     """
     n = f.n
-    rows, x, bound, remainder = _divided_P(f, powers.q)
+    rows, x, bound = _divided_P(f, powers.q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     degrees = np.flatnonzero(np.diff(bounds))  # P has rows in these degrees only
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
@@ -456,7 +449,7 @@ def _division_degrees(f, powers, bounds):
             p0, p1 = cut[d] - cut[da], cut[d + 1] - cut[da]
             condition = max(1.0, bmax[g] / xmax[g]) if nonempty[g] else 1.0
             residual = _norm(R[r0:r1])
-            report = DegreeReport(degree=d, residual=residual, condition=condition, remainder=float(remainder[d]))
+            report = DegreeReport(degree=d, residual=residual, condition=condition)
             yield P_rows[p0:p1], P_x[p0:p1], big, report
             r0 = r1
         i = j
@@ -528,7 +521,7 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
                 certificate = _structural_certificate(f.homogeneous_part(d), model, d, residual)
             if certificate is None or certificate.lower_bound is None or certificate.lower_bound < threshold:
                 rows, x, largest, dense = _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
-                report, residual = replace(dense, remainder=report.remainder), dense.residual
+                report, residual = dense, dense.residual
         if residual >= threshold:
             reports.append(replace(report, warning=None))
             certificate = certificate or _structural_certificate(f.homogeneous_part(d), model, d, residual)

@@ -38,7 +38,8 @@ class BoundaryData:
     evaluator maps (array of points z on a leaf, leaf level s = value of w)
     to the array of data values at those points, of the same shape.  fz and
     fzbar, when given, map the same arguments to the tangential derivatives
-    f_z and f_zbar; zderiv_bound_check needs them.
+    f_z and f_zbar, which only zderiv_bound_check calls; from_polynomial
+    differentiates inside them.
     """
 
     evaluator: Callable
@@ -52,13 +53,11 @@ class BoundaryData:
             raise InputError("BoundaryData.from_polynomial expects an n = 1 polynomial")
         if p.has_w_terms():
             raise InputError("BoundaryData.from_polynomial: polynomial must not contain w")
-        pz = p.partial_derivative("z")
-        pzb = p.partial_derivative("zbar")
         return cls(
             evaluator=lambda z, s: eval_on_grid(p, z),
             description=description or p.pretty(),
-            fz=lambda z, s: eval_on_grid(pz, z),
-            fzbar=lambda z, s: eval_on_grid(pzb, z),
+            fz=lambda z, s: eval_on_grid(p.partial_derivative("z"), z),
+            fzbar=lambda z, s: eval_on_grid(p.partial_derivative("zbar"), z),
         )
 
     @classmethod
@@ -127,10 +126,14 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     Every requested point must lie strictly inside the leaf curve and at
     least 0.05 * inradius away from it; otherwise NearBoundary is raised
     naming the point (the quadrature is useless there).
+
+    boundary_sup_error is max |F(0.9 zeta_j) - f(zeta_j)| over 16 probes
+    picked by node index, j = 0, N/16, ...  At lambda > 0 the nodes are
+    sparsest (spacing 2 pi q r / N) at the ends of the minor axis, where
+    j = 0 and N/2 sit, so it follows the node spacing there.
     """
     zeta, dzeta, fvals = _cauchy_values(data, leaf)
     values = _interior_values(zeta, dzeta, fvals, points)
-    # boundary fidelity diagnostic: compare F just inside against f on the curve
     probes = range(0, leaf.N, max(1, leaf.N // 16))
     sup_err = 0.0
     for j in probes:

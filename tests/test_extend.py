@@ -520,7 +520,6 @@ def test_division_matches_whole_block_solve(monkeypatch):
                     assert call[0][1] == len(basis) and call[1] == rank
                     assert report.condition == pytest.approx(condition, rel=1e-10, abs=0)
                     assert abs(report.residual - residual) <= 1e-13 + 1e-12 * residual
-                    assert (report.remainder is None) != divided
                     if res.P is not None:
                         got = np.array([coeffs.get((*a, *(0,) * n, k), 0) for a, k in basis])
                         assert np.max(np.abs(got - x)) <= 1e-13 * np.linalg.norm(x)
@@ -749,10 +748,10 @@ def test_extend_general_diagonal_models_round_trip():
             res = extend_general(P.substitute_w(Q), m)
             assert res.extended
             assert (res.P - P).max_coeff() <= 1e-10 * (1 + P.max_coeff())
-            assert all(1 <= r.condition < np.inf and r.remainder < 1e-10 for r in res.degree_reports)
+            assert all(1 <= r.condition < np.inf and r.residual < 1e-10 for r in res.degree_reports)
             bad = extend_general(P.substitute_w(Q) + mono(n, (1,) + (0,) * (n - 1), (3,) + (0,) * (n - 1)), m)
             assert bad.status == "NotExtendible" and bad.certificate.degree == 4
-            assert bad.degree_reports[-1].remainder > 0.1
+            assert bad.degree_reports[-1].residual > 0.1
 
 
 def test_extend_general_near_parabolic_degree_20():
@@ -874,11 +873,48 @@ def test_extend_general_early_exit_builds_only_needed_q_powers(monkeypatch):
         assert sum(other == Q for other in calls) <= d0 // 2 - 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_divided_p_ignores_terms_with_zbar_beyond_the_first(n):
+    # such a term keeps its zbar_j through every division step, so it never reaches P
+    rng = np.random.default_rng(401 + n)
+    models = (normal_form_model(random_lambdas(rng, n)), QuadricModel(A=2 * np.eye(n), B=np.diag([0.1j] * n)))
+    for m in models:
+        Q = q_polynomial(m)
+        f = random_holomorphic(rng, n, 8).substitute_w(Q) + random_polynomial(rng, n, 5)
+        zbar_n = mono(n, (0,) * n, (0,) * (n - 1) + (1,))
+        g = random_polynomial(rng, n, 6, nterms=20) * zbar_n + mono(n, (0,) * n, (0, 3) + (0,) * (n - 2), c=2.5)
+        assert g.exps[:, n + 1 : 2 * n].any(axis=1).all()
+        ref = extend_module._divided_P(f, Q)
+        assert len(ref[1])
+        for got, want in zip(extend_module._divided_P(f + g, Q), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "f, degree, lower_bound",
+    [
+        (mono(2, (0, 0), (0, 1)), 1, 0.3571428571428003),
+        (mono(2, (0, 3), (0, 2)), 5, 0.142857142857086),
+    ],
+    ids=["zbar2", "z2^3 zbar2^2"],
+)
+def test_data_that_never_reaches_the_division_is_still_obstructed(monkeypatch, f, degree, lower_bound):
+    # every term of f carries zbar_2, so the division is left no term and P_d is empty
+    m = normal_form_model([0.1, 0.3])
+    with monkeypatch.context() as patch:
+        calls = record_lstsq(patch)
+        res = extend_general(f, m)
+    assert res.status == "NotExtendible" and not calls
+    assert res.certificate.condition == "CR field X f != 0" and res.certificate.degree == degree
+    assert res.residual == res.certificate.residual == 1.0 and res.certificate.lower_bound == lower_bound
+    assert res.degree_reports == (extend_module.DegreeReport(degree=degree, residual=1.0, condition=1.0),)
+
+
 def per_degree_gate(f, powers, bounds):
     """Reference for _division_degrees: the gate one degree at a time, each
     degree's P_d(z, Q) - f_d expanded and summed on its own."""
     n = f.n
-    rows, x, bound, remainder = extend_module._divided_P(f, powers.q)
+    rows, x, bound = extend_module._divided_P(f, powers.q)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
     for d in range(len(bounds) - 1):
@@ -894,9 +930,7 @@ def per_degree_gate(f, powers, bounds):
         vals = np.concatenate((powers.vals[src] * P_x.repeat(count), -f.coeffs[lo:hi]))
         order, starts = polyalg.sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
-        report = extend_module.DegreeReport(
-            degree=d, residual=extend_module._norm(R), condition=condition, remainder=float(remainder[d])
-        )
+        report = extend_module.DegreeReport(degree=d, residual=extend_module._norm(R), condition=condition)
         yield P_rows, P_x, float(np.abs(R).max()), report
 
 
