@@ -96,6 +96,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """extend_general's verdict.  residual is the largest DegreeReport.residual
+    (0.0 with no degrees); on NotExtendible data, the failing degree's."""
+
     status: str  # "Extended" | "NotExtendible"
     P: Polynomial | None
     residual: float
@@ -209,23 +212,23 @@ def _norm(v):
 def _dense_degree(f, powers, d, lo, hi):
     """Degree d of f (rows lo:hi) by least squares over the graded block, class by class.
 
-    Returns (basis, x, largest |P(z, Q) - f| coefficient, DegreeReport),
-    with a rank-deficiency note as the report's warning.  On a Q = powers.q
-    even in each coordinate, z^alpha Q^k keeps alpha's parities, so the
-    block is block-diagonal over the parity classes: (alpha mod 2) @ 2^j for
-    column z^alpha w^k, ((alpha' + beta') mod 2) @ 2^j for row z^alpha'
-    zbar^beta' (one class at n = 1, where all have the parity of d); any
-    other Q makes the whole block one class.  Each class, in ascending
-    order, is built as a whole block is: its columns' images under powers
-    and its part of f_d give the rows, distinct and in graded order, for one
-    rank-revealing solve (SVD); basis comes back in class order.  The degree
-    reports over the union of the classes: the residual's 2-norm (_norm) and
-    max sigma / min sigma over all their singular values.  A real Q gives
-    real blocks, solved in real arithmetic with Re f_d and Im f_d as two
-    right-hand sides.  Solved coefficients below the solve's own rounding
-    noise (NOISE_ULPS) are left out of x.  A degree whose block could exceed
-    MAX_GRADED_ENTRIES is refused (InputError) before any Q power for it is
-    formed.
+    Returns (basis, x, DegreeReport), with a rank-deficiency note as the
+    report's warning.  On a Q = powers.q even in each coordinate, z^alpha
+    Q^k keeps alpha's parities, so the block is block-diagonal over the
+    parity classes: (alpha mod 2) @ 2^j for column z^alpha w^k,
+    ((alpha' + beta') mod 2) @ 2^j for row z^alpha' zbar^beta' (one class
+    at n = 1, where all have the parity of d); any other Q makes the whole
+    block one class.  Each class, in ascending order, is built as a whole block is:
+    its columns' images under powers and its part of f_d give the rows,
+    distinct and in graded order, for one rank-revealing solve (SVD); basis
+    comes back in class order.  The degree reports over the union of the
+    classes: the 2-norm (_norm) of the least-squares residual, before the
+    prune below, and max sigma / min sigma over all their singular values.
+    A real Q gives real blocks, solved in real arithmetic with Re f_d and Im
+    f_d as two right-hand sides.  Solved coefficients below the solve's own
+    rounding noise (NOISE_ULPS) are left out of x.  A degree whose block
+    could exceed MAX_GRADED_ENTRIES is refused (InputError) before any Q
+    power for it is formed.
     """
     n = f.n
     dtype = complex if powers.q.coeffs.imag.any() else float
@@ -241,8 +244,7 @@ def _dense_degree(f, powers, d, lo, hi):
     f_exps, f_coeffs = f.exps[lo:hi], f.coeffs[lo:hi]
     rowcls = ((f_exps[:, :n] + f_exps[:, n : 2 * n]) & 1) @ bits
     # each class of f_d's rows has columns: z^alpha with |alpha| = d takes every parity of degree d
-    cols, xs, blocks, norms, sigmas, kept = [], [], [], [], [], []
-    c0 = 0
+    cols, xs, norms, sigmas, kept = [], [], [], [], []
     for c in np.unique(colcls).tolist():
         basis_c, picked = basis[colcls == c], rowcls == c
         entries, src, count = powers.images(basis_c)
@@ -258,8 +260,6 @@ def _dense_degree(f, powers, d, lo, hi):
         rhs = b if dtype is complex else b.view(float).reshape(-1, 2)  # columns Re b, Im b
         x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
         norms.append(_norm(M @ x - rhs))
-        blocks.append((M, rhs, c0))
-        c0 += len(basis_c)
         cols.append(basis_c)
         xs.append(x)
         sv = sv.tolist()  # descending
@@ -272,14 +272,9 @@ def _dense_degree(f, powers, d, lo, hi):
     if len(kept) < len(basis):
         note = f"degree {d} solve is rank deficient ({len(kept)} < {len(basis)})"
     report = DegreeReport(degree=d, residual=residual, condition=condition, warning=note)
-    X = np.concatenate(xs)
-    x = X.view(complex).reshape(-1)  # a view: pruning x prunes X
+    x = np.concatenate(xs).view(complex).reshape(-1)
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * max(sigmas) / min(kept) * _norm(x)] = 0
-    # P(z, Q) - f in degree d is exactly M x - b, class by class
-    largest = max(
-        float(np.abs((M @ X[c0 : c0 + M.shape[1]] - rhs).view(complex)).max()) for M, rhs, c0 in blocks
-    )
-    return basis, x, largest, report
+    return basis, x, report
 
 
 def _coefficient(p, row):
@@ -374,13 +369,13 @@ def _divided_P(f, Q):
 def _division_degrees(f, powers, bounds):
     """Per degree of f: P_d from _divided_P of Q = powers.q and the residual P_d(z, Q) - f_d.
 
-    Yields (rows, x, largest |P(z, Q) - f| coefficient, DegreeReport) for
-    each degree d of f.  Coefficients below NOISE_ULPS units of their
-    rounding bound are left out of x.  The report's residual is the 2-norm
-    (_norm) of P_d(z, Q) - f_d: the images of P_d's rows under powers and
-    f_d's rows, summed by sorted_runs; its condition is the recurrence's
-    growth factor, the largest rounding bound of P_d over its largest
-    coefficient (at least 1, and 1 for an empty P_d).
+    Yields (rows, x, DegreeReport) for each degree d of f.  Coefficients
+    below NOISE_ULPS units of their rounding bound are left out of x.  The
+    report's residual is the 2-norm (_norm) of P_d(z, Q) - f_d for that
+    pruned P_d: the images of P_d's rows under powers and f_d's rows, summed
+    by sorted_runs; its condition is the recurrence's growth factor, the
+    largest rounding bound of P_d over its largest coefficient (at least 1,
+    and 1 for an empty P_d).
 
     The degrees are gated in ascending groups, each expanded by one images,
     sorted_runs and reduceat and then split by degree: the runs come in
@@ -442,15 +437,14 @@ def _division_degrees(f, powers, bounds):
         order, starts = sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
         split = np.searchsorted(entries[order[starts]].sum(axis=1), degrees[i:j], side="right")
-        largest = np.maximum.reduceat(np.abs(R), np.append(0, split[:-1]))
         r0 = 0
-        for g, r1, big in zip(range(i, j), split.tolist(), largest.tolist()):
+        for g, r1 in zip(range(i, j), split.tolist()):
             d = int(degrees[g])
             p0, p1 = cut[d] - cut[da], cut[d + 1] - cut[da]
             condition = max(1.0, bmax[g] / xmax[g]) if nonempty[g] else 1.0
             residual = _norm(R[r0:r1])
             report = DegreeReport(degree=d, residual=residual, condition=condition)
-            yield P_rows[p0:p1], P_x[p0:p1], big, report
+            yield P_rows[p0:p1], P_x[p0:p1], report
             r0 = r1
         i = j
 
@@ -472,13 +466,13 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     failure threshold for a degree's residual is tol * (1 + max |coeff f|),
     and residuals inside (1e-11, tol) of that scale pass with a conditioning
     warning.  The first failing degree ends the run with a certificate built
-    from f's part in that degree.  On the division route that certificate
-    is built first, and when its lower_bound on the least-squares residual
-    reaches the threshold the degree fails on the division's residual and
-    growth factor with no least-squares solve; otherwise a degree's verdict
-    and warning rest on the least-squares residual wherever its block fits.
-    The reported residual is the largest coefficient of P(z, Q) - f over
-    the degrees.
+    from f's part in that degree, f's rows bounds[d]:bounds[d + 1].  On the
+    division route that certificate is built first, and when its
+    lower_bound on the least-squares residual reaches the threshold the
+    degree fails on the division's residual and growth factor with no
+    least-squares solve; otherwise a degree's verdict and warning rest on
+    the least-squares residual wherever its block fits.  The result's
+    residual is the largest of the degrees' gated residuals.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -511,27 +505,26 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
             if bounds[d] < bounds[d + 1]
         )
     reports = []
-    final_residual = 0.0
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
-    for rows, x, largest, report in degrees:
+    for rows, x, report in degrees:
         d, residual, certificate = report.degree, report.residual, None
+        lo, hi = bounds[d], bounds[d + 1]  # f_d's rows, also the certificate's data
         recheck = division and residual > CONDITIONING_WARN_FLOOR * scale
         if recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
             if residual >= threshold:
-                certificate = _structural_certificate(f.homogeneous_part(d), model, d, residual)
+                certificate = _structural_certificate(
+                    Polynomial(n, f.exps[lo:hi], f.coeffs[lo:hi]), model, d, residual
+                )
             if certificate is None or certificate.lower_bound is None or certificate.lower_bound < threshold:
-                rows, x, largest, dense = _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
-                report, residual = dense, dense.residual
+                rows, x, report = _dense_degree(f, powers, d, lo, hi)
+                residual = report.residual
         if residual >= threshold:
             reports.append(replace(report, warning=None))
-            certificate = certificate or _structural_certificate(f.homogeneous_part(d), model, d, residual)
-            return ExtensionResult(
-                status="NotExtendible",
-                P=None,
-                residual=residual,
-                certificate=replace(certificate, residual=residual),
-                degree_reports=tuple(reports),
+            certificate = certificate or _structural_certificate(
+                Polynomial(n, f.exps[lo:hi], f.coeffs[lo:hi]), model, d, residual
             )
+            certificate = replace(certificate, residual=residual)
+            break
         if report.warning is None and residual > CONDITIONING_WARN_FLOOR * scale:
             report = replace(
                 report,
@@ -539,14 +532,15 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
                 f"condition number {report.condition:.3e}",
             )
         reports.append(report)
-        final_residual = max(final_residual, largest)
         P_exps.append(rows)
         P_coeffs.append(x)
-    P = Polynomial(n, np.concatenate(P_exps), np.concatenate(P_coeffs))
+    else:
+        certificate = None
     return ExtensionResult(
-        status="Extended",
-        P=P,
-        residual=final_residual,
+        status="NotExtendible" if certificate else "Extended",
+        P=None if certificate else Polynomial(n, np.concatenate(P_exps), np.concatenate(P_coeffs)),
+        residual=max((r.residual for r in reports), default=0.0),  # a failing degree's is the largest
+        certificate=certificate,
         degree_reports=tuple(reports),
     )
 

@@ -422,6 +422,22 @@ def test_cli_extend_unproven_obstruction_keeps_least_squares(tmp_path, capsys, m
         assert cert["detail"] == {}
 
 
+def test_cli_extend_residual_is_the_largest_degree_residual_on_the_corpus(tmp_path, capsys):
+    # one block of the benchmark's extend-graded traffic: each Extended report's
+    # residual is the largest of its degrees' residuals, the numbers the gate compared
+    extended = 0
+    for doc in perfbench_corpus().block("extend-graded", 1, 0):
+        if doc.command != "extend":
+            continue
+        path = tmp_path / "in.json"
+        path.write_text(doc.text, encoding="utf-8")
+        code, out, _ = run(capsys, [doc.command, str(path), *doc.flags])
+        report = json.loads(out)
+        if code == 0 and report["status"] == "Extended":
+            extended += 1
+            assert report["residual"] == max(d["residual"] for d in report["degrees"])
+    assert extended == 8  # of its 17 documents
+
 @pytest.mark.parametrize("n, degree, kind", [(3, 14, "nf"), (3, 6, "nn")])
 def test_cli_extend_largest_corpus_shapes_sort_without_lexsort(tmp_path, capsys, monkeypatch, n, degree, kind):
     # the benchmark corpus's largest extend documents, a normal form at

@@ -781,7 +781,7 @@ def division_residual_map(m, d):
     for j, row in enumerate(rows):
         f = Polynomial(n, np.array([row]), [1.0])
         bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(d + 2))
-        (P_rows, P_x, _, _), = _division_degrees(f, polyalg.QPowers(Q), bounds)
+        (P_rows, P_x, _), = _division_degrees(f, polyalg.QPowers(Q), bounds)
         for e, c in term_dict(Polynomial(n, P_rows, P_x).substitute_w(Q) - f).items():
             R[index[(*e.alpha, *e.beta, 0)], j] += c
     return R, np.array(rows)
@@ -815,6 +815,51 @@ def test_near_threshold_verdicts_follow_least_squares():
             for r in res.degree_reports[:-1]:
                 assert r.warning is None and r.residual < CONDITIONING_WARN_FLOOR * scale
 
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for n in (1, 2, 3) for kind in ("normal", "diagonal", "congruent") if kind != "congruent" or n > 1],
+)
+def test_residual_is_the_largest_gated_residual(kind, n):
+    # The report's residual is the largest of the degree residuals, each the
+    # 2-norm that its degree's gate compared with tol * (1 + max |f|): on
+    # extendible data, on data 0.1 tol off the image at degree d (along the
+    # division's worst direction on a diagonal model, along the least-squares
+    # residual on a congruent one, which takes the dense route) and on data
+    # obstructed at degree d.  Degrees above d pass with smaller residuals.
+    rng = np.random.default_rng(229 + n)
+    lambdas = random_lambdas(rng, n)
+    m = {
+        "normal": normal_form_model(lambdas),
+        "diagonal": QuadricModel(A=2 * np.eye(n), B=np.diag(lambdas) * np.exp(0.7j)),
+        "congruent": congruent_model(rng, lambdas),
+    }[kind]
+    Q = q_polynomial(m)
+    d = (10, 6, 4)[n - 1]
+    base = random_holomorphic(rng, n, d + 2, nterms=12).substitute_w(Q)
+    if kind == "congruent":
+        g = random_part(rng, n, d, 6)
+        g = g - extend_general(g, m, tol=np.inf).P.substitute_w(Q)
+    else:
+        R, rows = division_residual_map(m, d)
+        g = Polynomial(n, rows, np.linalg.svd(R)[2][0].conj())
+    size = 0.1 * DEFAULT_EXTEND_TOL * (1 + base.max_coeff())
+    near = base + float(size / np.linalg.norm(g.coeffs)) * g
+    obstructed = base + random_part(rng, n, d, 3)
+    for f, status in ((base, "Extended"), (near, "Extended"), (obstructed, "NotExtendible")):
+        res = extend_general(f, m)
+        threshold = DEFAULT_EXTEND_TOL * (1 + f.max_coeff())
+        assert res.status == status
+        assert res.residual == max(r.residual for r in res.degree_reports)
+        if res.extended:
+            assert res.residual < threshold
+        else:
+            assert res.residual == res.certificate.residual == res.degree_reports[-1].residual >= threshold
+            assert res.certificate.degree == d
+    assert extend_general(near, m).residual == pytest.approx(size, rel=1e-3)
+    empty = extend_general(Polynomial.zero(n), m)
+    assert empty.extended and empty.degree_reports == () and empty.residual == 0.0
 
 def test_extend_general_n3_degree_17():
     rng = np.random.default_rng(83)
@@ -931,7 +976,7 @@ def per_degree_gate(f, powers, bounds):
         order, starts = polyalg.sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
         report = extend_module.DegreeReport(degree=d, residual=extend_module._norm(R), condition=condition)
-        yield P_rows, P_x, float(np.abs(R).max()), report
+        yield P_rows, P_x, report
 
 
 def assert_same_bits(res, ref):
