@@ -90,33 +90,36 @@ class LeafExtension:
 
 
 def _cauchy_values(data: BoundaryData, leaf: LeafParametrization):
-    zeta = leaf.points()
-    return zeta, leaf.tangent(), data.evaluator(zeta, leaf.level)
+    """zeta, zeta', f and the Cauchy weights f zeta' on one leaf's nodes, each formed once."""
+    zeta, dzeta = leaf.points(), leaf.tangent()
+    fvals = data.evaluator(zeta, leaf.level)
+    return zeta, dzeta, fvals, fvals * dzeta
 
 
-def _cauchy_at(z, zeta, dzeta, fvals):
-    return complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * len(zeta)))
+def _cauchy_at(weights, diff):
+    """The one trapezoid Cauchy sum: sum(weights / diff) / (i N), diff = zeta - z or a power of it."""
+    return complex(np.sum(weights / diff) / (1j * len(diff)))
 
 
-def _interior_values(zeta, dzeta, fvals, points):
-    """{z: F(z, s)}: cauchy_extend's checks and Cauchy sums, without its diagnostic."""
+def _interior_values(zeta, dzeta, weights, points):
+    """{z: F(z, s)}: each point's zeta - z serves its distance check, winding sum and value."""
     inradius = float(np.min(np.abs(zeta)))
     values = {}
     for z in points:
         z = complex(z)
-        dist = float(np.min(np.abs(zeta - z)))
-        if dist < NEAR_BOUNDARY_FACTOR * inradius:
+        diff = zeta - z
+        if np.min(np.abs(diff)) < NEAR_BOUNDARY_FACTOR * inradius:
             raise NearBoundary(
                 f"point {z} is within {NEAR_BOUNDARY_FACTOR} * inradius of the leaf curve",
                 point=z,
             )
-        winding = _cauchy_at(z, zeta, dzeta, 1.0)
+        winding = _cauchy_at(dzeta, diff)
         if abs(winding - 1.0) > WINDING_TOL:
             raise NearBoundary(
                 f"point {z} is not inside the leaf curve (winding number {winding.real:.3f})",
                 point=z,
             )
-        values[z] = _cauchy_at(z, zeta, dzeta, fvals)
+        values[z] = _cauchy_at(weights, diff)
     return values
 
 
@@ -124,21 +127,20 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     """Trapezoidal Cauchy integral of the data over one leaf.
 
     Every requested point must lie strictly inside the leaf curve and at
-    least 0.05 * inradius away from it; otherwise NearBoundary is raised
-    naming the point (the quadrature is useless there).
+    least 0.05 * inradius away from it, else NearBoundary names the point.
+    Values, winding sums and the probes below are all _cauchy_at sums over
+    the leaf's one weight array f zeta'.
 
     boundary_sup_error is max |F(0.9 zeta_j) - f(zeta_j)| over 16 probes
     picked by node index, j = 0, N/16, ...  At lambda > 0 the nodes are
     sparsest (spacing 2 pi q r / N) at the ends of the minor axis, where
     j = 0 and N/2 sit, so it follows the node spacing there.
     """
-    zeta, dzeta, fvals = _cauchy_values(data, leaf)
-    values = _interior_values(zeta, dzeta, fvals, points)
-    probes = range(0, leaf.N, max(1, leaf.N // 16))
+    zeta, dzeta, fvals, weights = _cauchy_values(data, leaf)
+    values = _interior_values(zeta, dzeta, weights, points)
     sup_err = 0.0
-    for j in probes:
-        zp = 0.9 * zeta[j]
-        sup_err = max(sup_err, abs(_cauchy_at(zp, zeta, dzeta, fvals) - fvals[j]))
+    for j in range(0, leaf.N, max(1, leaf.N // 16)):
+        sup_err = max(sup_err, abs(_cauchy_at(weights, zeta - 0.9 * zeta[j]) - fvals[j]))
     return LeafExtension(interior_values=values, boundary_sup_error=float(sup_err))
 
 
@@ -215,9 +217,10 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
     if ratios.max() / ratios.min() > 1.0 + 1e-6:
         raise InputError("s ladder must be geometric (constant ratio)")
 
-    F0 = np.array(
-        [_interior_values(*_cauchy_values(data, leaf_family(v)), [0.0])[0.0] for v in s_ladder]
-    )
+    F0 = np.empty(len(s_ladder), dtype=complex)
+    for i, v in enumerate(s_ladder):
+        zeta, dzeta, _, weights = _cauchy_values(data, leaf_family(v))
+        F0[i] = _interior_values(zeta, dzeta, weights, [0.0])[0.0]
     h1, h2 = h[:-1], h[1:]
     Fs = (
         -h2 / (h1 * (h1 + h2)) * F0[:-2]
@@ -247,23 +250,16 @@ class ZDerivReport:
 def zderiv_bound_check(data: BoundaryData, leaf: LeafParametrization, interior_points) -> ZDerivReport:
     """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + ZDERIV_SLACK.
 
-    F_z at each interior sample is the trapezoid rule for the differentiated
-    Cauchy integral (1 / 2 pi i) * integral of f(zeta) / (zeta - z)^2
-    d(zeta), with no step size; the tangential derivatives of f come from
-    the data's fz / fzbar.
+    F_z at each interior sample is _cauchy_at over diff = (zeta - z)^2, the
+    trapezoid rule for the differentiated Cauchy integral (1 / 2 pi i) *
+    integral of f(zeta) / (zeta - z)^2 d(zeta), with no step size; the
+    tangential derivatives of f come from the data's fz / fzbar.
     """
     if data.fz is None or data.fzbar is None:
         raise InputError("zderiv_bound_check: data carries no derivative information")
-    zeta, dzeta, fvals = _cauchy_values(data, leaf)
-    fz_vals = data.fz(zeta, leaf.level)
-    fzb_vals = data.fzbar(zeta, leaf.level)
-    sup_bound = float(np.max(np.abs(fz_vals) + np.abs(fzb_vals)))
+    zeta, _, _, weights = _cauchy_values(data, leaf)
+    sup_bound = float(np.max(np.abs(data.fz(zeta, leaf.level)) + np.abs(data.fzbar(zeta, leaf.level))))
     max_fz = 0.0
     for z in interior_points:
-        fz = np.sum(fvals * dzeta / (zeta - complex(z)) ** 2) / (1j * len(zeta))
-        max_fz = max(max_fz, abs(complex(fz)))
-    return ZDerivReport(
-        ok=max_fz <= sup_bound + ZDERIV_SLACK,
-        max_fz=max_fz,
-        sup_bound=sup_bound,
-    )
+        max_fz = max(max_fz, abs(_cauchy_at(weights, (zeta - complex(z)) ** 2)))
+    return ZDerivReport(ok=max_fz <= sup_bound + ZDERIV_SLACK, max_fz=max_fz, sup_bound=sup_bound)

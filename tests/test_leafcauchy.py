@@ -85,15 +85,26 @@ def test_point_outside_the_leaf_names_a_real_winding_number():
         cauchy_extend(BoundaryData.builtin("constant"), leaf, [0.5 + 0.1j])
 
 
-def _boundary_sup_error(data, leaf):
-    """cauchy_extend's diagnostic, spelled out: sup over 16 probes at 0.9 zeta_j of |F - f_j|."""
+def _cauchy_reference(data, leaf, points):
+    """The leaf's Cauchy sums spelled out per point: ({z: F(z)}, boundary_sup_error, max |F_z|).
+
+    F(z) is sum f dzeta / (zeta - z) / (i N), F_z the same over (zeta - z)^2,
+    and the diagnostic is the sup over 16 probes at 0.9 zeta_j of |F - f_j|.
+    """
     zeta, dzeta = leaf.points(), leaf.tangent()
     fvals = data.evaluator(zeta, leaf.level)
+    values = {}
+    for z in map(complex, points):
+        values[z] = complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * leaf.N))
     sup_err = 0.0
     for j in range(0, leaf.N, max(1, leaf.N // 16)):
         F = complex(np.sum(fvals * dzeta / (zeta - 0.9 * zeta[j])) / (1j * leaf.N))
         sup_err = max(sup_err, abs(F - fvals[j]))
-    return sup_err
+    max_fz = 0.0
+    for z in map(complex, points):
+        fz = np.sum(fvals * dzeta / (zeta - z) ** 2) / (1j * leaf.N)
+        max_fz = max(max_fz, abs(complex(fz)))
+    return values, sup_err, max_fz
 
 
 def test_cauchy_boundary_sup_error_diagnostic():
@@ -108,7 +119,32 @@ def test_cauchy_boundary_sup_error_diagnostic():
     for leaf in leaves:
         for data in (BoundaryData.from_polynomial(f), BoundaryData.builtin("sqrt-re-w")):
             ext = cauchy_extend(data, leaf, [0.0, 0.01j])
-            assert ext.boundary_sup_error == _boundary_sup_error(data, leaf)
+            assert ext.boundary_sup_error == _cauchy_reference(data, leaf, [])[1]
+
+
+def test_cauchy_sums_keep_the_bits_of_the_per_point_formulas():
+    # values, probe rows and F_z equal the per-point sums exactly, not to a
+    # tolerance, on a leaf without E, one with E and a radial leaf
+    E = Polynomial.monomial(1, (3,), (1,), 0, 0.05) + Polynomial.monomial(1, (1,), (3,), 0, 0.05)
+    families = (
+        quadric_leaf_family(normal_form_model([0.3]), N=256),
+        quadric_leaf_family(normal_form_model([0.2], E=E), N=512),
+        radial_leaf_family(lambda s: s**0.25, N=256),
+    )
+    f = Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.zbar(1) ** 3 + 0.5j * Polynomial.z(1)
+    ladder = [0.02 * 1.5**k for k in range(6)]
+    for family in families:
+        for data in (BoundaryData.from_polynomial(f), BoundaryData.builtin("sqrt-re-w")):
+            leaf = family(0.09)
+            points = [0.0, *interior_samples(leaf, 8, seed=11)]
+            values, sup_err, max_fz = _cauchy_reference(data, leaf, points)
+            ext = cauchy_extend(data, leaf, points)
+            assert ext.interior_values == values
+            assert ext.boundary_sup_error == sup_err
+            assert zderiv_bound_check(data, leaf, points).max_fz == max_fz
+            rows = normal_derivative_probe(data, family, ladder).rows
+            F0 = [_cauchy_reference(data, family(s), [0.0])[0][0j] for s in ladder]
+            assert [row[1] for row in rows] == F0
 
 
 # -- derivative probes ----------------------------------------------------------
