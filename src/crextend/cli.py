@@ -323,8 +323,11 @@ def _cmd_leaf_extend(doc, cfg: RunConfig):
         "r": r,
         "level": leaf.level,
         "data": data.description,
-        "values": [{"z": _cnum(z), "F": _cnum(ext.interior_values[z])} for z in points],
-        "boundary_sup_error": ext.boundary_sup_error,
+        "values": [
+            {"z": _cnum(z), "F": _cnum(ext.interior_values[z]), "winding_defect": ext.winding_defects[z],
+             "error_estimate": ext.error_estimates[z]}
+            for z in points
+        ],
     }
 
 

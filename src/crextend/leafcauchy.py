@@ -1,4 +1,4 @@
-"""Leafwise Cauchy extension and boundary-regularity probes.
+"""Leafwise Cauchy extension with per-point error estimates, and boundary-regularity probes.
 
 Each hull leaf of an n = 1 model is a closed curve; continuous boundary
 data f on the model restricts to the curve, and the Cauchy integral
@@ -83,10 +83,11 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class LeafExtension:
-    """Cauchy extension values on one leaf."""
+    """Cauchy extension values on one leaf and their quadrature estimates, keyed by point."""
 
     interior_values: dict  # z -> F(z, s)
-    boundary_sup_error: float
+    winding_defects: dict  # z -> |winding sum - 1|
+    error_estimates: dict  # z -> winding defect * max |f| over the leaf's nodes
 
 
 def _cauchy_values(data: BoundaryData, leaf: LeafParametrization):
@@ -101,10 +102,22 @@ def _cauchy_at(weights, diff):
     return complex(np.sum(weights / diff) / (1j * len(diff)))
 
 
-def _interior_values(zeta, dzeta, weights, points):
-    """{z: F(z, s)}: each point's zeta - z serves its distance check, winding sum and value."""
+def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
+    """Trapezoidal Cauchy integral of the data over one leaf.
+
+    Every requested point must lie strictly inside the leaf curve and at
+    least 0.05 * inradius away from it, else NearBoundary names the point.
+    Each point forms zeta - z once, for its distance check, its winding sum
+    (_cauchy_at over zeta') and its value (over the one weight array f zeta').
+    The winding sum is the same rule applied to f = 1, so |winding - 1| times
+    max |f| over the nodes estimates the error of F: a measured bound on
+    holomorphic data up to roundoff, not a proven one (data with zbar terms
+    exceeded it by up to 5%).
+    """
+    zeta, dzeta, fvals, weights = _cauchy_values(data, leaf)
     inradius = float(np.min(np.abs(zeta)))
-    values = {}
+    sup_f = float(np.max(np.abs(fvals)))
+    values, defects, estimates = {}, {}, {}
     for z in points:
         z = complex(z)
         diff = zeta - z
@@ -114,34 +127,16 @@ def _interior_values(zeta, dzeta, weights, points):
                 point=z,
             )
         winding = _cauchy_at(dzeta, diff)
-        if abs(winding - 1.0) > WINDING_TOL:
+        defect = abs(winding - 1.0)
+        if defect > WINDING_TOL:
             raise NearBoundary(
                 f"point {z} is not inside the leaf curve (winding number {winding.real:.3f})",
                 point=z,
             )
         values[z] = _cauchy_at(weights, diff)
-    return values
-
-
-def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
-    """Trapezoidal Cauchy integral of the data over one leaf.
-
-    Every requested point must lie strictly inside the leaf curve and at
-    least 0.05 * inradius away from it, else NearBoundary names the point.
-    Values, winding sums and the probes below are all _cauchy_at sums over
-    the leaf's one weight array f zeta'.
-
-    boundary_sup_error is max |F(0.9 zeta_j) - f(zeta_j)| over 16 probes
-    picked by node index, j = 0, N/16, ...  At lambda > 0 the nodes are
-    sparsest (spacing 2 pi q r / N) at the ends of the minor axis, where
-    j = 0 and N/2 sit, so it follows the node spacing there.
-    """
-    zeta, dzeta, fvals, weights = _cauchy_values(data, leaf)
-    values = _interior_values(zeta, dzeta, weights, points)
-    sup_err = 0.0
-    for j in range(0, leaf.N, max(1, leaf.N // 16)):
-        sup_err = max(sup_err, abs(_cauchy_at(weights, zeta - 0.9 * zeta[j]) - fvals[j]))
-    return LeafExtension(interior_values=values, boundary_sup_error=float(sup_err))
+        defects[z] = defect
+        estimates[z] = defect * sup_f
+    return LeafExtension(interior_values=values, winding_defects=defects, error_estimates=estimates)
 
 
 def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):
@@ -197,12 +192,11 @@ class DerivativeProbeReport:
 def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder) -> DerivativeProbeReport:
     """Estimate d/ds of F(0, s) on a geometric ladder of leaf levels.
 
-    F(0, s) comes from the Cauchy integral on each leaf, with cauchy_extend's
-    NearBoundary checks but without its boundary diagnostic; F_s is formed by
-    3-point central differences on the (non-uniform) ladder and the
-    exponent is the least-squares slope of log |F_s| against log s.  A
-    blow-up rate of -1/2 is the signature of a degenerate model; 0 means
-    the derivative stays bounded.
+    F(0, s) is cauchy_extend's value at z = 0 on each leaf, NearBoundary
+    checks included; F_s is formed by 3-point central differences on the
+    (non-uniform) ladder and the exponent is the least-squares slope of
+    log |F_s| against log s.  A blow-up rate of -1/2 is the signature of a
+    degenerate model; 0 means the derivative stays bounded.
     """
     s_ladder = [float(s) for s in s_ladder]
     if not MIN_LADDER_RUNGS <= len(s_ladder) <= MAX_LADDER_RUNGS:
@@ -217,10 +211,7 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
     if ratios.max() / ratios.min() > 1.0 + 1e-6:
         raise InputError("s ladder must be geometric (constant ratio)")
 
-    F0 = np.empty(len(s_ladder), dtype=complex)
-    for i, v in enumerate(s_ladder):
-        zeta, dzeta, _, weights = _cauchy_values(data, leaf_family(v))
-        F0[i] = _interior_values(zeta, dzeta, weights, [0.0])[0.0]
+    F0 = np.array([cauchy_extend(data, leaf_family(v), [0.0]).interior_values[0.0] for v in s_ladder])
     h1, h2 = h[:-1], h[1:]
     Fs = (
         -h2 / (h1 * (h1 + h2)) * F0[:-2]

@@ -14,7 +14,7 @@ import pytest
 import dictref
 from conftest import congruent_model, perfbench_corpus
 import crextend
-from crextend import Polynomial, QuadricModel, extend, normal_form_model, polyalg, q_polynomial
+from crextend import Polynomial, QuadricModel, extend, leafcauchy, normal_form_model, polyalg, q_polynomial
 from crextend.polyalg import MAX_TERMS
 from crextend.cli import _COMMANDS, RunConfig, dumps_canonical, main
 
@@ -226,6 +226,10 @@ def test_cli_leaf_extend(tmp_path, capsys):
     vals = doc["values"]
     assert vals[0]["F"]["re"] == pytest.approx(0.1, abs=1e-12)
     assert vals[1]["F"]["im"] == pytest.approx(-0.05, abs=1e-12)
+    for row in vals:
+        assert set(row) == {"z", "F", "winding_defect", "error_estimate"}
+        assert 0 <= row["winding_defect"] <= leafcauchy.WINDING_TOL
+    assert set(doc) == {"command", "config", "r", "level", "data", "values"}  # no leaf-wide diagnostic
 
 
 def test_cli_leaf_extend_near_boundary_is_input_error(tmp_path, capsys):

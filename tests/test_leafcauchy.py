@@ -86,45 +86,57 @@ def test_point_outside_the_leaf_names_a_real_winding_number():
 
 
 def _cauchy_reference(data, leaf, points):
-    """The leaf's Cauchy sums spelled out per point: ({z: F(z)}, boundary_sup_error, max |F_z|).
+    """The leaf's Cauchy sums spelled out per point: ({z: F(z)}, {z: |winding - 1|}, max |F_z|).
 
-    F(z) is sum f dzeta / (zeta - z) / (i N), F_z the same over (zeta - z)^2,
-    and the diagnostic is the sup over 16 probes at 0.9 zeta_j of |F - f_j|.
+    F(z) is sum f dzeta / (zeta - z) / (i N), the winding sum the same with
+    f = 1, and F_z the same as F over (zeta - z)^2.
     """
     zeta, dzeta = leaf.points(), leaf.tangent()
     fvals = data.evaluator(zeta, leaf.level)
-    values = {}
+    values, defects = {}, {}
     for z in map(complex, points):
         values[z] = complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * leaf.N))
-    sup_err = 0.0
-    for j in range(0, leaf.N, max(1, leaf.N // 16)):
-        F = complex(np.sum(fvals * dzeta / (zeta - 0.9 * zeta[j])) / (1j * leaf.N))
-        sup_err = max(sup_err, abs(F - fvals[j]))
+        defects[z] = abs(np.sum(dzeta / (zeta - z)) / (1j * leaf.N) - 1)
     max_fz = 0.0
     for z in map(complex, points):
         fz = np.sum(fvals * dzeta / (zeta - z) ** 2) / (1j * leaf.N)
         max_fz = max(max_fz, abs(complex(fz)))
-    return values, sup_err, max_fz
+    return values, defects, max_fz
 
 
-def test_cauchy_boundary_sup_error_diagnostic():
-    leaf = solve_leaf(normal_form_model([0.1]), 0.3, 256)
-    ext = cauchy_extend(BoundaryData.builtin("constant", 1.0), leaf, [0.0])
-    assert ext.boundary_sup_error < 1e-9  # pure quadrature tail at the probes
-    ext = cauchy_extend(BoundaryData.builtin("identity"), leaf, [0.0])
-    assert 0.0 < ext.boundary_sup_error < 0.1
-    m = normal_form_model([0.3])
-    f = Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.zbar(1) ** 3
-    leaves = (solve_leaf(m, 0.2, 256), solve_leaf(m, 0.45, 4096), radial_leaf_family(np.sqrt)(0.3))
-    for leaf in leaves:
-        for data in (BoundaryData.from_polynomial(f), BoundaryData.builtin("sqrt-re-w")):
-            ext = cauchy_extend(data, leaf, [0.0, 0.01j])
-            assert ext.boundary_sup_error == _cauchy_reference(data, leaf, [])[1]
+def test_cauchy_error_estimate_bounds_the_error_of_holomorphic_data():
+    # F = e^z / (z - 3) exactly; the trapezoid error grows as the points near
+    # the curve and as lambda flattens the leaf, and each point's estimate
+    # |winding - 1| * max |f| must stay above it, up to a rounding allowance
+    data = BoundaryData(evaluator=lambda z, s: np.exp(z) / (z - 3), description="e^z/(z-3)")
+    eps = float(np.finfo(float).eps)
+    for lam in (0.1, 0.3, 0.45):
+        leaf = solve_leaf(normal_form_model([lam]), 0.5, 512)
+        zeta = leaf.points()
+        admitted = []
+        for z in (c * zeta[j] for c in np.linspace(0.5, 0.95, 10) for j in range(0, leaf.N, 64)):
+            try:
+                cauchy_extend(data, leaf, [z])
+            except NearBoundary:
+                continue
+            admitted.append(complex(z))
+        assert len(admitted) >= 64
+        ext = cauchy_extend(data, leaf, admitted)
+        sup_f = float(np.max(np.abs(data.evaluator(zeta, leaf.level))))
+        worst = 0.0
+        for z in admitted:
+            err = abs(ext.interior_values[z] - np.exp(z) / (z - 3))
+            assert err <= ext.error_estimates[z] + 4 * eps * sup_f
+            assert ext.error_estimates[z] == ext.winding_defects[z] * sup_f
+            if err > 1e-13:
+                worst = max(worst, err / ext.error_estimates[z])
+        assert worst > 0.5  # the estimate is tight where the error shows, not vacuous
 
 
 def test_cauchy_sums_keep_the_bits_of_the_per_point_formulas():
-    # values, probe rows and F_z equal the per-point sums exactly, not to a
-    # tolerance, on a leaf without E, one with E and a radial leaf
+    # values, winding defects, probe rows and F_z equal the per-point sums
+    # exactly, not to a tolerance, on a leaf without E, one with E and a
+    # radial leaf
     E = Polynomial.monomial(1, (3,), (1,), 0, 0.05) + Polynomial.monomial(1, (1,), (3,), 0, 0.05)
     families = (
         quadric_leaf_family(normal_form_model([0.3]), N=256),
@@ -137,10 +149,10 @@ def test_cauchy_sums_keep_the_bits_of_the_per_point_formulas():
         for data in (BoundaryData.from_polynomial(f), BoundaryData.builtin("sqrt-re-w")):
             leaf = family(0.09)
             points = [0.0, *interior_samples(leaf, 8, seed=11)]
-            values, sup_err, max_fz = _cauchy_reference(data, leaf, points)
+            values, defects, max_fz = _cauchy_reference(data, leaf, points)
             ext = cauchy_extend(data, leaf, points)
             assert ext.interior_values == values
-            assert ext.boundary_sup_error == sup_err
+            assert ext.winding_defects == defects
             assert zderiv_bound_check(data, leaf, points).max_fz == max_fz
             rows = normal_derivative_probe(data, family, ladder).rows
             F0 = [_cauchy_reference(data, family(s), [0.0])[0][0j] for s in ladder]
