@@ -102,17 +102,33 @@ def _cauchy_at(weights, diff):
     return complex(np.sum(weights / diff) / (1j * len(diff)))
 
 
+def _winding_defect(z, diff, dzeta, inradius):
+    """|winding - 1| at z from diff = zeta - z; NearBoundary unless z is inside the curve, 0.05 * inradius from it."""
+    if np.min(np.abs(diff)) < NEAR_BOUNDARY_FACTOR * inradius:
+        raise NearBoundary(
+            f"point {z} is within {NEAR_BOUNDARY_FACTOR} * inradius of the leaf curve",
+            point=z,
+        )
+    winding = _cauchy_at(dzeta, diff)
+    defect = abs(winding - 1.0)
+    if defect > WINDING_TOL:
+        raise NearBoundary(
+            f"point {z} is not inside the leaf curve (winding number {winding.real:.3f})",
+            point=z,
+        )
+    return defect
+
+
 def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
     """Trapezoidal Cauchy integral of the data over one leaf.
 
     Every requested point must lie strictly inside the leaf curve and at
     least 0.05 * inradius away from it, else NearBoundary names the point.
-    Each point forms zeta - z once, for its distance check, its winding sum
-    (_cauchy_at over zeta') and its value (over the one weight array f zeta').
-    The winding sum is the same rule applied to f = 1, so |winding - 1| times
-    max |f| over the nodes estimates the error of F: a measured bound on
-    holomorphic data up to roundoff, not a proven one (data with zbar terms
-    exceeded it by up to 5%).
+    Each point forms zeta - z once, for its _winding_defect and its value
+    (_cauchy_at over the one weight array f zeta').  The winding sum is the
+    same rule applied to f = 1, so |winding - 1| times max |f| over the nodes
+    estimates the error of F: a measured bound on holomorphic data up to
+    roundoff, not a proven one (data with zbar terms exceeded it by up to 5%).
     """
     zeta, dzeta, fvals, weights = _cauchy_values(data, leaf)
     inradius = float(np.min(np.abs(zeta)))
@@ -121,21 +137,9 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     for z in points:
         z = complex(z)
         diff = zeta - z
-        if np.min(np.abs(diff)) < NEAR_BOUNDARY_FACTOR * inradius:
-            raise NearBoundary(
-                f"point {z} is within {NEAR_BOUNDARY_FACTOR} * inradius of the leaf curve",
-                point=z,
-            )
-        winding = _cauchy_at(dzeta, diff)
-        defect = abs(winding - 1.0)
-        if defect > WINDING_TOL:
-            raise NearBoundary(
-                f"point {z} is not inside the leaf curve (winding number {winding.real:.3f})",
-                point=z,
-            )
+        defects[z] = _winding_defect(z, diff, dzeta, inradius)
         values[z] = _cauchy_at(weights, diff)
-        defects[z] = defect
-        estimates[z] = defect * sup_f
+        estimates[z] = defects[z] * sup_f
     return LeafExtension(interior_values=values, winding_defects=defects, error_estimates=estimates)
 
 
@@ -241,16 +245,21 @@ class ZDerivReport:
 def zderiv_bound_check(data: BoundaryData, leaf: LeafParametrization, interior_points) -> ZDerivReport:
     """Check |F_z| <= sup over the leaf of (|f_z| + |f_zbar|) + ZDERIV_SLACK.
 
-    F_z at each interior sample is _cauchy_at over diff = (zeta - z)^2, the
+    Every interior sample must pass cauchy_extend's checks, else
+    NearBoundary names it.  F_z there is _cauchy_at over (zeta - z)^2, the
     trapezoid rule for the differentiated Cauchy integral (1 / 2 pi i) *
     integral of f(zeta) / (zeta - z)^2 d(zeta), with no step size; the
     tangential derivatives of f come from the data's fz / fzbar.
     """
     if data.fz is None or data.fzbar is None:
         raise InputError("zderiv_bound_check: data carries no derivative information")
-    zeta, _, _, weights = _cauchy_values(data, leaf)
+    zeta, dzeta, _, weights = _cauchy_values(data, leaf)
+    inradius = float(np.min(np.abs(zeta)))
     sup_bound = float(np.max(np.abs(data.fz(zeta, leaf.level)) + np.abs(data.fzbar(zeta, leaf.level))))
     max_fz = 0.0
     for z in interior_points:
-        max_fz = max(max_fz, abs(_cauchy_at(weights, (zeta - complex(z)) ** 2)))
+        z = complex(z)
+        diff = zeta - z
+        _winding_defect(z, diff, dzeta, inradius)
+        max_fz = max(max_fz, abs(_cauchy_at(weights, diff**2)))
     return ZDerivReport(ok=max_fz <= sup_bound + ZDERIV_SLACK, max_fz=max_fz, sup_bound=sup_bound)

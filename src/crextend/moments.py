@@ -19,6 +19,7 @@ when every moment integral over every leaf vanishes:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ def eval_on_grid(p: Polynomial, z):
 class LeafParametrization:
     """One hull leaf of an n = 1 model, sampled on an equispaced grid in t.
 
-    u is the leaf at r = 1 and du its t-derivative: the leaf is r u.  The
-    E = None leaves of one LeafGrid, and the leaves of one
-    radial_leaf_family, share both arrays.
+    u is the leaf at r = 1 and du its exact t-derivative (with E, psi' w +
+    psi w' with the implicit psi'): the leaf is r u.  The E = None leaves of
+    one LeafGrid, and the leaves of one radial_leaf_family, share both arrays.
     """
 
     r: float
@@ -75,14 +76,6 @@ class LeafParametrization:
         return self.r * self.du
 
 
-def fourier_derivative(values):
-    """Spectral derivative of a real periodic function on an even grid over [0, 2pi), Nyquist mode dropped."""
-    N = len(values)
-    freqs = np.fft.fftfreq(N, d=1.0 / N)
-    freqs[N // 2] = 0.0
-    return np.fft.ifft(1j * freqs * np.fft.fft(values)).real
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -96,11 +89,12 @@ class LeafGrid:
     rule), and that N is a power of two >= 64, and holds the unit leaf
     w(t) = p cos t + i q sin t (Q(w) = 1) and its derivative wt, both in
     closed form.  Without E every leaf is r w, so the residual max |Q(w) - 1|
-    is formed here once and a leaf needs no FFT; with E, leaf(r) runs
-    Newton for the radial factor psi of the leaf z = r psi w.  Then
-    E = sum_d (r psi)^d G_d with the real parts G_d = Re E_d(w) of E's
-    homogeneous parts on the grid; G holds them, row d - 3 for degree d,
-    3 <= d <= deg E, each from one evaluate here.
+    is formed here once; with E, leaf(r) runs Newton for the radial factor
+    psi of the leaf z = r psi w.  Then E = sum_d (r psi)^d G_d with the
+    real parts G_d = Re E_d(w) of E's homogeneous parts on the grid; G
+    holds them, row d - 3 for degree d, 3 <= d <= deg E, and Gt their
+    t-derivatives G_d' = 2 Re(E_d,z(w) wt) (E_d is real), each row from one
+    evaluate here.
     """
 
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
@@ -123,10 +117,12 @@ class LeafGrid:
             self.residual = float(np.max(np.abs(Q - 1.0)))
         else:
             top = int(self.E.exps.sum(axis=1).max())
+            parts = [self.E.homogeneous_part(d) for d in range(3, top + 1)]
             with np.errstate(all="ignore"):  # an overflowing G_d leaves Newton unconverged
-                parts = [self.E.homogeneous_part(d).evaluate(self.w[:, None]) for d in range(3, top + 1)]
-            self.G = np.array(parts).real
-            _read_only(self.G)
+                self.G = np.array([E_d.evaluate(self.w[:, None]).real for E_d in parts])
+                Ez = [E_d.partial_derivative("z").evaluate(self.w[:, None]) for E_d in parts]
+                self.Gt = np.array([2.0 * (E_dz * self.wt).real for E_dz in Ez])
+            _read_only(self.G, self.Gt)
         _read_only(self.w, self.wt)
 
     def leaf(self, r, tol=LEAF_RESIDUAL_TOL):
@@ -137,25 +133,27 @@ class LeafGrid:
         if self.E is None:
             u, du, residual = self.w, self.wt, self.residual
         else:
-            psi, residual = self._newton(r)
+            psi, psi_t, residual = self._newton(r)
             if np.any(psi <= 0):
                 raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
-            u, du = psi * self.w, fourier_derivative(psi) * self.w + psi * self.wt
+            u, du = psi * self.w, psi_t * self.w + psi * self.wt
             _read_only(u, du)
         if residual >= tol:
             raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
         return LeafParametrization(r=r, level=r * r, u=u, du=du)
 
     def _newton(self, r):
-        """psi at label r and its residual, by Newton from psi = 1.
+        """psi at label r, its t-derivative and its residual, by Newton from psi = 1.
 
         Each pass takes g from _defect, with C_d = r^(d-2) G_d scaled
         once per leaf; the first g whose sup is below NEWTON_TOL ends the
         loop, and that sup is the residual.  Only a pass that goes on to
-        step forms g', from _slope.  An r whose square overflows is
-        refused by name; a larger power or an iterate that overflows is
-        not warned about: it never meets NEWTON_TOL, so the loop ends in
-        the LeafSolveError that reports the failure.
+        step forms g_psi, from _slope.  At that psi, g(psi, t) = 0 gives
+        psi_t = -g_t / g_psi with g_t = psi^3 sum_d r^(d-2) G_d' psi^(d-3).
+        An r whose square overflows is refused by name; a larger power or
+        an iterate that overflows is not warned about: it never meets
+        NEWTON_TOL, so the loop ends in the LeafSolveError that reports
+        the failure.
         """
         try:
             r**2  # only to refuse an r whose square overflows
@@ -164,13 +162,14 @@ class LeafGrid:
         psi = np.ones(len(self.w))
         with np.errstate(all="ignore"):
             degrees = np.arange(3, len(self.G) + 3)
-            C = self.G * (np.float64(r) ** (degrees - 2))[:, None]
+            scale = (np.float64(r) ** (degrees - 2))[:, None]
+            C = self.G * scale
             dC = C * degrees[:, None]
             for _ in range(NEWTON_MAX_ITER):
                 g = _defect(psi, C)
                 residual = float(np.max(np.abs(g)))
                 if residual < NEWTON_TOL:
-                    return psi, residual
+                    return psi, -psi * psi * psi * _horner(psi, self.Gt * scale) / _slope(psi, dC), residual
                 psi = psi - g / _slope(psi, dC)
         raise LeafSolveError(
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
@@ -178,20 +177,22 @@ class LeafGrid:
         )
 
 
-def _defect(psi, C):
-    """g = psi^2 - 1 + sum_d C_d psi^d at psi, by one Horner pass; row d - 3 of C is C_d."""
-    h = C[-1]  # sum_d C_d psi^(d-3)
+def _horner(psi, C):
+    """sum_d C_d psi^(d-3) at psi, by one Horner pass; row d - 3 of C is C_d."""
+    h = C[-1]
     for c in C[-2::-1]:
         h = h * psi + c
-    return psi * psi * (1.0 + psi * h) - 1.0
+    return h
+
+
+def _defect(psi, C):
+    """g = psi^2 - 1 + sum_d C_d psi^d at psi."""
+    return psi * psi * (1.0 + psi * _horner(psi, C)) - 1.0
 
 
 def _slope(psi, dC):
-    """g' = dg/dpsi at psi, by one Horner pass; row d - 3 of dC is d C_d."""
-    dh = dC[-1]  # sum_d d C_d psi^(d-3)
-    for dc in dC[-2::-1]:
-        dh = dh * psi + dc
-    return psi * (2.0 + psi * dh)
+    """g_psi = dg/dpsi at psi; row d - 3 of dC is d C_d."""
+    return psi * (2.0 + psi * _horner(psi, dC))
 
 
 def solve_leaf(
@@ -294,8 +295,9 @@ def check_moments(
     of solve_leaf; leaf_tol is its residual tolerance.  f is evaluated on
     each leaf once and its weight serves every ell, as in moment_integral.
     Passes iff every moment modulus is below tol.  A moment whose scale
-    r^(ell + 1) overflows is a NumericalError naming r and ell, raised
-    before any later leaf's error.  f must not contain w.
+    r^(ell + 1) overflows, or whose value is not finite, is a
+    NumericalError naming r and ell, raised before any later leaf's error.
+    f must not contain w.
     """
     if f.has_w_terms():
         raise InputError("check_moments: f must not contain w")
@@ -315,6 +317,10 @@ def check_moments(
     for r in leaves:
         leaf = grid.leaf(r, leaf_tol)
         for ell, v in enumerate(_leaf_moments(f, leaf, range(Lmax + 1))):
+            if not cmath.isfinite(v):
+                raise NumericalError(
+                    f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g} is not finite: {v}"
+                )
             entries.append((leaf.r, ell, v))
             max_mod = max(max_mod, abs(v))
     return MomentReport(

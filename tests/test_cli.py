@@ -563,6 +563,13 @@ NUMERICAL = {
         {"model": model_doc([0.2]), "f": poly_doc(Polynomial.zbar(1) ** 3), "leaves": [1e9], "Lmax": 40},
         ["radius r = 1e+09", "ell = 34"],
     ),
+    # zbar^30 overflows on the leaf at 1e11 and its moment is nan: refused
+    # by name, not passed over by the max modulus
+    "check-nan-moment": (
+        "check",
+        {"model": model_doc([0.1]), "f": poly_doc(Polynomial.zbar(1) ** 30), "leaves": [1e11], "Lmax": 0},
+        ["ell = 0 on the leaf of radius r = 1e+11 is not finite"],
+    ),
 }
 
 

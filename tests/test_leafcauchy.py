@@ -307,6 +307,20 @@ def test_zderiv_kernel_is_the_z_derivative_of_the_extension():
             assert abs(report.max_fz - expected) <= 1e-13 * max(1.0, report.sup_bound)
 
 
+@pytest.mark.parametrize("z", [0.4999, 5.0])
+def test_zderiv_refuses_the_points_cauchy_extend_refuses(z):
+    # 40 z^3 on the r = 0.5 circle has |F_z| <= sup (|f_z| + |f_zbar|) = 30
+    # inside; next to the curve the differentiated sum reads 4.9e5 and at an
+    # exterior point 8.5e-18, neither of them F_z, so both points are
+    # NearBoundary, as in cauchy_extend
+    leaf = solve_leaf(normal_form_model([0.0]), 0.5, 512)
+    data = BoundaryData.from_polynomial(Polynomial.monomial(1, (3,), (0,), 0, 40.0))
+    for extend in (cauchy_extend, zderiv_bound_check):
+        with pytest.raises(NearBoundary) as info:
+            extend(data, leaf, [z])
+        assert info.value.point == z
+
+
 def test_zderiv_bound_degenerate_constant_leafwise():
     family = radial_leaf_family(lambda s: s**0.25, N=256)
     leaf = family(1e-2)

@@ -10,6 +10,7 @@ from crextend import (
     InputError,
     LeafSolveError,
     NotElliptic,
+    NumericalError,
     Polynomial,
     QuadricModel,
     check_moments,
@@ -46,8 +47,8 @@ def test_leaf_circle_at_lambda0():
 
 def test_leaf_closed_form_profile(monkeypatch):
     # without E every leaf is r times the unit ellipse, Q(u) = 1 to rounding,
-    # and no leaf runs an FFT
-    monkeypatch.setattr(moments, "fourier_derivative", None)
+    # and no leaf runs Newton or the tangent's Horner kernel
+    monkeypatch.setattr(moments, "_horner", None)
     for lam in LAMBDA_CHOICES:
         m = normal_form_model([lam])
         for N in (64, 512):
@@ -118,6 +119,40 @@ def test_leaf_generic_real_E_matches_per_angle_roots():
 
                 root = optimize.brentq(defect, 0.5, 2.0, xtol=1e-15, rtol=1e-15)
                 assert abs(psi[j].real - root) < 1e-12
+
+
+def test_leaf_tangent_matches_a_high_precision_reference():
+    # du = psi_t w + psi wt with psi_t = -g_t / g_psi in closed form; the
+    # reference is psi(t) from mpmath's findroot on rho(r psi w(t)) = r^2 at
+    # 40 digits, differentiated by mpmath's diff, at every 32nd node
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(83)
+    N = 512
+    with mpmath.workdps(40):
+        for lam in LAMBDA_CHOICES:
+            E = _generic_real_E(rng, lam)
+            m = normal_form_model([lam], E=E)
+            terms = [(mpmath.mpc(c), a, b) for (a, b, _), c in E.terms]
+            lam_mp = mpmath.mpf(lam)
+            p, q = (1 + 2 * lam_mp) ** -0.5, (1 - 2 * lam_mp) ** -0.5
+            for r in (0.05, 0.2, 0.4):
+                r_mp = mpmath.mpf(r)
+
+                def u_ref(t):
+                    w = mpmath.mpc(p * mpmath.cos(t), q * mpmath.sin(t))
+
+                    def defect(x):
+                        z = r_mp * x * w
+                        zb = mpmath.conj(z)
+                        rho = z * zb + lam_mp * (z * z + zb * zb) + sum(c * z**a * zb**b for c, a, b in terms)
+                        return mpmath.re(rho) - r_mp**2
+
+                    return mpmath.findroot(defect, mpmath.mpf(1)) * w
+
+                leaf = solve_leaf(m, r, N)
+                for j in range(0, N, 32):
+                    du_ref = complex(mpmath.diff(u_ref, 2 * mpmath.pi * j / N))
+                    assert abs(leaf.du[j] - du_ref) <= 2e-14, (lam, r, j)
 
 
 def test_leaf_E_with_tolerated_imaginary_part_converges():
@@ -193,11 +228,12 @@ def test_leaf_with_E_up_to_degree_8_stays_on_its_level_set(degrees):
 
 
 def test_leaf_newton_evaluates_no_polynomial(monkeypatch):
-    # a grid with E evaluates E's parts once, in LeafGrid.__init__, and
-    # solves its ladder from G alone: no polynomial evaluation and no E_z;
-    # its exact slope keeps Newton quadratic, at most 7 passes a leaf on
-    # this ladder (3 to 7 measured), and the slope is formed only for a
-    # pass that steps, so every leaf makes one more defect than slope
+    # a grid with E evaluates E's parts and their E_z once, in
+    # LeafGrid.__init__, never per leaf, and solves its ladder from G and Gt
+    # alone: no polynomial evaluation; its exact slope keeps Newton
+    # quadratic, at most 7 passes a leaf on this ladder (3 to 7 measured),
+    # and the slope is formed for each pass that steps and once more for
+    # the tangent, so every leaf makes as many slopes as defects
     calls = []
     evaluate = Polynomial.evaluate
     monkeypatch.setattr(
@@ -216,7 +252,7 @@ def test_leaf_newton_evaluates_no_polynomial(monkeypatch):
             leaf = grid.leaf(r)
             defects = calls.count("_defect")
             assert set(calls) == {"_defect", "_slope"} and defects <= 7, (lam, r, calls)
-            assert calls.count("_slope") == defects - 1 and calls[-1] == "_defect", (lam, r, calls)
+            assert calls.count("_slope") == defects and calls[-1] == "_slope", (lam, r, calls)
             assert not np.array_equal(leaf.u, grid.w)
         calls.clear()
 
@@ -486,6 +522,13 @@ def test_check_moments_flags_obstruction():
     report = check_moments(f, m, leaves=[0.1, 0.2, 0.3, 0.4])
     assert not report.passed
     assert report.max_modulus == pytest.approx(np.pi * 0.4**2, rel=1e-10)
+
+
+def test_check_moments_refuses_a_non_finite_moment():
+    # zbar^30 overflows on the leaf at r = 1e11 while its scale r does not:
+    # the moment is nan, which a max over moduli would skip into a pass
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"ell = 0 on the leaf of radius r = 1e\+11 "):
+        check_moments(Polynomial.zbar(1) ** 30, normal_form_model([0.1]), leaves=[1e11], Lmax=0)
 
 
 @pytest.mark.parametrize("lam, k, N", [(0.45, 3, 64), (0.45, 3, 128), (0.4, 6, 128)])
