@@ -63,6 +63,15 @@ def _scalar(obj):
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+# The item heads of each dict key tuple at each indent, for tuples of str
+# keys only: 1, True and 1.0 are equal keys that write different heads.
+# Report keys come from code, so the report schema bounds this cache (the
+# 1020 benchmark corpus documents fill 23 entries); HEADS_MAX caps it for
+# other callers' dicts.
+_HEADS = {}
+HEADS_MAX = 4096
+
+
 def _write(obj, out, nl):
     """Append the chunks of obj to out; nl is the newline and indent of obj's line.
 
@@ -73,7 +82,12 @@ def _write(obj, out, nl):
     inner = nl + "  "
     if isinstance(obj, dict):
         brackets = "{}"
-        heads = [f",{inner}{_encode_str(str(k))}: " for k in obj]
+        keys = tuple(obj)
+        heads = _HEADS.get((keys, inner))
+        if heads is None:
+            heads = [f",{inner}{_encode_str(str(k))}: " for k in keys]
+            if len(_HEADS) < HEADS_MAX and all(type(k) is str for k in keys):
+                _HEADS[keys, inner] = heads
         values = obj.values()
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"

@@ -93,6 +93,35 @@ def random_unit_vector(rng, n):
     return v / np.linalg.norm(v)
 
 
+def per_term_evaluate(p, z, w=0.0):
+    """Polynomial.evaluate as it was before it summed blocks of terms: one term at a time.
+
+    A copy of the package's per-term loop, kept as the reference for its bits.
+    """
+    n = p.n
+    z = np.asarray(z, dtype=complex)
+    if n == 1 and z.ndim == 0:
+        z = z[None]
+    zb = np.conj(z)
+    w = np.asarray(w, dtype=complex)
+    columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [w]
+    tops = p.exps.max(axis=0, initial=0).tolist()
+    tables = []
+    for x, top in zip(columns, tops):
+        table = [None, x]
+        for _ in range(top - 1):
+            table.append(table[-1] * x)
+        tables.append(table)
+    total = np.zeros(np.broadcast(columns[0], w).shape, dtype=complex)
+    for row, c in p.terms:
+        val = c
+        for table, e in zip(tables, row):
+            if e:
+                val = val * table[e]
+        total += val
+    return complex(total) if total.ndim == 0 else total
+
+
 def loop_evaluate(p, z, w=0.0):
     """Reference evaluation at one point, term by term in Python complex arithmetic."""
     total = 0j

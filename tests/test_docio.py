@@ -199,6 +199,12 @@ def test_writer_matches_reference(obj):
     assert cli.dumps_canonical(obj) == ioref.dumps_canonical(obj)
 
 
+def test_writer_tells_equal_keys_of_other_types_apart():
+    # 1, True and 1.0 are equal dict keys, so cached key heads must not be shared among them
+    for obj in ({1: 0}, {True: 0}, {1.0: 0}, {"1": 0}, {1: 0}, {"a": {True: [{1.0: 0}]}}, {"a": {1: [{True: 0}]}}):
+        assert cli.dumps_canonical(obj) == ioref.dumps_canonical(obj)
+
+
 @pytest.mark.parametrize(
     "bad, error",
     [

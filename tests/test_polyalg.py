@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import loop_evaluate, random_coeff, random_polynomial
+from conftest import loop_evaluate, per_term_evaluate, random_coeff, random_polynomial
 from crextend import InputError, Polynomial, normal_form_model, solve_leaf
 import crextend.polyalg as polyalg
 from crextend.polyalg import DEGREE_CAP, ZERO_THRESHOLD, complex_from_json, monomials
@@ -195,6 +195,61 @@ def test_evaluate_point_shapes():
         p.evaluate([1.0, 2.0])  # n = 1 points need a trailing axis of length 1
     with pytest.raises(InputError):
         z(2).evaluate(1.0)
+
+
+def _same_bits(a, b):
+    """a and b are of one type and shape, with equal bits (so -0.0 differs from 0.0, and nan equals nan)."""
+    bits = [np.atleast_1d(x).view(np.uint64) for x in (a, b)]
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.array_equal(*bits)
+
+
+def test_evaluate_keeps_the_bits_of_the_per_term_loop(monkeypatch):
+    # summing blocks of terms (polyalg._sum_blocks) gives the loop's bits: signed
+    # zeros, infs, nans and overflowed products included
+    runs = []
+    sum_blocks = polyalg._sum_blocks
+
+    def recorded(exps, *args):
+        done, total = sum_blocks(exps, *args)
+        runs.append((done, len(exps)))
+        return done, total
+
+    monkeypatch.setattr(polyalg, "_sum_blocks", recorded)
+    rng = np.random.default_rng(97)
+    polys = []
+    for n in (1, 2, 3):
+        for with_w in (False, True):
+            for nterms in (3, 40, 400):
+                p = random_polynomial(rng, n, 12, nterms=nterms, with_w=with_w)
+                polys += [p, p * 1e300]
+        signed = [complex(-0.0, 1.0), complex(0.5, -0.0), complex(-0.0, -0.0) + 1]
+        polys += [
+            Polynomial.zero(n),
+            Polynomial.monomial(n, (2,) * n, (1,) * n, 1, 0.5 - 2j),
+            Polynomial(n, [[j + 1] * (2 * n + 1) for j in range(3)], signed),
+        ]
+    # every z^a zbar^b up to degree 30: at |z| near 2 only the later blocks overflow
+    polys.append(Polynomial(1, [[a, d - a, 0] for d in range(31) for a in range(d + 1)], np.full(496, 1e300j)))
+    special = [np.inf, -np.inf, np.nan, complex(np.inf, 0.0), complex(0.0, -np.inf), complex(-0.0, 0.0)]
+    for p in polys:
+        n = p.n
+        for shape in ((1, n), (2, n), (50, n), (64, n), (1, 1, n), (1, 2, n), (5, 10, n), (8, 8, n)):
+            z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+            z.flat[:: max(3, z.size // 4)] = -0.0  # zero parts of both signs in the products
+            odd = z.copy()
+            odd.flat[rng.integers(0, z.size, 2)] = rng.choice(special, 2)
+            for points in (z, odd, 1e3 * z):
+                for w in (0.3 - 0.2j, rng.uniform(-1.5, 1.5, shape[:-1]) - 0.0j):
+                    with np.errstate(all="ignore"):
+                        assert _same_bits(p.evaluate(points, w), per_term_evaluate(p, points, w))
+        one = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        for point in (one, one[0]) if n == 1 else (one,):
+            assert type(p.evaluate(point, 0.5)) is complex
+            assert _same_bits(p.evaluate(point, 0.5), per_term_evaluate(p, point, 0.5))
+    # blocks ran: whole, and stopped short at a non-finite block sum
+    assert any(done == m for done, m in runs)
+    assert any(0 < done < m for done, m in runs)
+    assert any(done == 0 for done, m in runs)
 
 
 # -- conjugation ---------------------------------------------------------------
