@@ -9,15 +9,19 @@ from exact division by dQ/dzbar_1 for every degree at once, and the
 degrees are checked in ascending batches, each P_d(z, Q) - f_d of a batch
 expanded and summed together; only a degree that does not match is solved
 again by least squares, unless its certificate already proves that the
-least-squares residual fails.  On any other Q each degree is one dense
-least-squares solve.  A failing degree is reported together with its
-residual and, when the model exposes one, the structural obstruction
-behind it.
+least-squares residual fails.  Any other elliptic Q is a linear change of
+coordinates z = T zeta away from its Bishop normal form: its small degrees
+are each one dense least-squares solve, and from the first larger degree
+on f(T zeta) is divided in the normal form's coordinates, mapped back and
+checked in the input's coordinates as on a diagonal Q.  A failing degree
+is reported together with its residual and, when the model exposes one,
+the structural obstruction behind it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import comb, factorial, hypot, inf, isfinite, isnan, prod
 
 import numpy as np
@@ -29,6 +33,7 @@ from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
 from .quadform import (
     ELLIPTIC_MARGIN,
     QuadricModel,
+    _bishop,
     _classify_lambdas,
     classify,
     default_radii,
@@ -64,6 +69,17 @@ MAX_GRADED_ENTRIES = 2**24
 # at a low degree, which expand the rest of their batch for nothing (n = 3,
 # degree 14: 16.1 and 18.0 ms).  2**9 sits between.
 GATE_ENTRIES = 2**9
+# Largest graded block a Q that is not even in each coordinate solves by
+# least squares (_congruent_degrees): n = 2 to degree 7, n = 3 to degree 4.
+# From the first larger degree on it divides in normal-form coordinates, at
+# a set-up cost of about 1 ms, which an obstruction found there pays on top
+# of its least-squares recheck.  Measured with cli.main on extend-graded,
+# seeds 8-10, blocks 0-6 (best of 5 per document, bounds interleaved, one
+# BLAS thread, 2-vCPU Xeon VM), against every degree dense: the sum over
+# documents fell 6.3-7.0% at 2**10, 5.7-6.6% at 2**12 and 4.7-5.0% at
+# 2**13; the median document moved -0.3..+2.9% at 2**10 and -3.2..+0.7% at
+# 2**12, where n = 3 obstructions at degree 4 stay below the median.
+DENSE_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -283,11 +299,12 @@ def _coefficient(p, row):
     return complex(p.coeffs[hit[0]]) if len(hit) else 0j
 
 
-def _divided_P(f, Q):
+def _divided_P(f, Q, moduli=None):
     """P with f = P(z, Q) for Q even in each coordinate, by exact division along z_1.
 
     Returns (rows, x, bound): P's rows alpha | 0 | k in graded order, their
-    coefficients, and for each a bound on the moduli summed into it.
+    coefficients, and for each a bound on the moduli summed into it, starting
+    from moduli (one per term of f, |f|'s coefficients when not given).
 
     Such a Q is sum_j a_j z_j zbar_j + b_j z_j^2 + conj(b_j) zbar_j^2, so
     dQ/dzbar_1 = a_1 (z_1 + mu zbar_1) with mu = 2 conj(b_1) / a_1, and
@@ -327,9 +344,9 @@ def _divided_P(f, Q):
     e = rest[:, 0].copy()
     rest[:, 0] = 0
     top = int(e.max(initial=0))
-    G = np.zeros((len(rest), top + 1), dtype=complex)
+    G, Gabs = np.zeros((len(rest), top + 1), dtype=complex), np.zeros((len(rest), top + 1))
     G[fibre, exps[:, 0]] = f.coeffs[kept]
-    Gabs = np.abs(G)
+    Gabs[fibre, exps[:, 0]] = (np.abs(f.coeffs) if moduli is None else moduli)[kept]
     # T[b, a] = (-mu)^(b - a - 1) / a_1 for b > a, else 0
     lag = np.arange(top + 1)[:, None] - np.arange(top + 1) - 1
     T = np.where(lag >= 0, (-mu) ** np.maximum(lag, 0), 0) / a1
@@ -366,16 +383,18 @@ def _divided_P(f, Q):
     return rows, x, bound
 
 
-def _division_degrees(f, powers, bounds):
-    """Per degree of f: P_d from _divided_P of Q = powers.q and the residual P_d(z, Q) - f_d.
+def _division_degrees(f, powers, bounds, divided):
+    """Per degree of f: P_d from divided and the residual P_d(z, Q) - f_d, Q = powers.q.
 
-    Yields (rows, x, DegreeReport) for each degree d of f.  Coefficients
-    below NOISE_ULPS units of their rounding bound are left out of x.  The
-    report's residual is the 2-norm (_norm) of P_d(z, Q) - f_d for that
-    pruned P_d: the images of P_d's rows under powers and f_d's rows, summed
-    by sorted_runs; its condition is the recurrence's growth factor, the
-    largest rounding bound of P_d over its largest coefficient (at least 1,
-    and 1 for an empty P_d).
+    divided is (rows, x, bound) of P, rows sorted by weighted degree and in
+    the degrees of f only (_divided_P or _normal_form_P).  Yields (rows, x,
+    DegreeReport) for each degree d of f.  Coefficients below NOISE_ULPS
+    units of their rounding bound are left out of x.  The report's residual
+    is the 2-norm (_norm) of P_d(z, Q) - f_d for that pruned P_d: the
+    images of P_d's rows under powers and f_d's rows, summed by sorted_runs;
+    its condition is the recurrence's growth factor, the largest rounding
+    bound of P_d over its largest coefficient (at least 1, and 1 for an
+    empty P_d).
 
     The degrees are gated in ascending groups, each expanded by one images,
     sorted_runs and reduceat and then split by degree: the runs come in
@@ -396,7 +415,7 @@ def _division_degrees(f, powers, bounds):
     20).  extend_general decides which degrees are solved again.
     """
     n = f.n
-    rows, x, bound = _divided_P(f, powers.q)
+    rows, x, bound = divided
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     degrees = np.flatnonzero(np.diff(bounds))  # P has rows in these degrees only
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
@@ -449,6 +468,178 @@ def _division_degrees(f, powers, bounds):
         i = j
 
 
+def _normal_coordinates(Q):
+    """(T, T^-1, lambdas, s) with Q(T zeta) = s (|zeta|^2 + 2 Re sum_j lambdas_j zeta_j^2), lambdas ascending.
+
+    H and B of Q = z^H H z + 2 Re z^T B z are read off Q's own terms and
+    brought to Bishop normal form (quadform._bishop) with Q's scale s = max
+    |H_jk| taken out, so T has unit scale whatever Q's scale; T^H (H / s) T
+    = I gives T^-1, refined by one Newton step.  Q is elliptic
+    (extend_general classifies the model first), so H is positive definite.
+    """
+    n = Q.n
+    alpha, beta, c = Q.exps[:, :n], Q.exps[:, n : 2 * n], Q.coeffs
+    H, B = np.zeros((2, n, n), dtype=complex)
+    mixed, pure = beta.sum(axis=1) == 1, ~beta.any(axis=1)
+    H[beta[mixed].argmax(axis=1), alpha[mixed].argmax(axis=1)] = c[mixed]  # H_jk z_k zbar_j
+    j, k = alpha[pure].argmax(axis=1), n - 1 - alpha[pure][:, ::-1].argmax(axis=1)
+    B[j, k] = B[k, j] = c[pure] / np.where(j == k, 1, 2)  # B_jk z_j z_k + B_kj z_k z_j
+    s = float(np.abs(H).max())
+    H = (H + H.conj().T) / (2 * s)
+    T, lambdas = _bishop(*np.linalg.eigh(H), B / s)
+    T_inv = T.conj().T @ H
+    return T, T_inv @ (2 * np.eye(n) - T @ T_inv), lambdas, s  # one Newton step on T^-1
+
+
+def _rank(M, W):
+    """Each row's place in monomials() order among the monomials of its degree.
+
+    Before alpha come, for each m < n, the monomials that agree with alpha
+    up to its last m entries and have a smaller sum there: W[sigma, m - 1]
+    = C(sigma - 1 + m, m) of them, sigma the sum of alpha's last m entries.
+    """
+    return W[M[:, :0:-1].cumsum(axis=1), np.arange(M.shape[1] - 1)].sum(axis=1)
+
+
+@lru_cache(maxsize=256)
+def _monomial_plan(n, top):
+    """Read-only index tables of the monomials of degree <= top in n >= 2 variables.
+
+    Built on the tables for top - 1.  Returns (W, offset, monos, steps): W
+    for _rank; monos the monomials by degree, each degree in monomials()
+    order from offset[a]; steps[a - 1] = (parent, j, down) for degree a,
+    where j[alpha] is a coordinate with alpha_j > 0, parent[alpha] the place
+    of alpha - e_j in degree a - 1, and down[gamma, k] the place of gamma -
+    e_k, or the size of degree a - 1 where gamma_k = 0.
+    """
+    W = np.array([[comb(sigma - 1 + m, m) for m in range(1, n)] for sigma in range(top + 1)], dtype=np.int64)
+    if top == 0:
+        plan = W, np.array([0, 1]), np.zeros((1, n), dtype=np.int64), ()
+    else:
+        _, offset, monos, steps = _monomial_plan(n, top - 1)
+        M = monos[offset[-2] :]
+        up = (M[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)  # row i n + k: M[i] + e_k
+        r = _rank(up, W)
+        down = np.full((comb(top + n - 1, n - 1), n), len(M))
+        down[r, np.tile(np.arange(n), len(M))] = np.arange(len(M)).repeat(n)
+        new = np.empty((len(down), n), dtype=np.int64)
+        new[r] = up
+        j = new.argmax(axis=1)
+        step = (down[np.arange(len(new)), j], j, down)
+        plan = W, np.append(offset, offset[-1] + len(new)), np.concatenate((monos, new)), (*steps, step)
+    for array in (*plan[:3], *(a for step in plan[3] for a in step)):
+        array.setflags(write=False)
+    return plan
+
+
+def _symmetric_powers(Ts, steps):
+    """Per degree a: S_a, S_a[i] the a-th symmetric power of Ts[i] on the monomials of _monomial_plan.
+
+    (Ts[i] zeta)^alpha = sum_gamma S_a[i][alpha, gamma] zeta^gamma.  Row
+    alpha of S_a is row alpha - e_j of S_(a-1) times row j of each T: entry
+    gamma sums S_(a-1)[alpha - e_j, gamma - e_k] T[j, k] over k, an appended
+    zero column standing in where gamma_k = 0.
+    """
+    out = [np.ones((len(Ts), 1, 1), dtype=complex)]
+    for parent, j, down in steps:
+        S = out[-1]
+        padded = np.concatenate((S, np.zeros((*S.shape[:2], 1))), axis=2).reshape(len(Ts), -1)
+        G = padded.take(parent[:, None, None] * (S.shape[1] + 1) + down.T, axis=1)  # [i, alpha, k, gamma]
+        out.append((Ts[:, j, None, :] @ G)[:, :, 0])
+    return out
+
+
+def _table_entries(n, top):
+    """Entries of _normal_form_P's tables up to degree top: (top + 1) x the
+    monomials of degree <= top in z, and n x sum_a (dim S_a)^2 for the
+    symmetric powers and their gathers."""
+    sizes = [comb(a + n - 1, n - 1) for a in range(top + 1)]
+    return (top + 1) * sum(sizes) + n * sum(size * size for size in sizes)
+
+
+def _normal_form_P(f, Q, lo, hi):
+    """P with f_d = P_d(z, Q) for the degrees d of f's rows lo:hi, on any elliptic Q.
+
+    By division in normal-form coordinates; returns (rows, x, bound) as
+    _divided_P does, rows sorted by weighted degree.  With Q(T zeta) = s
+    Qn(zeta), Qn in Bishop normal form (_normal_coordinates), f(T zeta) =
+    P~(zeta, s Qn) is divided along zeta_1, where lambda_1 is the smallest,
+    and P(z, w) = P~(T^-1 z, w).  _divided_P drops every term with some
+    zetabar_j, j >= 2, so only the terms zeta^gamma zetabar_1^b of f(T zeta)
+    are formed: zbar^beta gives prod_j conj(T_j1)^beta_j zetabar_1^|beta| in
+    closed form, and z^alpha gives row alpha of the symmetric power
+    S_|alpha|(T) (_symmetric_powers); P~'s coefficients go back through
+    S_a(T^-1) = S_a(T)^-1.  The moduli go along, through |S_a(T)| into
+    _divided_P and through |S_a(T^-1)| out of it, so bound covers P's
+    rounding as on a diagonal Q.  The caller bounds the tables
+    (_table_entries).
+    """
+    n, top = f.n, int(f.exps[hi - 1].sum())
+    T, T_inv, lambdas, s = _normal_coordinates(Q)
+    W, offset, monos, steps = _monomial_plan(n, top)
+    blocks = _symmetric_powers(np.stack((T, T_inv)), steps)
+
+    def through(k, alpha, values, moduli, i):
+        """(k, monomial, value, modulus) of each entry of X S_a(Ts[i]) with a nonzero
+        modulus in |X| |S_a(Ts[i])|: X holds values, |X| moduli, at row k and alpha's column."""
+        shape = (int(k.max(initial=0)) + 1, len(monos))
+        X, Xabs = np.zeros(shape, dtype=complex), np.zeros(shape)
+        where = (k, offset[alpha.sum(axis=1)] + _rank(alpha, W))
+        np.add.at(X, where, values)
+        np.add.at(Xabs, where, moduli)
+        cols = [slice(offset[a], offset[a + 1]) for a in range(top + 1)]
+        Y = np.concatenate([X[:, c] @ S[i] for c, S in zip(cols, blocks)], axis=1)
+        Yabs = np.concatenate([Xabs[:, c] @ np.abs(S[i]) for c, S in zip(cols, blocks)], axis=1)
+        k, g = np.divmod(np.flatnonzero(Yabs), len(monos))
+        return k, monos[g], Y[k, g], Yabs[k, g]
+
+    exps = f.exps[lo:hi]
+    u = f.coeffs[lo:hi] * np.prod(np.conj(T[:, 0]) ** exps[:, n : 2 * n], axis=1)
+    b, gamma, c, cabs = through(exps[:, n : 2 * n].sum(axis=1), exps[:, :n], u, np.abs(u), 0)
+    rows = np.zeros((len(b), 2 * n + 1), dtype=np.int64)
+    rows[:, :n], rows[:, n] = gamma, b  # zeta^gamma zetabar_1^b
+    unit = np.eye(2 * n + 1, dtype=np.int64)
+    zeta, bar = unit[:n], unit[n : 2 * n]
+    normal = np.concatenate((zeta + bar, 2 * zeta, 2 * bar))  # s Qn's terms
+    normal = Polynomial(n, normal, s * np.concatenate((np.ones(n), lambdas, lambdas)))
+    rows, x, bound = _divided_P(Polynomial._wrap(n, rows, c), normal, cabs)
+    k, alpha, x, bound = through(rows[:, -1], rows[:, :n], x, bound, 1)
+    order = np.argsort(alpha.sum(axis=1) + 2 * k, kind="stable")
+    return np.column_stack((alpha, 0 * alpha, k))[order], x[order], bound[order]
+
+
+def _congruent_degrees(f, powers, bounds):
+    """(rows, x, DegreeReport) per degree of f on a Q that is not even in each coordinate.
+
+    A degree whose graded block has at most DENSE_ENTRIES entries is solved
+    by least squares (_dense_degree).  At the first larger degree the
+    normal-form division (_normal_form_P) is set up once for it and every
+    degree above whose tables fit MAX_GRADED_ENTRIES (_table_entries), and
+    _division_degrees gates them in the input's coordinates.  The next
+    degree of f, if any, is refused (InputError) when the run reaches it.
+    Blocks and tables grow with the degree, so each route takes one range.
+    """
+    n, last = f.n, len(bounds) - 2
+    for d in np.flatnonzero(np.diff(bounds)).tolist():
+        if prod(_block_shape(n, d)) > DENSE_ENTRIES:
+            break
+        yield _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
+    else:
+        return
+    top = d - 1
+    while top < last and _table_entries(n, top + 1) <= MAX_GRADED_ENTRIES:
+        top += 1
+    if top >= d:
+        lo, hi = bounds[d], bounds[top + 1]
+        yield from _division_degrees(f, powers, np.clip(bounds, lo, hi), _normal_form_P(f, powers.q, lo, hi))
+    if top < last:
+        d = int(f.exps[bounds[top + 1]].sum())
+        raise InputError(
+            f"extend_general: the normal-form division at n = {n}, degree {d} "
+            f"needs {_table_entries(n, d)} table entries, more than {MAX_GRADED_ENTRIES}"
+        )
+
+
 def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -> ExtensionResult:
     """Degree-by-degree extension over an elliptic quadric.
 
@@ -456,12 +647,16 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
     the degree-d part of f.  When every term of Q is even in each coordinate
     (_even_coordinates; A and B diagonal: every normal form and every n = 1
-    model), P comes from exact division (_division_degrees), and a degree
-    whose residual exceeds the warning floor below is solved again by least
-    squares (_dense_degree, by parity class, on the same QPowers) when its
-    block fits MAX_GRADED_ENTRIES; any other Q gets one dense least-squares
-    solve per degree (_dense_degree, whose classes read the same test: one
-    class).  Each residual is an overflow-safe 2-norm (_norm), finite for
+    model), P comes from exact division (_divided_P) for every degree.  Any
+    other Q solves each degree whose graded block has at most DENSE_ENTRIES
+    entries by least squares (_dense_degree, whose classes read the same
+    test: one class), and divides every degree from the first larger one
+    on in normal-form coordinates (_normal_form_P, via _congruent_degrees).
+    Divided degrees are gated in the input's coordinates
+    (_division_degrees), and one whose residual exceeds the warning floor
+    below is solved again by least squares (_dense_degree, by parity class,
+    on the same QPowers) when its block fits MAX_GRADED_ENTRIES.  Each
+    residual is an overflow-safe 2-norm (_norm), finite for
     data of any finite scale.  Degrees are gated in ascending order: the
     failure threshold for a degree's residual is tol * (1 + max |coeff f|),
     and residuals inside (1e-11, tol) of that scale pass with a conditioning
@@ -495,21 +690,18 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
     powers = QPowers(Q)
-    division = _even_coordinates(Q) and len(f.coeffs)
-    if division:
-        degrees = _division_degrees(f, powers, bounds)
+    even = _even_coordinates(Q)
+    if even and len(f.coeffs):
+        degrees = _division_degrees(f, powers, bounds, _divided_P(f, Q))
     else:
-        degrees = (
-            _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
-            for d in range(len(bounds) - 1)
-            if bounds[d] < bounds[d + 1]
-        )
+        degrees = _congruent_degrees(f, powers, bounds)
     reports = []
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for rows, x, report in degrees:
         d, residual, certificate = report.degree, report.residual, None
         lo, hi = bounds[d], bounds[d + 1]  # f_d's rows, also the certificate's data
-        recheck = division and residual > CONDITIONING_WARN_FLOOR * scale
+        divided = even or prod(_block_shape(n, d)) > DENSE_ENTRIES  # as _congruent_degrees decides
+        recheck = divided and residual > CONDITIONING_WARN_FLOOR * scale
         if recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
             if residual >= threshold:
                 certificate = _structural_certificate(

@@ -227,25 +227,33 @@ def _classify_lambdas(lambdas):
     return "elliptic"
 
 
+def _bishop(eigs, V, B):
+    """(T, lambdas) with T^H A T = I and T^T B T = diag(lambdas), lambdas ascending, for A = V diag(eigs) V^H, eigs > 0.
+
+    T0 = V diag(eigs)^(-1/2) has T0^H A T0 = I; a Takagi factorization of
+    T0^T B T0 = U diag(lambdas) U^T then yields T = T0 conj(U).
+    """
+    T0 = V / np.sqrt(eigs)
+    Bp = T0.T @ B @ T0
+    U, lambdas = takagi((Bp + Bp.T) / 2)
+    return T0 @ U.conj(), lambdas
+
+
 def normalize(model: QuadricModel) -> BishopNormalForm:
     """Bishop normal form for positive definite A.
 
-    The model's eigendecomposition A = V diag(e) V^H gives T0 = V diag(e)^(-1/2) with
-    T0^H A T0 = I; a Takagi factorization of T0^T B T0 = U diag(lambda) U^T
-    then yields T = T0 conj(U), with lambda ascending.  Each column of T is
-    signed so that its first entry of largest modulus has positive real part
-    (or, if that is 0, positive imaginary part); for distinct nonzero lambdas T
-    then depends only on (A, B).  Both congruences are re-checked a posteriori.
+    T comes from the model's eigendecomposition of A (_bishop).  Each column
+    of T is signed so that its first entry of largest modulus has positive
+    real part (or, if that is 0, positive imaginary part); for distinct
+    nonzero lambdas T then depends only on (A, B).  Both congruences are
+    re-checked a posteriori.
     """
     eigs, V = model.eigh
     if eigs[0] <= DEGENERACY_TOL:
         raise NotElliptic(
             f"A is not positive definite (eigenvalue {eigs[0]:.3e})", eigenvalue=float(eigs[0])
         )
-    T0 = V / np.sqrt(eigs)
-    Bp = T0.T @ model.B @ T0
-    U, lambdas = takagi((Bp + Bp.T) / 2)
-    T = T0 @ U.conj()
+    T, lambdas = _bishop(eigs, V, model.B)
     lead = T[np.argmax(np.abs(T), axis=0), np.arange(model.n)]
     T *= np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
     residual_a = _maxabs(T.conj().T @ model.A @ T - np.eye(model.n))

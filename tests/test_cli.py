@@ -819,7 +819,7 @@ MALFORMED = {
     ),
     "exponent-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(alpha=[True])}, None),
     "k-bool": ("extend", {"model": model_doc([0.1]), "f": _bool_term(k=False)}, None),
-    # a non-diagonal Q keeps the dense block, whose degree-40 size at n = 10 is refused at once
+    # a non-diagonal Q divides degree 40 in normal-form coordinates, whose tables at n = 10 are refused at once
     "extend-n10-nondiagonal-zbar^40": (
         "extend",
         {"model": _offdiagonal_model(10), "f": poly_doc(_zbar1_power(10, 40))},

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     congruent_model,
     loop_evaluate,
+    random_coeff,
     random_holomorphic,
     random_lambdas,
     random_polynomial,
@@ -19,8 +20,10 @@ import crextend.polyalg as polyalg
 from crextend.extend import (
     CONDITIONING_WARN_FLOOR,
     DEFAULT_EXTEND_TOL,
+    DENSE_ENTRIES,
     NOISE_ULPS,
     VERIFY_SAMPLES,
+    _block_shape,
     _division_degrees,
     _structural_certificate,
     check_involution_invariance,
@@ -478,10 +481,13 @@ def test_division_matches_whole_block_solve(monkeypatch):
     # failing degree of obstructed data is solved again by least squares, one
     # solve per parity class at n >= 2, unless its certificate's lower bound
     # proves the failure, which takes no solve; a congruent model at n >= 2
-    # keeps one solve of the whole block per degree; each solved degree has
-    # the reference's columns, rank, residual and condition
+    # solves the degrees whose block has at most DENSE_ENTRIES entries by least
+    # squares, divides the degrees above in normal-form coordinates, and solves
+    # again only a failing divided degree; each solved degree has the
+    # reference's columns, rank, residual and condition, and on a congruent
+    # model every degree of P is within 1e-13 |x| of the reference's
     rng = np.random.default_rng(59)
-    statuses, dense, proven = set(), 0, 0
+    statuses, congruent, divided_degrees, proven = set(), 0, 0, 0
     for n in (1, 2, 3):
         lambdas = random_lambdas(rng, n)
         models = {
@@ -498,32 +504,42 @@ def test_division_matches_whole_block_solve(monkeypatch):
                     res = extend_general(data, m)
                 status, whole = whole_block_solve(data, m)
                 statuses.add(assert_matches_reference(data, m))
-                divided = kind != "congruent" or n == 1
                 threshold = DEFAULT_EXTEND_TOL * (1 + data.max_coeff())
                 bound = res.certificate.lower_bound if res.certificate else None
+                solved = {}  # degree: (columns, rank) of its least-squares solve
                 if bound is not None and bound >= threshold:
                     proven += 1
                     assert not calls and status == "NotExtendible" and res.certificate.degree == whole[-1][0]
                     assert res.residual >= whole[-1][4] and threshold <= bound <= whole[-1][4]
-                elif divided:
+                elif kind != "congruent" or n == 1:
                     # the failing degree alone, one solve per parity class with rows
                     assert bool(calls) == (status == "NotExtendible") and len(calls) <= 2 ** (n - 1), (n, kind)
                     if calls:  # together the classes span the whole block
-                        calls = [((None, sum(shape[1] for shape, _ in calls)), sum(rank for _, rank in calls))]
+                        solved[whole[-1][0]] = (sum(shape[1] for shape, _ in calls), sum(rank for _, rank in calls))
                 else:
-                    dense += 1
-                    assert len(calls) == len(whole)
+                    congruent += 1
+                    dense = [w[0] for w in whole if block_entries(n, w[0]) <= DENSE_ENTRIES]
+                    rechecked = [whole[-1][0]] if status == "NotExtendible" and whole[-1][0] not in dense else []
+                    assert [shape[1] for shape, _ in calls] == [_block_shape(n, d)[1] for d in dense + rechecked]
+                    solved = {d: (shape[1], rank) for d, (shape, rank) in zip(dense + rechecked, calls)}
+                    divided_degrees += len(whole) - len(dense)
                 coeffs = dict(zip(map(tuple, res.P.exps.tolist()), res.P.coeffs)) if res.P else {}
-                solved = zip(res.degree_reports[-len(calls) :], calls, whole[-len(calls) :]) if calls else ()
-                for report, call, (d, basis, x, rank, residual, condition) in solved:
+                for report, (d, basis, x, rank, residual, condition) in zip(res.degree_reports, whole):
                     assert report.degree == d
-                    assert call[0][1] == len(basis) and call[1] == rank
-                    assert report.condition == pytest.approx(condition, rel=1e-10, abs=0)
-                    assert abs(report.residual - residual) <= 1e-13 + 1e-12 * residual
-                    if res.P is not None:
+                    if d in solved:
+                        assert solved[d] == (len(basis), rank)
+                        assert report.condition == pytest.approx(condition, rel=1e-10, abs=0)
+                        assert abs(report.residual - residual) <= 1e-13 + 1e-12 * residual
+                    if res.P is not None and (d in solved or kind == "congruent"):
                         got = np.array([coeffs.get((*a, *(0,) * n, k), 0) for a, k in basis])
                         assert np.max(np.abs(got - x)) <= 1e-13 * np.linalg.norm(x)
-    assert statuses == {"Extended", "NotExtendible"} and dense == 4 and proven > 0
+    assert statuses == {"Extended", "NotExtendible"} and congruent == 4 and divided_degrees > 0 and proven > 0
+
+
+def block_entries(n, d):
+    """Entries of the degree-d graded block at n."""
+    rows, cols = _block_shape(n, d)
+    return rows * cols
 
 
 def random_part(rng, n, d, nterms, holomorphic=False):
@@ -609,10 +625,14 @@ def test_dense_block_only_for_non_diagonal_models(monkeypatch):
         assert res.extended and res.P == mono(3, (16, 0, 0))
         assert [r.condition for r in res.degree_reports] == [1.0]
     assert not calls
-    # a congruent model's Q has odd terms: one solve of the whole block per degree
+    # a congruent model's Q has odd terms: one solve of the whole block per
+    # degree while the block has at most DENSE_ENTRIES entries (degree 4 at
+    # n = 3), then the normal-form division, which solves nothing on extendible data
     m = congruent_model(np.random.default_rng(61), [0.1, 0.2, 0.3])
-    res = extend_general(random_holomorphic(np.random.default_rng(61), 3, 6).substitute_w(q_polynomial(m)), m)
-    assert res.extended and len(calls) == len(res.degree_reports) > 1
+    res = extend_general(random_holomorphic(np.random.default_rng(61), 3, 8).substitute_w(q_polynomial(m)), m)
+    degrees = [r.degree for r in res.degree_reports]
+    assert res.extended and max(degrees) > 4 and len(calls) == sum(d <= 4 for d in degrees) > 1
+    assert block_entries(3, 4) <= DENSE_ENTRIES < block_entries(3, 5)
     for (shape, _), report in zip(calls, res.degree_reports):
         d = report.degree
         assert shape[0] <= comb(d + 5, 5) and shape[1] == sum(comb(d - 2 * k + 2, 2) for k in range(d // 2 + 1))
@@ -631,6 +651,120 @@ def test_graded_solve_memory_stays_below_the_whole_block():
         tracemalloc.stop()
     assert res.extended
     assert peak < 11628 * 372 * 8
+
+
+def test_congruent_powers_of_z1_extend_in_little_memory():
+    # f = sum_(d=1..16) z_1^d extends to P = f on every quadric; on a congruent
+    # n = 3 model a whole-block solve per degree would form every graded block
+    # up to degree 16 (20349 x 525 float64, 81.5 MiB), while the normal-form
+    # division forms symmetric powers of at most 153 x 153
+    m = congruent_model(np.random.default_rng(1), [0.1, 0.25, 0.4])
+    f = sum((mono(3, (d, 0, 0)) for d in range(1, 17)), Polynomial.zero(3))
+    extend_general(mono(3, (6, 0, 0)), m)  # lazy imports and caches before measuring
+    tracemalloc.start()
+    try:
+        res = extend_general(f, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.extended and np.array_equal(res.P.exps, f.exps)
+    assert np.max(np.abs(res.P.coeffs - f.coeffs)) <= 1e-13
+    assert peak < 20349 * 525 * 8 / 8
+
+
+@pytest.mark.parametrize("n, lo, top", [(2, 8, 12), (3, 5, 8)])
+def test_normal_form_division_does_not_see_the_model_scale(n, lo, top):
+    # every degree of f lies above DENSE_ENTRIES, so the normal-form division
+    # extends all of it: scaling (A, B) by s scales T by s^(-1/2), which the
+    # route takes out, and P by s^(-k) in w^k; P(z, s w) is the same P0 at
+    # every scale.  At most one power of w keeps every power of Q and every
+    # coefficient of P above polyalg.ZERO_THRESHOLD at s = 1e-6 and 1e6.
+    rng = np.random.default_rng(307 + n)
+    assert block_entries(n, lo) > DENSE_ENTRIES
+    for _ in range(3):
+        m = congruent_model(rng, random_lambdas(rng, n))
+        rows = [(*a, *(0,) * n, k) for k in (0, 1) for d in range(lo, top + 1) for a in monomials(n, d - 2 * k)]
+        pick = rng.choice(len(rows), 16, replace=False)
+        P0 = Polynomial(n, np.array([rows[i] for i in pick]), [random_coeff(rng) for _ in pick])
+        f = P0.substitute_w(q_polynomial(m))
+        for scale in (1e-6, 1.0, 1e6):
+            res = extend_general(f, QuadricModel(A=scale * m.A, B=scale * m.B))
+            assert res.extended
+            back = res.P.coeffs * scale ** res.P.exps[:, -1]  # P(z, s w)
+            assert np.array_equal(res.P.exps, P0.exps)
+            assert np.max(np.abs(back - P0.coeffs)) <= 1e-12 * P0.max_coeff()
+
+
+@pytest.mark.parametrize("spread", [10.0, 100.0])
+def test_normal_form_division_on_ill_conditioned_congruences(spread):
+    # A = S^H S with cond(S) = spread (the corpus draws cond(S) <= 2): the
+    # division's P agrees with the whole-block reference within the
+    # conditioning of S_a(T), and verdicts and degrees agree on data off the image
+    rng = np.random.default_rng(313)
+    for n, top in ((2, 10), (3, 7)):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        S = np.diag(np.geomspace(spread**-0.5, spread**0.5, n)) @ U
+        A, B = S.conj().T @ S, S.T @ np.diag([0.1, 0.3, 0.45][:n]) @ S
+        m = QuadricModel(A=(A + A.conj().T) / 2, B=(B + B.T) / 2)
+        P = random_holomorphic(rng, n, top, nterms=14)
+        f = P.substitute_w(q_polynomial(m))
+        assert assert_matches_reference(f, m) == "Extended"
+        assert (extend_general(f, m).P - P).max_coeff() <= 1e-9 * P.max_coeff()
+        assert_matches_reference(f + 1e-3 * random_polynomial(rng, n, top - 1), m)
+
+
+def test_normal_coordinates_read_the_transposed_hermitian_part():
+    # rho holds A_jk z_j zbar_k, so the Q that extend divides is z^H A^T z +
+    # 2 Re z^T B z (CHANGES.md FOUND 36): its normal form has other invariants
+    # than the (A, B) that classify reads when A has complex off-diagonal entries
+    m = congruent_model(np.random.default_rng(1), [0.1, 0.25, 0.4])
+    assert np.abs(m.A.imag).max() > 0.1  # complex off-diagonal entries
+    T, T_inv, lambdas, s = extend_module._normal_coordinates(q_polynomial(m))
+    assert np.max(np.abs(T_inv @ T - np.eye(3))) <= 1e-14
+    rng = np.random.default_rng(5)
+    zeta = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+    normal = s * ((np.abs(zeta) ** 2).sum(axis=1) + 2 * (lambdas * zeta**2).sum(axis=1).real)
+    assert np.max(np.abs(q_polynomial(m).evaluate(zeta @ T.T) - normal)) <= 1e-13 * np.max(np.abs(normal))
+    assert np.all(np.diff(lambdas) > 0) and lambdas[0] < 0.5 < lambdas[-1]
+    assert np.max(np.abs(lambdas - classify(m).lambdas)) > 0.1
+
+
+def test_congruent_obstruction_above_the_dense_degrees_is_solved_again(monkeypatch):
+    # an obstruction at a divided degree ends the run there, after one
+    # least-squares recheck of that degree: the whole-block reference's
+    # residual, and a bare certificate
+    rng = np.random.default_rng(317)
+    m = congruent_model(rng, [0.1, 0.3, 0.45])
+    f = random_holomorphic(rng, 3, 7, nterms=12).substitute_w(q_polynomial(m)) + 1e-3 * random_part(rng, 3, 6, 3)
+    with monkeypatch.context() as patch:
+        calls = record_lstsq(patch)
+        res = extend_general(f, m)
+    status, whole = whole_block_solve(f, m)
+    degrees = [r.degree for r in res.degree_reports]
+    assert res.status == status == "NotExtendible" and res.certificate.degree == whole[-1][0] == degrees[-1] == 6
+    assert [shape[1] for shape, _ in calls] == [_block_shape(3, d)[1] for d in degrees if d <= 4] + [_block_shape(3, 6)[1]]
+    assert res.residual == res.certificate.residual == pytest.approx(whole[-1][4], rel=1e-10)
+    assert res.certificate.condition is None and res.certificate.detail == {} and res.certificate.lower_bound is None
+
+
+def test_normal_form_division_refuses_its_tables_beyond_the_bound(monkeypatch):
+    # at n = 10, degree 40 the symmetric powers alone would hold about 10^19
+    # entries: refused by count, before any table or normal form is formed
+    m = QuadricModel(A=np.eye(10), B=0.09 * np.eye(10) + 0.01)
+    with monkeypatch.context() as patch:
+        patch.setattr(extend_module, "_normal_coordinates", None)
+        with pytest.raises(InputError, match="normal-form division at n = 10, degree 40"):
+            extend_general(mono(10, (0,) * 10, (40,) + (0,) * 9), m)
+    # at n = 3 the tables fit to degree 38: a degree above is refused when the
+    # run reaches it, so an obstruction below still ends the run NotExtendible
+    rng = np.random.default_rng(331)
+    m = congruent_model(rng, [0.1, 0.3, 0.45])
+    assert extend_module._table_entries(3, 38) <= extend_module.MAX_GRADED_ENTRIES < extend_module._table_entries(3, 39)
+    f = random_holomorphic(rng, 3, 7, nterms=12).substitute_w(q_polynomial(m)) + mono(3, (45, 0, 0))
+    with pytest.raises(InputError, match="normal-form division at n = 3, degree 45"):
+        extend_general(f, m)
+    res = extend_general(f + 1e-3 * random_part(rng, 3, 6, 3), m)
+    assert res.status == "NotExtendible" and res.certificate.degree == 6
 
 
 def exact_graded_solve(sp, lambdas, f_terms, diag_a=None):
@@ -781,7 +915,7 @@ def division_residual_map(m, d):
     for j, row in enumerate(rows):
         f = Polynomial(n, np.array([row]), [1.0])
         bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(d + 2))
-        (P_rows, P_x, _), = _division_degrees(f, polyalg.QPowers(Q), bounds)
+        (P_rows, P_x, _), = _division_degrees(f, polyalg.QPowers(Q), bounds, extend_module._divided_P(f, Q))
         for e, c in term_dict(Polynomial(n, P_rows, P_x).substitute_w(Q) - f).items():
             R[index[(*e.alpha, *e.beta, 0)], j] += c
     return R, np.array(rows)
@@ -955,11 +1089,11 @@ def test_data_that_never_reaches_the_division_is_still_obstructed(monkeypatch, f
     assert res.degree_reports == (extend_module.DegreeReport(degree=degree, residual=1.0, condition=1.0),)
 
 
-def per_degree_gate(f, powers, bounds):
+def per_degree_gate(f, powers, bounds, divided):
     """Reference for _division_degrees: the gate one degree at a time, each
     degree's P_d(z, Q) - f_d expanded and summed on its own."""
     n = f.n
-    rows, x, bound = extend_module._divided_P(f, powers.q)
+    rows, x, bound = divided
     x[np.abs(x) < NOISE_ULPS * np.finfo(float).eps * bound] = 0
     wdeg = np.searchsorted(rows[:, :n].sum(axis=1) + 2 * rows[:, -1], np.arange(len(bounds)))
     for d in range(len(bounds) - 1):
