@@ -25,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii as _encode_str  # the bytes json.dumps gives a str
 
 import numpy as np
@@ -274,12 +274,19 @@ def _cmd_extend(doc, cfg: RunConfig):
     model = quadform.QuadricModel.from_json_dict(_require(doc, "model", "extend input"))
     f = Polynomial.from_json_dict(_require(doc, "f", "extend input"))
     result = extend_mod.extend_general(f, model, tol=cfg.tol_extend)
+    cert = result.certificate
     report = {
         "status": result.status,
         "P": result.P.to_json_dict() if result.P is not None else None,
         "P_pretty": result.P.pretty() if result.P is not None else None,
         "residual": result.residual,
-        "certificate": asdict(result.certificate) if result.certificate is not None else None,
+        "certificate": None if cert is None else {
+            "degree": cert.degree,
+            "residual": cert.residual,
+            "condition": cert.condition,
+            "detail": cert.detail,
+            "lower_bound": cert.lower_bound,
+        },
         "degrees": [
             {
                 "degree": r.degree,

@@ -35,7 +35,7 @@ from .quadform import (
     QuadricModel,
     _bishop,
     _classify_lambdas,
-    classify,
+    classification,
     default_radii,
     is_normal_form,
     q_polynomial,
@@ -475,7 +475,8 @@ def _normal_coordinates(Q):
     brought to Bishop normal form (quadform._bishop) with Q's scale s = max
     |H_jk| taken out, so T has unit scale whatever Q's scale; T^H (H / s) T
     = I gives T^-1, refined by one Newton step.  Q is elliptic
-    (extend_general classifies the model first), so H is positive definite.
+    (extend_general refuses any model that quadform.classification does not
+    call elliptic), so H is positive definite.
     """
     n = Q.n
     alpha, beta, c = Q.exps[:, :n], Q.exps[:, n : 2 * n], Q.coeffs
@@ -644,30 +645,32 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     """Degree-by-degree extension over an elliptic quadric.
 
     For each total degree d of f, finds coefficients of
-    {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches
-    the degree-d part of f.  When every term of Q is even in each coordinate
-    (_even_coordinates; A and B diagonal: every normal form and every n = 1
-    model), P comes from exact division (_divided_P) for every degree.  Any
-    other Q solves each degree whose graded block has at most DENSE_ENTRIES
-    entries by least squares (_dense_degree, whose classes read the same
-    test: one class), and divides every degree from the first larger one
-    on in normal-form coordinates (_normal_form_P, via _congruent_degrees).
-    Divided degrees are gated in the input's coordinates
-    (_division_degrees), and one whose residual exceeds the warning floor
-    below is solved again by least squares (_dense_degree, by parity class,
-    on the same QPowers) when its block fits MAX_GRADED_ENTRIES.  Each
-    residual is an overflow-safe 2-norm (_norm), finite for
-    data of any finite scale.  Degrees are gated in ascending order: the
-    failure threshold for a degree's residual is tol * (1 + max |coeff f|),
-    and residuals inside (1e-11, tol) of that scale pass with a conditioning
-    warning.  The first failing degree ends the run with a certificate built
-    from f's part in that degree, f's rows bounds[d]:bounds[d + 1].  On the
-    division route that certificate is built first, and when its
-    lower_bound on the least-squares residual reaches the threshold the
-    degree fails on the division's residual and growth factor with no
-    least-squares solve; otherwise a degree's verdict and warning rest on
-    the least-squares residual wherever its block fits.  The result's
-    residual is the largest of the degrees' gated residuals.
+    {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches the
+    degree-d part of f.  A model that quadform.classification does not call
+    elliptic is refused (NotElliptic); on diagonal A and B that verdict is
+    read off the diagonals, with no decomposition of A.  When every term of
+    Q is even in each coordinate (_even_coordinates; A and B diagonal: every
+    normal form and every n = 1 model), P comes from exact division
+    (_divided_P) for every degree.  Any other Q solves each degree whose
+    graded block has at most DENSE_ENTRIES entries by least squares
+    (_dense_degree, whose classes read the same test: one class), and
+    divides every degree from the first larger one on in normal-form
+    coordinates (_normal_form_P, via _congruent_degrees).  Divided degrees
+    are gated in the input's coordinates (_division_degrees), and one whose
+    residual exceeds the warning floor below is solved again by least
+    squares (_dense_degree, by parity class, on the same QPowers) when its
+    block fits MAX_GRADED_ENTRIES.  Each residual is an overflow-safe 2-norm
+    (_norm), finite for data of any finite scale.  Degrees are gated in
+    ascending order: the failure threshold for a degree's residual is
+    tol * (1 + max |coeff f|), and residuals inside (1e-11, tol) of that
+    scale pass with a conditioning warning.  The first failing degree ends
+    the run with a certificate built from f's part in that degree, f's rows
+    bounds[d]:bounds[d + 1].  On the division route that certificate is
+    built first, and when its lower_bound on the least-squares residual
+    reaches the threshold the degree fails on the division's residual and
+    growth factor with no least-squares solve; otherwise a degree's verdict
+    and warning rest on the least-squares residual wherever its block fits.
+    The result's residual is the largest of the degrees' gated residuals.
     """
     if f.n != model.n:
         raise InputError(f"extend_general: f has n = {f.n}, model has n = {model.n}")
@@ -678,11 +681,9 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
             "extend_general: model has a higher-order perturbation E; "
             "polynomial extension is only valid on the pure quadric"
         )
-    verdict = classify(model)
-    if verdict.classification != "elliptic":
-        raise NotElliptic(
-            f"extend_general: model is {verdict.classification}, not elliptic"
-        )
+    kind = classification(model)
+    if kind != "elliptic":
+        raise NotElliptic(f"extend_general: model is {kind}, not elliptic")
     Q = q_polynomial(model)
     n = f.n
     scale = 1.0 + f.max_coeff()

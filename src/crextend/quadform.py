@@ -39,6 +39,31 @@ def _frozen_array(M):
     return out
 
 
+def _is_diagonal(M):
+    return np.count_nonzero(M) == np.count_nonzero(M.diagonal())
+
+
+# LAPACK's Hermitian eigensolver scales an A whose largest entry lies outside
+# [_EIGH_RMIN, _EIGH_RMAX], which can move the last bit of its eigenvalues.
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_EIGH_RMIN, _EIGH_RMAX = np.sqrt(_SMLNUM), np.sqrt(1 / _SMLNUM)
+
+
+def _eigh_order(d):
+    """The order in which LAPACK's eigh returns the entries d of a diagonal matrix.
+
+    Its tridiagonal solver sorts by selection: place i swaps with the first
+    strictly smaller minimum after it, so equal entries can change places.
+    """
+    d, order = d.tolist(), list(range(len(d)))
+    for i in range(len(d) - 1):
+        k = min(range(i, len(d)), key=d.__getitem__)
+        if d[k] < d[i]:
+            d[i], d[k] = d[k], d[i]
+            order[i], order[k] = order[k], order[i]
+    return order
+
+
 @dataclass(frozen=True)
 class QuadricModel:
     """Validated quadric model; A Hermitian, B symmetric, E real higher order."""
@@ -83,11 +108,23 @@ class QuadricModel:
 
     @cached_property
     def eigh(self):
-        """A's eigenvalues (ascending) and eigenvectors from one eigh on first use, read-only.
+        """A's eigenvalues (ascending) and eigenvectors on first use, read-only.
 
-        classify, normalize and default_radii all read them.
+        classify, normalize and default_radii all read them.  A diagonal A
+        (every normal form, every n = 1 model) takes them in closed form, with
+        the bits np.linalg.eigh gives: its real diagonal in LAPACK's order
+        (_eigh_order) and the matching identity columns, unless LAPACK would
+        rescale A first.  Any other A takes one np.linalg.eigh.
         """
-        eigs, V = np.linalg.eigh(self.A)
+        A, n = self.A, self.n
+        d = A.diagonal().real
+        top = max(map(abs, d.tolist()))
+        if _is_diagonal(A) and (not top or _EIGH_RMIN <= top <= _EIGH_RMAX):
+            order = _eigh_order(d)
+            eigs, V = d[order], np.zeros((n, n), dtype=complex)
+            V[order, range(n)] = 1
+        else:
+            eigs, V = np.linalg.eigh(A)
         eigs.setflags(write=False)
         V.setflags(write=False)
         return eigs, V
@@ -305,6 +342,21 @@ def classify(model: QuadricModel) -> ClassificationResult:
     )
 
 
+def classification(model: QuadricModel) -> str:
+    """classify(model).classification, in closed form when A and B are diagonal.
+
+    On a diagonal quadric with positive definite, nondegenerate A the Bishop
+    invariants are lambda_j = |B_jj| / A_jj (Bishop, Duke Math. J. 32
+    (1965)), and A's eigenvalues are its diagonal (QuadricModel.eigh), so
+    the verdict takes no normal form.  Any other model is classified.
+    """
+    A, B = model.A, model.B
+    eigs = model.eigh[0]
+    if _is_diagonal(A) and _is_diagonal(B) and eigs[0] > DEGENERACY_TOL and _nondegeneracy(eigs).ok:
+        return _classify_lambdas(np.abs(B.diagonal()) / A.diagonal().real)
+    return classify(model).classification
+
+
 def real_quadratic_form(model: QuadricModel):
     """Q as a real symmetric 2n x 2n matrix in coordinates (Re z, Im z).
 
@@ -354,9 +406,11 @@ def normal_form_model(lambdas, E=None) -> QuadricModel:
 def default_radii(model: QuadricModel) -> float:
     """Heuristic validity radius delta_z = 0.5 * sqrt(min eig A / max eig A) for positive definite A.
 
-    The eigenvalues are the model's QuadricModel.eigh.  The sampling ball of verify_extension and the default leaf ladder of
-    check_moments both scale with it.  Ellipticity is left to their callers:
-    extend_general classifies the model first and LeafGrid refuses lambda >= 1/2.
+    The eigenvalues are the model's QuadricModel.eigh, in closed form for a
+    diagonal A.  The sampling ball of verify_extension and the default leaf
+    ladder of check_moments both scale with it.  Ellipticity is left to their
+    callers: extend_general refuses a model that classification() does not
+    call elliptic, and LeafGrid refuses lambda >= 1/2.
     """
     eigs = model.eigh[0]
     if eigs[0] <= DEGENERACY_TOL:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,14 +15,22 @@ from dictref import Exponent, from_terms, term_dict
 LAMBDA_CHOICES = (0.0, 0.1, 0.3, 0.45)
 
 
-def perfbench_corpus():
-    """The benchmark's document generator, perfbench/corpus.py."""
+def _perfbench_module(name):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
-        import corpus
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    return corpus
+
+
+def perfbench_corpus():
+    """The benchmark's document generator, perfbench/corpus.py."""
+    return _perfbench_module("corpus")
+
+
+def perfbench_check():
+    """The benchmark's comparison of reports with their references, perfbench/check.py."""
+    return _perfbench_module("check")
 
 
 def random_coeff(rng, min_mod=0.1):

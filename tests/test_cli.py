@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dictref
-from conftest import congruent_model, perfbench_corpus
+from conftest import congruent_model, perfbench_check, perfbench_corpus
 import crextend
 from crextend import Polynomial, QuadricModel, extend, leafcauchy, normal_form_model, polyalg, q_polynomial
 from crextend.polyalg import MAX_TERMS
@@ -424,6 +424,37 @@ def test_cli_extend_unproven_obstruction_keeps_least_squares(tmp_path, capsys, m
     assert cert["condition"] == ("not involution-invariant" if kind == "nf" else None)
     if kind == "nn":
         assert cert["detail"] == {}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_extend_overflowing_b_is_hyperbolic(tmp_path, capsys, n):
+    # |B_jj| / A_jj = 1e300: the closed-form verdict refuses the model as
+    # hyperbolic, where a normal form's residual would overflow the check
+    model = QuadricModel(A=np.eye(n), B=1e300 * np.eye(n))
+    path = write_json(tmp_path / "in.json", {"model": model.to_json_dict(), "f": poly_doc(Polynomial.z(n, 0))})
+    code, out, err = run(capsys, ["extend", path])
+    assert code == 2 and out == "" and "model is hyperbolic, not elliptic" in err
+
+
+def test_cli_extend_diagonal_corpus_documents_decompose_nothing(tmp_path, capsys, monkeypatch):
+    # one block of the benchmark's extend-graded traffic: every document on
+    # a diagonal model (every normal form, every n = 1 model) runs with eigh
+    # and SVD refused, and its report agrees with its reference
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    check, path, ran = perfbench_check(), tmp_path / "in.json", 0
+    for doc in perfbench_corpus().block("extend-graded", 1, 0):
+        m = QuadricModel.from_json_dict(json.loads(doc.text)["model"])
+        if np.count_nonzero(m.A - np.diag(m.A.diagonal())) or np.count_nonzero(m.B - np.diag(m.B.diagonal())):
+            continue
+        path.write_text(doc.text, encoding="utf-8")
+        code, out, err = run(capsys, [doc.command, str(path), *doc.flags])
+        assert check.mismatch(doc, code, out) is None, (doc.kind, err)
+        ran += 1
+    assert ran == 13  # of its 17 documents
 
 
 def test_cli_extend_residual_is_the_largest_degree_residual_on_the_corpus(tmp_path, capsys):

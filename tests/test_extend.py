@@ -217,6 +217,40 @@ def test_extend_general_preconditions():
         extend_general(z, normal_form_model([0.0], E=E))
 
 
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (np.eye(1), np.array([[0.3]])),
+        (np.eye(3), np.diag([0.0, 0.2, 0.45])),
+        (np.diag([2.0, 0.5]), np.diag([0.3, 0.1j])),  # diagonal, not a normal form
+    ],
+    ids=["n1", "normal-form-n3", "diagonal-n2"],
+)
+def test_extend_on_a_diagonal_model_decomposes_nothing(monkeypatch, A, B):
+    # the verdict and verify's radius are read off the diagonals: with every
+    # eigh and SVD refused, extend_general and verify_extension give what
+    # they give unpatched, on extendible and on obstructed data
+    n = len(A)
+    f = random_holomorphic(np.random.default_rng(37), n, 6).substitute_w(q_polynomial(QuadricModel(A=A, B=B)))
+    zb = Polynomial.zbar(n, 0)
+
+    def run():
+        m = QuadricModel(A=A, B=B)  # a fresh model: no decomposition cached
+        ext, obs = extend_general(f, m), extend_general(f + zb * zb * zb, m)
+        return ext, obs, verify_extension(ext.P, f, m)
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = run()
+    assert got[0].extended and not got[1].extended and got[1].certificate.degree == 3
+    assert got == want
+
+
 def test_extend_reports_condition_numbers():
     m = normal_form_model([0.45])
     f = random_holomorphic(np.random.default_rng(3), 1, 8).substitute_w(q_polynomial(m))

@@ -16,7 +16,13 @@ from crextend import (
     q_polynomial,
     takagi,
 )
-from crextend.quadform import default_radii, is_normal_form, real_quadratic_form
+from crextend.quadform import (
+    ELLIPTIC_MARGIN,
+    classification,
+    default_radii,
+    is_normal_form,
+    real_quadratic_form,
+)
 from dictref import coefficient
 
 
@@ -270,6 +276,72 @@ def test_classify_indefinite_a_is_hyperbolic_with_note():
     assert res.note is not None
 
 
+def _diagonal_models(rng):
+    """Diagonal models at n = 1..4 for classification(): real and complex B,
+    A scaled from 1e-9 to 1e6, a degenerate or negative entry of A, and
+    invariants 1e-12 to either side of each edge of the elliptic class (on
+    an edge, rounding decides either route's verdict)."""
+    edges = (0.5 - ELLIPTIC_MARGIN, 0.5 + ELLIPTIC_MARGIN)
+    for trial in range(600):
+        n = 1 + trial % 4
+        a = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-9, 7)
+        lambdas = rng.uniform(0.0, 0.7, n)
+        case = trial % 6
+        if case == 1:
+            lambdas[rng.integers(n)] = rng.choice(edges) + rng.choice([-1e-12, 1e-12])
+        elif case == 2:
+            a[rng.integers(n)] *= rng.choice([0.0, 1e-12, 1e-6])  # degenerate or barely not
+        elif case == 3:
+            a[rng.integers(n)] *= -1.0  # indefinite
+        phase = np.exp(2j * np.pi * rng.uniform(size=n)) if trial % 2 else rng.choice([-1.0, 1.0], n)
+        yield QuadricModel(A=np.diag(a), B=np.diag(lambdas * np.abs(a) * phase))
+
+
+def test_closed_form_classification_matches_classify_on_diagonal_models(monkeypatch):
+    # classification() reads a diagonal model's class off its diagonals,
+    # with no decomposition, and agrees with classify's normal form
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called")
+
+    seen = set()
+    for m in _diagonal_models(np.random.default_rng(71)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            patch.setattr(np.linalg, "svd", refuse)
+            got = classification(m)
+        assert got == classify(m).classification, (m.A, m.B)
+        seen.add(got)
+    assert seen == {"elliptic", "parabolic", "hyperbolic", "degenerate"}
+
+
+def test_classification_of_a_congruent_model_is_classify_s():
+    rng = np.random.default_rng(73)
+    for lambdas in ([0.1, 0.3], [0.2, 0.5], [0.05, 0.4, 0.8]):
+        m = congruent_model(rng, lambdas)
+        assert classification(m) == classify(m).classification
+
+
+def test_diagonal_eigh_has_numpy_s_bits():
+    # ties, zeros of both signs, negative entries and small imaginary parts
+    # on the diagonal; scales at which LAPACK rescales A take np.linalg.eigh
+    rng = np.random.default_rng(79)
+    for trial in range(3000):
+        n = int(rng.integers(1, 6))
+        if trial % 2:
+            d = rng.choice([-2.0, -1.0, -0.0, 0.0, 1e-9, 0.5, 1.0, 1.0, 3.0], n)
+        else:
+            d = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 7, n)
+        A = np.diag(d).astype(complex)
+        if trial % 3 == 0:
+            A[np.diag_indices(n)] += 1j * rng.choice([-1e-13, 0.0, 1e-13], n)
+        elif trial % 10 == 1:
+            A *= rng.choice([1e-150, 1e150, 1e-300, 1e300])
+        eigs, V = QuadricModel(A=A, B=np.zeros((n, n))).eigh
+        want_eigs, want_V = np.linalg.eigh(A)
+        assert eigs.tobytes() == want_eigs.tobytes() and eigs.dtype == want_eigs.dtype, A
+        assert V.tobytes() == want_V.tobytes() and V.strides == want_V.strides, A
+
+
 # -- ellipticity oracle ----------------------------------------------------------
 
 
@@ -370,17 +442,19 @@ def test_default_radii():
 
 def test_one_decomposition_of_a_serves_classify_normalize_and_default_radii(monkeypatch):
     # the model caches eigh(A): classify, normalize and default_radii read
-    # it, and nothing calls eigvalsh on A
+    # it, and nothing calls eigvalsh on A; a diagonal A (every n = 1 model)
+    # takes it in closed form, with no eigh of A at all
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(np.shape(M)) or eigh(M))
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
     rng = np.random.default_rng(67)
-    for n in (1, 2, 3):
-        m = random_model(rng, n)
+    diagonal = QuadricModel(A=np.diag([2.0, 0.5, 1.0]), B=np.diag([0.3, 0.1j, -0.2]))
+    for m in (random_model(rng, 1), random_model(rng, 2), random_model(rng, 3), diagonal):
+        n = m.n
         calls.clear()
         nf, res, delta_z = normalize(m), classify(m), default_radii(m)
-        assert calls.count((n, n)) == 1  # the rest are takagi's (2n, 2n) blocks
+        assert calls.count((n, n)) == (0 if n == 1 or m is diagonal else 1)  # the rest are takagi's (2n, 2n)
         assert m.eigh is m.eigh and not m.eigh[0].flags.writeable and not m.eigh[1].flags.writeable
         eigs = eigh(m.A)[0]
         assert delta_z == 0.5 * float(np.sqrt(eigs[0] / eigs[-1]))
