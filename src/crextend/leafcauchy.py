@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NearBoundary
-from .moments import DEFAULT_GRID_N, LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization
-from .moments import _check_grid_size, _read_only, eval_on_grid
+from .moments import DEFAULT_GRID_N, LEAF_RESIDUAL_TOL, LeafGrid, LeafParametrization, LeafValues
+from .moments import _check_grid_size, _read_only, _unit_circle, eval_on_grid
 from .polyalg import Polynomial
 from .quadform import QuadricModel
 
@@ -39,13 +39,15 @@ class BoundaryData:
     to the array of data values at those points, of the same shape.  fz and
     fzbar, when given, map the same arguments to the tangential derivatives
     f_z and f_zbar, which only zderiv_bound_check calls; from_polynomial
-    differentiates inside them.
+    differentiates inside them, and keeps the polynomial, so that
+    normal_derivative_probe can evaluate it by degree on its rungs.
     """
 
     evaluator: Callable
     description: str
     fz: Callable | None = None
     fzbar: Callable | None = None
+    polynomial: Polynomial | None = None
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, description=None):
@@ -58,6 +60,7 @@ class BoundaryData:
             description=description or p.pretty(),
             fz=lambda z, s: eval_on_grid(p.partial_derivative("z"), z),
             fzbar=lambda z, s: eval_on_grid(p.partial_derivative("zbar"), z),
+            polynomial=p,
         )
 
     @classmethod
@@ -90,21 +93,24 @@ class LeafExtension:
     error_estimates: dict  # z -> winding defect * max |f| over the leaf's nodes
 
 
-def _cauchy_values(data: BoundaryData, leaf: LeafParametrization):
-    """zeta, zeta', f and the Cauchy weights f zeta' on one leaf's nodes, each formed once."""
+def _cauchy_values(data: BoundaryData, leaf: LeafParametrization, on_leaf=None):
+    """zeta, zeta', f and the Cauchy weights f zeta' on one leaf's nodes, each formed once.
+
+    f is on_leaf(leaf) when given, else the evaluator's at zeta.
+    """
     zeta, dzeta = leaf.points(), leaf.tangent()
-    fvals = data.evaluator(zeta, leaf.level)
+    fvals = data.evaluator(zeta, leaf.level) if on_leaf is None else on_leaf(leaf)
     return zeta, dzeta, fvals, fvals * dzeta
 
 
 def _cauchy_at(weights, diff):
     """The one trapezoid Cauchy sum: sum(weights / diff) / (i N), diff = zeta - z or a power of it."""
-    return complex(np.sum(weights / diff) / (1j * len(diff)))
+    return complex(np.add.reduce(weights / diff) / (1j * len(diff)))
 
 
 def _winding_defect(z, diff, dzeta, inradius):
     """|winding - 1| at z from diff = zeta - z; NearBoundary unless z is inside the curve, 0.05 * inradius from it."""
-    if np.min(np.abs(diff)) < NEAR_BOUNDARY_FACTOR * inradius:
+    if np.minimum.reduce(np.abs(diff)) < NEAR_BOUNDARY_FACTOR * inradius:
         raise NearBoundary(
             f"point {z} is within {NEAR_BOUNDARY_FACTOR} * inradius of the leaf curve",
             point=z,
@@ -119,7 +125,7 @@ def _winding_defect(z, diff, dzeta, inradius):
     return defect
 
 
-def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> LeafExtension:
+def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points, on_leaf=None) -> LeafExtension:
     """Trapezoidal Cauchy integral of the data over one leaf.
 
     Every requested point must lie strictly inside the leaf curve and at
@@ -129,8 +135,11 @@ def cauchy_extend(data: BoundaryData, leaf: LeafParametrization, points) -> Leaf
     same rule applied to f = 1, so |winding - 1| times max |f| over the nodes
     estimates the error of F: a measured bound on holomorphic data up to
     roundoff, not a proven one (data with zbar terms exceeded it by up to 5%).
+    The data at the nodes is on_leaf(leaf) when given (a LeafValues, for a
+    caller with many leaves of one grid), else the evaluator's at the
+    points, which costs a single leaf least.
     """
-    zeta, dzeta, fvals, weights = _cauchy_values(data, leaf)
+    zeta, dzeta, fvals, weights = _cauchy_values(data, leaf, on_leaf)
     inradius = float(np.min(np.abs(zeta)))
     sup_f = float(np.max(np.abs(fvals)))
     values, defects, estimates = {}, {}, {}
@@ -151,9 +160,9 @@ def radial_leaf_family(radius_fn: Callable, N=DEFAULT_GRID_N):
     the quadric leaf solver cannot represent.  N follows the LeafGrid rule.
     """
     _check_grid_size(N)
-    u = np.exp(2j * np.pi * np.arange(N) / N)
+    u = _unit_circle(N)
     du = 1j * u
-    _read_only(u, du)  # every leaf of the family holds these
+    _read_only(du)  # every leaf of the family holds these
 
     def family(s):
         r = float(radius_fn(s))
@@ -197,10 +206,13 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
     """Estimate d/ds of F(0, s) on a geometric ladder of leaf levels.
 
     F(0, s) is cauchy_extend's value at z = 0 on each leaf, NearBoundary
-    checks included; F_s is formed by 3-point central differences on the
-    (non-uniform) ladder and the exponent is the least-squares slope of
-    log |F_s| against log s.  A blow-up rate of -1/2 is the signature of a
-    degenerate model; 0 means the derivative stays bounded.
+    checks included.  Polynomial data is a LeafValues on the rungs: its
+    homogeneous parts are evaluated on the grid's unit curve once per
+    ladder, and each rung takes one Horner pass over them.  F_s is formed by
+    3-point central differences on the (non-uniform) ladder and the
+    exponent is the least-squares slope of log |F_s| against log s.  A
+    blow-up rate of -1/2 is the signature of a degenerate model; 0 means
+    the derivative stays bounded.
     """
     s_ladder = [float(s) for s in s_ladder]
     if not MIN_LADDER_RUNGS <= len(s_ladder) <= MAX_LADDER_RUNGS:
@@ -215,7 +227,8 @@ def normal_derivative_probe(data: BoundaryData, leaf_family: Callable, s_ladder)
     if ratios.max() / ratios.min() > 1.0 + 1e-6:
         raise InputError("s ladder must be geometric (constant ratio)")
 
-    F0 = np.array([cauchy_extend(data, leaf_family(v), [0.0]).interior_values[0.0] for v in s_ladder])
+    on_leaf = None if data.polynomial is None else LeafValues(data.polynomial)
+    F0 = np.array([cauchy_extend(data, leaf_family(v), [0.0], on_leaf).interior_values[0.0] for v in s_ladder])
     h1, h2 = h[:-1], h[1:]
     Fs = (
         -h2 / (h1 * (h1 + h2)) * F0[:-2]

@@ -20,6 +20,7 @@ when every moment integral over every leaf vanishes:
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,16 @@ class LeafParametrization:
     u is the leaf at r = 1 and du its exact t-derivative (with E, psi' w +
     psi w' with the implicit psi'): the leaf is r u.  The E = None leaves of
     one LeafGrid, and the leaves of one radial_leaf_family, share both arrays.
+    A leaf with E also holds its grid's unit curve w and its real profile
+    psi, u = psi w; without them u is the unit curve and psi = 1.
     """
 
     r: float
     level: float  # value of w on the leaf
     u: np.ndarray
     du: np.ndarray
+    unit: np.ndarray | None = None
+    psi: np.ndarray | None = None
 
     @property
     def N(self):
@@ -81,6 +86,14 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_circle(N):
+    """e^(2 pi i j / N) for 0 <= j < N, read-only: computed once per grid size and shared."""
+    eit = np.exp(2j * np.pi * np.arange(N) / N)
+    _read_only(eit)
+    return eit
+
+
 class LeafGrid:
     """The t grid of one n = 1 model in Bishop normal form, shared by its leaves.
 
@@ -93,8 +106,9 @@ class LeafGrid:
     psi of the leaf z = r psi w.  Then E = sum_d (r psi)^d G_d with the
     real parts G_d = Re E_d(w) of E's homogeneous parts on the grid; G
     holds them, row d - 3 for degree d, 3 <= d <= deg E, and Gt their
-    t-derivatives G_d' = 2 Re(E_d,z(w) wt) (E_d is real), each row from one
-    evaluate here.
+    t-derivatives G_d' = 2 Re(E_d,z(w) wt) (E_d is real).  One by-degree
+    pass of E and one of E_z (Polynomial.evaluate_parts) give every row here,
+    with the bits of one evaluate per part.
     """
 
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
@@ -107,21 +121,21 @@ class LeafGrid:
         if _classify_lambdas(lambdas) != "elliptic":
             raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
         _check_grid_size(N)
-        eit = np.exp(2j * np.pi * np.arange(N) / N)
+        eit = _unit_circle(N)
         p, q = (1.0 + 2.0 * lam) ** -0.5, (1.0 - 2.0 * lam) ** -0.5
         self.w = p * eit.real + 1j * q * eit.imag
         self.wt = 1j * q * eit.real - p * eit.imag
         self.E = model.E
         if self.E is None:
             Q = np.abs(self.w) ** 2 + 2.0 * lam * (self.w * self.w).real
-            self.residual = float(np.max(np.abs(Q - 1.0)))
+            self.residual = float(np.maximum.reduce(np.abs(Q - 1.0)))
         else:
-            top = int(self.E.exps.sum(axis=1).max())
-            parts = [self.E.homogeneous_part(d) for d in range(3, top + 1)]
+            degrees = range(3, int(self.E.exps.sum(axis=1).max()) + 1)
             with np.errstate(all="ignore"):  # an overflowing G_d leaves Newton unconverged
-                self.G = np.array([E_d.evaluate(self.w[:, None]).real for E_d in parts])
-                Ez = [E_d.partial_derivative("z").evaluate(self.w[:, None]) for E_d in parts]
-                self.Gt = np.array([2.0 * (E_dz * self.wt).real for E_dz in Ez])
+                self.G = _part_rows(self.E, self.w, degrees, np.real)
+                self.Gt = _part_rows(
+                    self.E.partial_derivative("z"), self.w, [d - 1 for d in degrees], lambda F: 2.0 * (F * self.wt).real
+                )
             _read_only(self.G, self.Gt)
         _read_only(self.w, self.wt)
 
@@ -137,10 +151,12 @@ class LeafGrid:
             if np.any(psi <= 0):
                 raise LeafSolveError(f"leaf profile is not positive at r = {r:g}")
             u, du = psi * self.w, psi_t * self.w + psi * self.wt
-            _read_only(u, du)
+            _read_only(psi, u, du)
         if residual >= tol:
             raise LeafSolveError(f"leaf residual {residual:.3e} exceeds {tol:g}")
-        return LeafParametrization(r=r, level=r * r, u=u, du=du)
+        if self.E is None:
+            return LeafParametrization(r=r, level=r * r, u=u, du=du)
+        return LeafParametrization(r=r, level=r * r, u=u, du=du, unit=self.w, psi=psi)
 
     def _newton(self, r):
         """psi at label r, its t-derivative and its residual, by Newton from psi = 1.
@@ -167,7 +183,7 @@ class LeafGrid:
             dC = C * degrees[:, None]
             for _ in range(NEWTON_MAX_ITER):
                 g = _defect(psi, C)
-                residual = float(np.max(np.abs(g)))
+                residual = float(np.maximum.reduce(np.abs(g)))
                 if residual < NEWTON_TOL:
                     return psi, -psi * psi * psi * _horner(psi, self.Gt * scale) / _slope(psi, dC), residual
                 psi = psi - g / _slope(psi, dC)
@@ -175,6 +191,12 @@ class LeafGrid:
             f"leaf solve did not converge in {NEWTON_MAX_ITER} iterations at r = {r:g} "
             "(leaf may be outside the model's validity radius)"
         )
+
+
+def _part_rows(p, w, degrees, form):
+    """The rows form(p_d(w)) for d in degrees, p_d = 0 where p has no term of degree d, from one by-degree pass."""
+    parts = p.evaluate_parts(w[:, None])
+    return np.array([form(parts[d] if d in parts else np.zeros(len(w), dtype=complex)) for d in degrees])
 
 
 def _horner(psi, C):
@@ -210,6 +232,80 @@ def solve_leaf(
     return LeafGrid(model, N).leaf(r, tol)
 
 
+def _by_degree(rows, x):
+    """sum_d x^d rows[d] by one Horner pass down from the top degree.
+
+    rows maps each degree present to its N-entry row; x is a scalar or an
+    N-entry row.  A lone degree-0 row is returned as it is, read-only.
+    """
+    top = max(rows)
+    if not top:
+        return rows[0]
+    h = rows[top] * x
+    for d in range(top - 1, -1, -1):
+        if d in rows:
+            h += rows[d]
+        if d:
+            h *= x
+    return h
+
+
+class LeafValues:
+    """An n = 1 polynomial f on hull leaves, from its homogeneous parts on the leaves' unit curve.
+
+    A leaf is zeta = r psi w, with w its unit curve and psi its real profile
+    (psi = 1 without E), so f(zeta) = sum_d (r psi)^d F_d with F_d = f_d(w).
+    The rows F_d, one N-entry row per degree present, come from one pass of
+    evaluate's term loop (Polynomial.evaluate_parts) when the first leaf of a
+    curve asks, and serve every later leaf of it: calling this on a leaf
+    gives f at its points by one Horner pass in r psi.  On a leaf without E
+    the moments need no values: f_d's moment on the leaf is r^(d + ell + 1)
+    mu_(d,ell), with mu_(d,ell) the trapezoid sum of F_d w^ell dw 2pi/N,
+    taken once per curve by a running product in w (unit_moments), so a
+    leaf's moments are scalar sums over the degrees.
+    """
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+        self.unit = None
+        self.mu_key = (None, None, None)
+
+    def rows(self, unit):
+        """F on a unit curve, read-only, built once per curve."""
+        if unit is not self.unit:
+            rows = self.f.evaluate_parts(unit[:, None]) or {0: np.zeros(len(unit), dtype=complex)}
+            _read_only(*rows.values())
+            self.unit, self._rows = unit, rows
+        return self._rows
+
+    def __call__(self, leaf):
+        """f at the leaf's points r u."""
+        if leaf.psi is None:
+            return _by_degree(self.rows(leaf.u), leaf.r)
+        return _by_degree(self.rows(leaf.unit), leaf.r * leaf.psi)
+
+    def unit_moments(self, leaf, top):
+        """[{d: mu_(d,ell)} for ell <= top] on the curve of a leaf without psi, kept for the next leaf of it.
+
+        Each degree's weight F_d du 2pi/N is multiplied by u once per order
+        and summed at each, one degree at a time, so mu_(d,ell) has the
+        same bits whatever top is.
+        """
+        rows = self.rows(leaf.u)
+        u, du, top_done = self.mu_key
+        if not (u is leaf.u and du is leaf.du and top_done == top):
+            mu = [{} for _ in range(top + 1)]
+            for d, F_d in rows.items():
+                term = F_d * leaf.du
+                term *= 2 * np.pi / leaf.N
+                for ell in range(top + 1):
+                    if ell:
+                        term *= leaf.u
+                    mu[ell][d] = complex(np.add.reduce(term))
+            self.mu_key, self._mu = (leaf.u, leaf.du, top), mu
+        return self._mu
+
+
 def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
     """Trapezoidal value of the leaf moment integral of f * zeta^ell d(zeta).
 
@@ -217,37 +313,49 @@ def moment_integral(f: Polynomial, leaf: LeafParametrization, ell) -> complex:
     u^ell * f * du * 2pi/N over the grid; the rule is exact for a
     trigonometric polynomial integrand of degree below N (polynomial f
     on an E = None leaf) and spectrally accurate for smooth periodic ones.
+    On a leaf of check_moments' grid it is that entry for (leaf.r, ell),
+    bit for bit.
     """
     if ell < 0:
         raise InputError(f"moment order ell must be >= 0, got {ell}")
     if f.has_w_terms():
         raise InputError("moment_integral: f must not contain w")
-    return _leaf_moments(f, leaf, (ell,))[0]
+    return _leaf_moments(LeafValues(f), leaf, ell)[ell]
 
 
-def _leaf_moments(f, leaf, ells):
-    """Moments of f of each order in ells on one leaf, from one weight per leaf.
+def _leaf_moments(values: LeafValues, leaf, Lmax):
+    """The moments of orders 0..Lmax of f (values) on one leaf.
 
-    The weight f(r u) * du * 2pi/N is formed once.  ells must ascend: the
-    running product weight * u^ell is multiplied by u once per order and
-    summed at each ell, so an ell has the same bits whatever ells come
-    with it.
+    Every scale r^(ell + 1) is formed first, ell ascending, so an overflow
+    is named before any moment is.  Without psi the moment is r^(ell + 1)
+    times the scalar sum_d r^d mu_(d,ell) over unit_moments, degrees
+    ascending, with r^d by repeated multiplication once per leaf.  With psi
+    the weight f(r u) du 2pi/N is formed once and multiplied by u once per
+    order, summed at each.  Either way an ell has the same bits whatever
+    Lmax comes with it.
     """
-    term = eval_on_grid(f, leaf.points()) * leaf.du * (2 * np.pi / leaf.N)
-    order = 0
-    values = []
-    for ell in ells:
+    scales = []
+    for ell in range(Lmax + 1):
         try:
-            scale = leaf.r ** (ell + 1)
+            scales.append(leaf.r ** (ell + 1))
         except OverflowError as exc:
             raise NumericalError(
                 f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g}: r^(ell + 1) overflows"
             ) from exc
-        for _ in range(ell - order):
+    if leaf.psi is None:
+        mu = values.unit_moments(leaf, Lmax)
+        powers = [1.0]
+        for _ in range(max(mu[0])):
+            powers.append(powers[-1] * leaf.r)  # inf past overflow, which the finiteness check names
+        return [scale * sum(powers[d] * m for d, m in mu_ell.items()) for scale, mu_ell in zip(scales, mu)]
+    term = values(leaf) * leaf.du
+    term *= 2 * np.pi / leaf.N
+    moments = []
+    for ell, scale in enumerate(scales):
+        if ell:
             term *= leaf.u
-        order = ell
-        values.append(complex(scale * np.sum(term)))
-    return values
+        moments.append(complex(scale * np.add.reduce(term)))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -292,8 +400,11 @@ def check_moments(
     Lmax must lie in [0, DEGREE_CAP + 4] and leaves must not be empty, so
     that a pass always rests on some moments.  The ladder is solved leaf by
     leaf through one LeafGrid(model, N), each leaf with the bits and errors
-    of solve_leaf; leaf_tol is its residual tolerance.  f is evaluated on
-    each leaf once and its weight serves every ell, as in moment_integral.
+    of solve_leaf; leaf_tol is its residual tolerance.  f's homogeneous
+    parts are evaluated on the grid's unit curve once (LeafValues): without
+    E every entry is a scalar sum in r over the grid's mu_(d,ell), with E
+    each leaf's values are one Horner pass in r psi and their weight serves
+    every ell.  Each entry has the bits of moment_integral.
     Passes iff every moment modulus is below tol.  A moment whose scale
     r^(ell + 1) overflows, or whose value is not finite, is a
     NumericalError naming r and ell, raised before any later leaf's error.
@@ -314,9 +425,11 @@ def check_moments(
     entries = []
     max_mod = 0.0
     grid = LeafGrid(model, N)
+    values = LeafValues(f)
+    values.rows(grid.w)  # before any leaf, so that F's power tables and a leaf's arrays never coexist
     for r in leaves:
         leaf = grid.leaf(r, leaf_tol)
-        for ell, v in enumerate(_leaf_moments(f, leaf, range(Lmax + 1))):
+        for ell, v in enumerate(_leaf_moments(values, leaf, Lmax)):
             if not cmath.isfinite(v):
                 raise NumericalError(
                     f"moment of order ell = {ell} on the leaf of radius r = {leaf.r:g} is not finite: {v}"

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -129,6 +129,21 @@ def _powers(x, top):
     for _ in range(top - 1):
         table.append(table[-1] * x)
     return table
+
+
+def _add_terms(terms, tables, totals, slots):
+    """Add each (row, coefficient) term into totals[slot], its slot from slots in turn.
+
+    A term is coefficient x table x table ... in column order, a column
+    with exponent 0 skipped: evaluate's loop, with one slot, and
+    evaluate_parts', with one slot per degree.
+    """
+    for (row, c), k in zip(terms, slots):
+        val = c
+        for table, e in zip(tables, row):
+            if e:
+                val = val * table[e]
+        totals[k] += val
 
 
 def _sum_blocks(exps, coeffs, tables, tops, total):
@@ -454,29 +469,17 @@ class Polynomial:
         Returns a complex for one point, else an array.  Each column (z_j,
         zbar_j, w) gets one table of its powers up to its largest exponent,
         by repeated multiplication, and the terms are summed in graded
-        order, each as coefficient x table x table ... in column order.
-        At 2 to BLOCK_POINTS points and at least BLOCK_TERMS terms, when
-        every column the terms use has one value per point, the terms go
-        in blocks (_sum_blocks); otherwise, and after a block whose sum is
-        not finite, one at a time.  Both give the same bits, and no
+        order, each as coefficient x table x table ... in column order
+        (_add_terms).  At 2 to BLOCK_POINTS points and at least BLOCK_TERMS
+        terms, when every column the terms use has one value per point, the
+        terms go in blocks (_sum_blocks); otherwise, and after a block whose
+        sum is not finite, one at a time.  Both give the same bits, and no
         temporary exceeds BLOCK_ENTRIES entries.  (The loop multiplies a
         0-d column, a scalar w or one point's z, in numpy's scalar
         arithmetic, which rounds differently from its array loops.)
         """
-        n = self.n
-        z = np.asarray(z, dtype=complex)
-        if n == 1 and z.ndim == 0:
-            z = z[None]
-        if z.ndim == 0 or z.shape[-1] != n:
-            raise InputError(
-                f"evaluate: expected points with {n} coordinates, got shape {z.shape}"
-            )
-        zb = np.conj(z)
-        w = np.asarray(w, dtype=complex)
-        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [w]
-        tops = self.exps.max(axis=0, initial=0).tolist()
-        tables = [_powers(x, top) for x, top in zip(columns, tops)]
-        total = np.zeros(np.broadcast(columns[0], w).shape, dtype=complex)
+        columns, tops, tables = self._tables(z, w)
+        total = np.zeros(np.broadcast(columns[0], columns[-1]).shape, dtype=complex)
         done = 0
         if (
             2 <= total.size <= BLOCK_POINTS
@@ -486,13 +489,38 @@ class Polynomial:
             done, total = _sum_blocks(self.exps, self.coeffs, tables, tops, total)
             if done == len(self.coeffs):
                 return total
-        for row, c in self.terms[done:]:
-            val = c
-            for table, e in zip(tables, row):
-                if e:
-                    val = val * table[e]
-            total += val
+        _add_terms(self.terms[done:], tables, [total], repeat(0))
         return complex(total) if total.ndim == 0 else total
+
+    def evaluate_parts(self, z):
+        """{d: homogeneous_part(d).evaluate(z)} for every degree d of a term, at w = 0.
+
+        One pass of evaluate's term loop (_add_terms) over one set of power
+        tables adds each term into its own degree's row.  A part's terms
+        keep their graded order, and a power does not depend on how far its
+        table goes, so each row has the bits of that part's evaluate.  The
+        degrees ascend.
+        """
+        columns, _, tables = self._tables(z, 0.0)
+        degrees = self.exps.sum(axis=1).tolist()
+        rows = {d: np.zeros(columns[0].shape, dtype=complex) for d in sorted(set(degrees))}
+        _add_terms(self.terms, tables, rows, degrees)
+        return rows
+
+    def _tables(self, z, w):
+        """(columns, tops, tables) at points z and w: each column's values, largest exponent and power table."""
+        n = self.n
+        z = np.asarray(z, dtype=complex)
+        if n == 1 and z.ndim == 0:
+            z = z[None]
+        if z.ndim == 0 or z.shape[-1] != n:
+            raise InputError(
+                f"evaluate: expected points with {n} coordinates, got shape {z.shape}"
+            )
+        zb = np.conj(z)
+        columns = [z[..., j] for j in range(n)] + [zb[..., j] for j in range(n)] + [np.asarray(w, dtype=complex)]
+        tops = self.exps.max(axis=0, initial=0).tolist()
+        return columns, tops, [_powers(x, top) for x, top in zip(columns, tops)]
 
     # -- serialization -------------------------------------------------------
 

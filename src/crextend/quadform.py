@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NotElliptic, NumericalFailure
-from .polyalg import Polynomial, complex_from_json, real_from_json
+from .polyalg import ZERO_THRESHOLD, Polynomial, complex_from_json, real_from_json
 
 HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -64,6 +64,23 @@ def _eigh_order(d):
     return order
 
 
+def _conjugation_deviation(E):
+    """(E.conjugate() - E).max_coeff(), from E's rows and their alpha/beta swaps.
+
+    A term whose swap is a term gives conj(c_swap) - c; one whose swap is
+    not gives |c|, as it does twice in the difference.  Below ZERO_THRESHOLD
+    the difference would be pruned, so the deviation is 0 there.
+    """
+    n = E.n
+    rows = E.exps.tolist()
+    where = {tuple(row): i for i, row in enumerate(rows)}
+    swap = np.array([where.get((*row[n : 2 * n], *row[:n], *row[2 * n :]), -1) for row in rows])
+    paired = swap >= 0
+    diff = np.where(paired, E.coeffs[swap].conj() - E.coeffs, E.coeffs)
+    dev = float(np.abs(diff).max())
+    return dev if dev >= ZERO_THRESHOLD else 0.0
+
+
 @dataclass(frozen=True)
 class QuadricModel:
     """Validated quadric model; A Hermitian, B symmetric, E real higher order."""
@@ -96,7 +113,7 @@ class QuadricModel:
             if not E.is_zero():
                 if E.exps.sum(axis=1).min() < 3:
                     raise InputError("E must contain only terms of total degree >= 3")
-                dev = (E.conjugate() - E).max_coeff()
+                dev = _conjugation_deviation(E)
                 if dev > HERMITIAN_TOL:
                     raise InputError(f"E is not real-valued (deviation {dev:g})")
             if E.is_zero():
@@ -276,6 +293,19 @@ def _bishop(eigs, V, B):
     return T0 @ U.conj(), lambdas
 
 
+def _residual(M, target):
+    """max |M - target|; NumericalFailure unless it is within RESIDUAL_FAIL times max(|M|, |target|, 1).
+
+    The scale is at least 1, so only a residual above RESIDUAL_FAIL (or nan) needs it.
+    """
+    residual = _maxabs(M - target)
+    if not residual <= RESIDUAL_FAIL:
+        bound = RESIDUAL_FAIL * max(_maxabs(M), _maxabs(target), 1.0)
+        if not residual <= bound:
+            raise NumericalFailure(f"normal form residual {residual:.3e} exceeds {bound:g}")
+    return residual
+
+
 def normalize(model: QuadricModel) -> BishopNormalForm:
     """Bishop normal form for positive definite A.
 
@@ -283,7 +313,9 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
     of T is signed so that its first entry of largest modulus has positive
     real part (or, if that is 0, positive imaginary part); for distinct
     nonzero lambdas T then depends only on (A, B).  Both congruences are
-    re-checked a posteriori.
+    re-checked a posteriori: each residual, reported raw, must stay within
+    RESIDUAL_FAIL of the scale of the two matrices it compares (at least
+    1), since rounding in T^T B T grows with |B|.
     """
     eigs, V = model.eigh
     if eigs[0] <= DEGENERACY_TOL:
@@ -293,12 +325,8 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
     T, lambdas = _bishop(eigs, V, model.B)
     lead = T[np.argmax(np.abs(T), axis=0), np.arange(model.n)]
     T *= np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
-    residual_a = _maxabs(T.conj().T @ model.A @ T - np.eye(model.n))
-    residual_b = _maxabs(T.T @ model.B @ T - np.diag(lambdas))
-    if max(residual_a, residual_b) > RESIDUAL_FAIL:
-        raise NumericalFailure(
-            f"normal form residual {max(residual_a, residual_b):.3e} exceeds {RESIDUAL_FAIL:g}",
-        )
+    residual_a = _residual(T.conj().T @ model.A @ T, np.eye(model.n))
+    residual_b = _residual(T.T @ model.B @ T, np.diag(lambdas))
     lambdas.setflags(write=False)
     T.setflags(write=False)
     return BishopNormalForm(

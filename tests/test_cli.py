@@ -92,6 +92,36 @@ def test_cli_classify_hyperbolic_note(tmp_path, capsys):
     assert doc["note"]
 
 
+def _congruent_doc(lambdas):
+    """A = S^H S, B = S^T diag(lambdas) S for a fixed S: Bishop invariants lambdas, a model that is no normal form."""
+    S = np.array([[1.0, 0.3 + 0.2j], [-0.1j, 0.9]])
+    A = S.conj().T @ S
+    B = S.T @ np.diag(np.asarray(lambdas, dtype=complex)) @ S
+    return QuadricModel((A + A.conj().T) / 2, (B + B.T) / 2).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "doc, top",
+    [
+        (_congruent_doc([0.3, 1e8]), 1e8),
+        (_congruent_doc([0.3, 1e10]), 1e10),
+        (model_doc([1e300]), 1e300),
+        (model_doc([1e300, 1e300]), 1e300),
+    ],
+    ids=["congruent-1e8", "congruent-1e10", "diag-1e300-n1", "diag-1e300-n2"],
+)
+def test_cli_classify_large_b_is_hyperbolic(tmp_path, capsys, doc, top):
+    # normalize's residuals grow with |B| (5.7e-8 at 1e8, 1.5e284 at 1e300);
+    # each is gated relative to the matrices it compares and reported raw
+    code, out, err = run(capsys, ["classify", write_json(tmp_path / "model.json", doc)])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["classification"] == "hyperbolic"
+    assert max(report["lambdas"]) == pytest.approx(top, rel=1e-12)
+    assert 0 < report["residual_b"] <= 1e-8 * top
+    assert report["residual_a"] <= 1e-8
+
+
 def test_cli_classify_and_extend_zero_invariants(tmp_path, capsys):
     # a congruent n = 4 model with lambda = (0, 0, 0.151, 0.409)
     lams = [0.0, 0.0, 0.151, 0.409]
@@ -275,6 +305,30 @@ def test_cli_probe_degenerate_quadric(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["exponent"] == pytest.approx(0.0, abs=0.05)
+
+
+def test_cli_check_and_probe_run_the_terms_of_f_once_per_document(tmp_path, capsys, monkeypatch):
+    # a document's leaves share f's parts on the grid's unit curve: one pass
+    # of f's terms per check or probe document, with E too
+    passes = []
+    add_terms = polyalg._add_terms
+    monkeypatch.setattr(polyalg, "_add_terms", lambda terms, *args: passes.append(terms) or add_terms(terms, *args))
+    E = Polynomial.monomial(1, (2,), (2,), 0, 0.1)
+    f = Polynomial.z(1) ** 2 * Polynomial.zbar(1) + 0.3 * Polynomial.zbar(1) ** 4 + 1.0
+    for model in (model_doc([0.2]), model_doc([0.2], E=E)):
+        documents = {
+            "check": {"model": model, "f": poly_doc(f)},
+            "probe-degenerate": {
+                "family": {"kind": "quadric", "model": model},
+                "data": {"polynomial": poly_doc(f)},
+                "ladder": {"start": 1e-3, "ratio": 1.5, "count": 10},
+            },
+        }
+        for command, doc_in in documents.items():
+            passes.clear()
+            code, _, err = run(capsys, [command, write_json(tmp_path / "in.json", doc_in), "--grid-n", "1024"])
+            assert code == 0, err
+            assert sum(terms == f.terms for terms in passes) == 1, command
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ from crextend import (
     solve_leaf,
     zderiv_bound_check,
 )
-from crextend.moments import LeafParametrization
+from crextend import polyalg
+from crextend.moments import LeafParametrization, LeafValues
 
 
 def interior_samples(leaf, count, seed=0, fraction=0.8):
@@ -85,14 +86,15 @@ def test_point_outside_the_leaf_names_a_real_winding_number():
         cauchy_extend(BoundaryData.builtin("constant"), leaf, [0.5 + 0.1j])
 
 
-def _cauchy_reference(data, leaf, points):
+def _cauchy_reference(data, leaf, points, on_leaf=None):
     """The leaf's Cauchy sums spelled out per point: ({z: F(z)}, {z: |winding - 1|}, max |F_z|).
 
     F(z) is sum f dzeta / (zeta - z) / (i N), the winding sum the same with
-    f = 1, and F_z the same as F over (zeta - z)^2.
+    f = 1, and F_z the same as F over (zeta - z)^2; f is on_leaf(leaf) when
+    given, else the data's evaluator at the leaf's points.
     """
     zeta, dzeta = leaf.points(), leaf.tangent()
-    fvals = data.evaluator(zeta, leaf.level)
+    fvals = data.evaluator(zeta, leaf.level) if on_leaf is None else on_leaf(leaf)
     values, defects = {}, {}
     for z in map(complex, points):
         values[z] = complex(np.sum(fvals * dzeta / (zeta - z)) / (1j * leaf.N))
@@ -136,7 +138,7 @@ def test_cauchy_error_estimate_bounds_the_error_of_holomorphic_data():
 def test_cauchy_sums_keep_the_bits_of_the_per_point_formulas():
     # values, winding defects, probe rows and F_z equal the per-point sums
     # exactly, not to a tolerance, on a leaf without E, one with E and a
-    # radial leaf
+    # radial leaf; a probe's rungs take polynomial data from a LeafValues
     E = Polynomial.monomial(1, (3,), (1,), 0, 0.05) + Polynomial.monomial(1, (1,), (3,), 0, 0.05)
     families = (
         quadric_leaf_family(normal_form_model([0.3]), N=256),
@@ -155,7 +157,8 @@ def test_cauchy_sums_keep_the_bits_of_the_per_point_formulas():
             assert ext.winding_defects == defects
             assert zderiv_bound_check(data, leaf, points).max_fz == max_fz
             rows = normal_derivative_probe(data, family, ladder).rows
-            F0 = [_cauchy_reference(data, family(s), [0.0])[0][0j] for s in ladder]
+            on_leaf = None if data.polynomial is None else LeafValues(data.polynomial)
+            F0 = [_cauchy_reference(data, family(s), [0.0], on_leaf)[0][0j] for s in ladder]
             assert [row[1] for row in rows] == F0
 
 
@@ -192,8 +195,9 @@ def test_probe_constant_data_reports_bounded():
 
 
 def _probe_per_rung(data, family, ladder):
-    """The probe as a loop over rungs: (rows, exponent or None)."""
-    F0 = [cauchy_extend(data, family(s), [0.0]).interior_values[0.0] for s in ladder]
+    """The probe as a loop over rungs, polynomial data from one LeafValues: (rows, exponent or None)."""
+    on_leaf = None if data.polynomial is None else LeafValues(data.polynomial)
+    F0 = [cauchy_extend(data, family(s), [0.0], on_leaf).interior_values[0.0] for s in ladder]
     scale = max(1.0, max(abs(v) for v in F0))
     eps = float(np.finfo(float).eps)
     rows, fit = [(ladder[0], F0[0], None)], []
@@ -232,6 +236,46 @@ def test_probe_matches_per_rung_loop():
             else:
                 assert report.label == "power-law"
                 assert abs(report.exponent - exponent) < 1e-12
+
+
+def test_probe_rows_and_leaf_extend_values_match_the_per_point_formulas():
+    # a probe's rungs take f from one Horner pass over f's parts on the unit
+    # curve: each F(0, s) is within 128 eps of max sum |c| |zeta|^deg times
+    # max |zeta' / zeta| of the sum over f at the points; a single leaf
+    # (leaf-extend) evaluates f at its points and keeps the per-point bits
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(251)
+    E = Polynomial.monomial(1, (3,), (1,), 0, 0.05) + Polynomial.monomial(1, (1,), (3,), 0, 0.05)
+    for model in (normal_form_model([0.3]), normal_form_model([0.2], E=E)):
+        family = quadric_leaf_family(model, N=512)
+        f = random_holomorphic(rng, 1, 4).substitute_w(q_polynomial(model)) + Polynomial.zbar(1) ** 3
+        data = BoundaryData.from_polynomial(f)
+        ladder = [1e-3 * 1.7**k for k in range(8)]
+        rows = normal_derivative_probe(data, family, ladder).rows
+        size = Polynomial(1, f.exps, np.abs(f.coeffs))
+        for (s, F0, _), leaf in zip(rows, map(family, ladder)):
+            zeta, dzeta = leaf.points(), leaf.tangent()
+            reference = _cauchy_reference(data, leaf, [0.0])[0][0j]
+            scale = float(np.max(size.evaluate(np.abs(zeta)[:, None]).real)) * float(np.max(np.abs(dzeta / zeta)))
+            assert abs(F0 - reference) <= 128 * eps * scale, (s, F0, reference)
+        leaf = family(0.04)
+        points = [0.0, *interior_samples(leaf, 8, seed=13)]
+        assert cauchy_extend(data, leaf, points).interior_values == _cauchy_reference(data, leaf, points)[0]
+
+
+def test_probe_runs_the_term_loop_of_f_once(monkeypatch):
+    # the rungs of one ladder share f's parts on the grid's unit curve
+    passes = []
+    add_terms = polyalg._add_terms
+    monkeypatch.setattr(polyalg, "_add_terms", lambda terms, *args: passes.append(terms) or add_terms(terms, *args))
+    E = Polynomial.monomial(1, (3,), (1,), 0, 0.05) + Polynomial.monomial(1, (1,), (3,), 0, 0.05)
+    f = Polynomial.z(1) * Polynomial.zbar(1) + Polynomial.zbar(1) ** 3 + 0.5j * Polynomial.z(1)
+    ladder = [1e-3 * 1.5**k for k in range(12)]
+    for model in (normal_form_model([0.3]), normal_form_model([0.2], E=E)):
+        passes.clear()
+        normal_derivative_probe(BoundaryData.from_polynomial(f), quadric_leaf_family(model, N=256), ladder)
+        assert sum(terms == f.terms for terms in passes) == 1
+        assert len(passes) == (1 if model.E is None else 3)
 
 
 def _offset_circle_family(center_from):

@@ -20,7 +20,8 @@ from crextend import (
     q_polynomial,
     solve_leaf,
 )
-from crextend import moments
+from crextend import moments, polyalg
+from crextend.leafcauchy import radial_leaf_family
 from crextend.moments import eval_on_grid
 from crextend.polyalg import DEGREE_CAP
 
@@ -228,24 +229,25 @@ def test_leaf_with_E_up_to_degree_8_stays_on_its_level_set(degrees):
 
 
 def test_leaf_newton_evaluates_no_polynomial(monkeypatch):
-    # a grid with E evaluates E's parts and their E_z once, in
-    # LeafGrid.__init__, never per leaf, and solves its ladder from G and Gt
-    # alone: no polynomial evaluation; its exact slope keeps Newton
+    # a grid with E evaluates E's parts and their E_z in one by-degree pass
+    # each, in LeafGrid.__init__, never per leaf, and solves its ladder from
+    # G and Gt alone: no polynomial evaluation; its exact slope keeps Newton
     # quadratic, at most 7 passes a leaf on this ladder (3 to 7 measured),
     # and the slope is formed for each pass that steps and once more for
     # the tangent, so every leaf makes as many slopes as defects
     calls = []
-    evaluate = Polynomial.evaluate
-    monkeypatch.setattr(
-        Polynomial, "evaluate", lambda self, *args: calls.append("evaluate") or evaluate(self, *args)
-    )
+    for name in ("evaluate", "evaluate_parts"):
+        method = getattr(Polynomial, name)
+        monkeypatch.setattr(
+            Polynomial, name, lambda self, *args, name=name, method=method: calls.append(name) or method(self, *args)
+        )
     for name in ("_defect", "_slope"):
         method = getattr(moments, name)
         monkeypatch.setattr(moments, name, lambda *args, name=name, method=method: calls.append(name) or method(*args))
     rng = np.random.default_rng(131)
     for lam in LAMBDA_CHOICES:
         grid = moments.LeafGrid(normal_form_model([lam], E=_generic_real_E(rng, lam)), 512)
-        assert set(calls) == {"evaluate"}
+        assert calls == ["evaluate_parts", "evaluate_parts"]
         assert not hasattr(grid, "Ez")
         for r in LADDER:
             calls.clear()
@@ -501,6 +503,132 @@ def test_moments_from_one_weight_match_per_ell_formula():
                     assert moment_integral(f, leaf, ell) == values[r, ell]
                     old, mass = _moment_u_power(f, leaf, ell)
                     assert abs(values[r, ell] - old) <= 1e-13 * mass
+
+
+def _abs_values(f, points):
+    """sum over f's terms of |c| |z|^(a + b) at each point: the scale of f's rounding there."""
+    return Polynomial(1, f.exps, np.abs(f.coeffs)).evaluate(np.abs(points)[:, None]).real
+
+
+def _per_leaf_moments(f, leaf, Lmax):
+    """The moments as they were formed before f was evaluated by degree: f at the leaf's points,
+    one weight f du 2pi/N per leaf, multiplied by u once per order."""
+    term = eval_on_grid(f, leaf.points()) * leaf.du * (2 * np.pi / leaf.N)
+    values = []
+    for ell in range(Lmax + 1):
+        if ell:
+            term = term * leaf.u
+        values.append(complex(leaf.r ** (ell + 1) * np.sum(term)))
+    return values
+
+
+def test_leaf_grid_rows_keep_the_bits_of_one_evaluate_per_part():
+    # G and Gt come from one by-degree pass of E and of E_z, with the bits of
+    # one evaluate per homogeneous part; a degree E lacks is a zero row
+    rng = np.random.default_rng(227)
+    for lam in LAMBDA_CHOICES:
+        E = _generic_real_E(rng, lam)
+        gap = Polynomial.monomial(1, (2,), (1,), 0, 0.01) + Polynomial.monomial(1, (3,), (3,), 0, 0.02)
+        for E in (E, gap + gap.conjugate()):
+            for N in (64, 512, 4096):
+                grid = moments.LeafGrid(normal_form_model([lam], E=E), N)
+                parts = [E.homogeneous_part(d) for d in range(3, E.degree() + 1)]
+                G = np.array([E_d.evaluate(grid.w[:, None]).real for E_d in parts])
+                Ez = [E_d.partial_derivative("z").evaluate(grid.w[:, None]) for E_d in parts]
+                Gt = np.array([2.0 * (E_dz * grid.wt).real for E_dz in Ez])
+                assert grid.G.tobytes() == G.tobytes() and grid.Gt.tobytes() == Gt.tobytes()
+
+
+def test_leaf_values_match_f_at_the_leaf_points():
+    # f on a leaf by one Horner pass in r psi over F_d = f_d(w) agrees with f
+    # at the points within 64 eps of sum |c| |zeta|^deg, on leaves without E,
+    # with E and on a radial family's circles
+    rng = np.random.default_rng(229)
+    eps = float(np.finfo(float).eps)
+    for lam in LAMBDA_CHOICES:
+        for with_E in (False, True):
+            grid = moments.LeafGrid(normal_form_model([lam], E=_generic_real_E(rng, lam) if with_E else None), 512)
+            for f in (random_polynomial(rng, 1, 8), Polynomial.zbar(1) ** 7, Polynomial.constant(1, 2.5)):
+                values = moments.LeafValues(f)
+                for r in LADDER:
+                    leaf = grid.leaf(r)
+                    got, points = values(leaf), leaf.points()
+                    assert got.shape == points.shape
+                    assert np.all(np.abs(got - eval_on_grid(f, points)) <= 64 * eps * _abs_values(f, points))
+    family = radial_leaf_family(lambda s: s**0.25, N=256)
+    f = random_polynomial(rng, 1, 8)
+    values = moments.LeafValues(f)
+    for s in (1e-4, 1e-2, 0.5):
+        leaf = family(s)
+        err = np.abs(values(leaf) - eval_on_grid(f, leaf.points()))
+        assert np.all(err <= 64 * eps * _abs_values(f, leaf.points()))
+
+
+@pytest.mark.parametrize("N", [64, 512, 4096])
+def test_moments_without_e_match_the_per_leaf_trapezoid(N):
+    # r^(ell + 1) sum_d r^d mu_(d,ell), with mu taken once per grid, against
+    # the per-leaf weights it replaced, within the bound of the per-ell test
+    # above; the corpus's f = P(z, rho) and zbar^k among the data
+    rng = np.random.default_rng(233)
+    radii = (1e-3, 0.05, 0.2, 0.4, 1.0)
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam])
+        rho = q_polynomial(m)
+        for f in (
+            random_holomorphic(rng, 1, 4).substitute_w(rho),
+            random_polynomial(rng, 1, 8),
+            Polynomial.zbar(1) ** 10,
+        ):
+            Lmax = f.degree() + 4
+            report = check_moments(f, m, leaves=radii, Lmax=Lmax, N=N)
+            values = {(r, ell): v for r, ell, v in report.entries}
+            for r in radii:
+                leaf = solve_leaf(m, r, N)
+                sup_f = float(np.max(np.abs(eval_on_grid(f, leaf.points()))))
+                sup_u, sup_du = float(np.max(np.abs(leaf.u))), float(np.max(np.abs(leaf.du)))
+                for ell, old in enumerate(_per_leaf_moments(f, leaf, Lmax)):
+                    bound = 1e-13 * r ** (ell + 1) * sup_f * sup_u**ell * sup_du
+                    assert abs(values[r, ell] - old) <= bound, (lam, f, r, ell)
+
+
+def test_moments_with_e_do_not_depend_on_lmax():
+    # with E each leaf's f comes from F by a Horner pass in r psi; its
+    # moments stay within the per-ell bound of the per-leaf weights
+    rng = np.random.default_rng(239)
+    for lam in LAMBDA_CHOICES:
+        m = normal_form_model([lam], E=_generic_real_E(rng, lam))
+        f = random_polynomial(rng, 1, 6)
+        full = check_moments(f, m, leaves=LADDER, Lmax=12, N=512)
+        short = check_moments(f, m, leaves=LADDER, Lmax=3, N=512)
+        values = {(r, ell): v for r, ell, v in full.entries}
+        assert all(v == values[r, ell] for r, ell, v in short.entries)
+        for r in LADDER:
+            leaf = solve_leaf(m, r, 512)
+            sup_f = float(np.max(np.abs(eval_on_grid(f, leaf.points()))))
+            sup_u, sup_du = float(np.max(np.abs(leaf.u))), float(np.max(np.abs(leaf.du)))
+            for ell, old in enumerate(_per_leaf_moments(f, leaf, 12)):
+                assert abs(values[r, ell] - old) <= 1e-13 * r ** (ell + 1) * sup_f * sup_u**ell * sup_du
+
+
+def test_check_moments_runs_the_term_loop_of_f_once(monkeypatch):
+    # F is built once per grid and serves every leaf: one pass of f's terms
+    # per call, whatever the ladder; with E the grid adds one pass of E and
+    # one of E_z
+    passes = []
+    add_terms = polyalg._add_terms
+
+    def counted(terms, *args):
+        passes.append(terms)
+        return add_terms(terms, *args)
+
+    monkeypatch.setattr(polyalg, "_add_terms", counted)
+    rng = np.random.default_rng(241)
+    f = random_polynomial(rng, 1, 6)
+    for E in (None, _generic_real_E(rng, 0.1)):
+        passes.clear()
+        check_moments(f, normal_form_model([0.1], E=E), leaves=LADDER, N=512)
+        assert sum(terms == f.terms for terms in passes) == 1
+        assert len(passes) == (1 if E is None else 3)
 
 
 def test_check_moments_default_ladder():

@@ -252,6 +252,26 @@ def test_evaluate_keeps_the_bits_of_the_per_term_loop(monkeypatch):
     assert any(done == 0 for done, m in runs)
 
 
+def test_evaluate_parts_keeps_the_bits_of_each_parts_evaluate():
+    # one pass of the term loop into one row per degree gives each row the
+    # bits of that homogeneous part's own evaluate, at w = 0
+    rng = np.random.default_rng(223)
+    for n in (1, 2, 3):
+        for with_w in (False, True):
+            for nterms in (1, 12, 200):
+                p = random_polynomial(rng, n, 10, nterms=nterms, with_w=with_w)
+                for p in (p, p * 1e300):
+                    for shape in ((n,), (1, n), (7, n), (64, n), (512, n), (4, 9, n)):
+                        z = rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape)
+                        with np.errstate(all="ignore"):
+                            rows = p.evaluate_parts(z)
+                            assert list(rows) == sorted(set(p.exps.sum(axis=1).tolist()))
+                            for d, row in rows.items():
+                                part = p.homogeneous_part(d).evaluate(z)
+                                assert _same_bits(row, np.asarray(part).reshape(row.shape))
+    assert Polynomial.zero(2).evaluate_parts(np.zeros((3, 2))) == {}
+
+
 # -- conjugation ---------------------------------------------------------------
 
 

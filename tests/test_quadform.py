@@ -60,6 +60,42 @@ def test_rejects_non_real_perturbation():
         QuadricModel(A=np.eye(1), B=np.zeros((1, 1)), E=E)
 
 
+def _perturbation(rng, n, nterms, imbalance):
+    """A sum of terms of degree 3 to 5 and their conjugates, each conjugate off by a random amount of size imbalance."""
+    E = Polynomial.zero(n)
+    for _ in range(nterms):
+        d = int(rng.integers(3, 6))
+        split = rng.multinomial(d, [1.0 / (2 * n)] * (2 * n))
+        alpha, beta = tuple(split[:n].tolist()), tuple(split[n:].tolist())
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        off = imbalance * complex(rng.standard_normal(), rng.standard_normal())
+        E = E + Polynomial.monomial(n, alpha, beta, 0, c) + Polynomial.monomial(n, beta, alpha, 0, c.conjugate() + off)
+    return E
+
+
+@pytest.mark.parametrize("imbalance", [0.0, 1e-15, 1e-13, 3e-13, 1e-12, 1e-11, 1e-6, 1.0])
+def test_real_valuedness_check_keeps_the_deviation_of_the_old_formula(imbalance):
+    # the check compares E's rows with their alpha/beta swaps directly; every
+    # E it refuses names the deviation (E.conjugate() - E).max_coeff()
+    rng = np.random.default_rng(211)
+    for n in (1, 2, 3):
+        for nterms in (1, 3, 8):
+            E = _perturbation(rng, n, nterms, imbalance)
+            if E.exps.sum(axis=1).min(initial=3) < 3 or E.is_zero():
+                continue
+            dev = (E.conjugate() - E).max_coeff()
+            if dev > 1e-12:
+                with pytest.raises(InputError) as info:
+                    QuadricModel(A=np.eye(n), B=np.zeros((n, n)), E=E)
+                assert str(info.value) == f"E is not real-valued (deviation {dev:g})"
+            else:
+                assert QuadricModel(A=np.eye(n), B=np.zeros((n, n)), E=E).E is E
+    # a term without its conjugate partner deviates by its own modulus
+    E = Polynomial.monomial(2, (2, 0), (0, 1), 0, 3 - 4j) + Polynomial.monomial(2, (1, 1), (1, 1), 0, 2.0)
+    with pytest.raises(InputError, match=r"deviation 5\)$"):
+        QuadricModel(A=np.eye(2), B=np.zeros((2, 2)), E=E)
+
+
 def test_accepts_real_quartic_perturbation():
     E = Polynomial.monomial(1, (2,), (2,), 0, 1.0)
     m = QuadricModel(A=np.eye(1), B=np.zeros((1, 1)), E=E)
