@@ -31,12 +31,11 @@ from .errors import InputError, NotElliptic, NumericalFailure
 from .moments import cr_violations
 from .polyalg import Polynomial, QPowers, check_pairs, monomials, sorted_runs
 from .quadform import (
-    ELLIPTIC_MARGIN,
     QuadricModel,
     _bishop,
-    _classify_lambdas,
     classification,
     default_radii,
+    elliptic_normal_form,
     is_normal_form,
     q_polynomial,
 )
@@ -388,9 +387,9 @@ def _division_degrees(f, powers, bounds, divided):
 
     divided is (rows, x, bound) of P, rows sorted by weighted degree and in
     the degrees of f only (_divided_P or _normal_form_P).  Yields (rows, x,
-    DegreeReport) for each degree d of f.  Coefficients below NOISE_ULPS
-    units of their rounding bound are left out of x.  The report's residual
-    is the 2-norm (_norm) of P_d(z, Q) - f_d for that pruned P_d: the
+    DegreeReport, True) for each degree d of f, True as every degree here
+    is divided.  Coefficients below NOISE_ULPS units of their rounding
+    bound are left out of x.  The report's residual is the 2-norm (_norm) of P_d(z, Q) - f_d for that pruned P_d: the
     images of P_d's rows under powers and f_d's rows, summed by sorted_runs;
     its condition is the recurrence's growth factor, the largest rounding
     bound of P_d over its largest coefficient (at least 1, and 1 for an
@@ -463,7 +462,7 @@ def _division_degrees(f, powers, bounds, divided):
             condition = max(1.0, bmax[g] / xmax[g]) if nonempty[g] else 1.0
             residual = _norm(R[r0:r1])
             report = DegreeReport(degree=d, residual=residual, condition=condition)
-            yield P_rows[p0:p1], P_x[p0:p1], report
+            yield P_rows[p0:p1], P_x[p0:p1], report, True
             r0 = r1
         i = j
 
@@ -610,7 +609,7 @@ def _normal_form_P(f, Q, lo, hi):
 
 
 def _congruent_degrees(f, powers, bounds):
-    """(rows, x, DegreeReport) per degree of f on a Q that is not even in each coordinate.
+    """(rows, x, DegreeReport, divided) per degree of f on a Q that is not even in each coordinate.
 
     A degree whose graded block has at most DENSE_ENTRIES entries is solved
     by least squares (_dense_degree).  At the first larger degree the
@@ -624,7 +623,7 @@ def _congruent_degrees(f, powers, bounds):
     for d in np.flatnonzero(np.diff(bounds)).tolist():
         if prod(_block_shape(n, d)) > DENSE_ENTRIES:
             break
-        yield _dense_degree(f, powers, d, bounds[d], bounds[d + 1])
+        yield *_dense_degree(f, powers, d, bounds[d], bounds[d + 1]), False
     else:
         return
     top = d - 1
@@ -691,17 +690,15 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
     powers = QPowers(Q)
-    even = _even_coordinates(Q)
-    if even and len(f.coeffs):
+    if _even_coordinates(Q) and len(f.coeffs):
         degrees = _division_degrees(f, powers, bounds, _divided_P(f, Q))
     else:
         degrees = _congruent_degrees(f, powers, bounds)
     reports = []
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
-    for rows, x, report in degrees:
+    for rows, x, report, divided in degrees:
         d, residual, certificate = report.degree, report.residual, None
         lo, hi = bounds[d], bounds[d + 1]  # f_d's rows, also the certificate's data
-        divided = even or prod(_block_shape(n, d)) > DENSE_ENTRIES  # as _congruent_degrees decides
         recheck = divided and residual > CONDITIONING_WARN_FLOOR * scale
         if recheck and prod(_block_shape(n, d)) <= MAX_GRADED_ENTRIES:
             if residual >= threshold:
@@ -759,23 +756,13 @@ def slice_oracle(f: Polynomial, model: QuadricModel, P: Polynomial, directions):
     n = 1 quadric with invariant lambda' = |sum_j lambda_j v_j^2| after a
     rotation of xi; the restricted data is extended from scratch there and
     compared with P restricted to the same rotated line.  Returns the
-    maximum coefficient deviation over all directions.  A model that is
-    not elliptic by quadform's rule (some lambda_j >= 1/2 - ELLIPTIC_MARGIN)
-    is refused (NotElliptic) before any slice; otherwise every
-    lambda' <= max lambda_j is elliptic too.
+    maximum coefficient deviation over all directions.  A model that
+    quadform.elliptic_normal_form refuses is refused before any slice;
+    otherwise every lambda' <= max lambda_j is elliptic too.
     """
     if not P.is_holomorphic():
         raise InputError("slice_oracle: P must be holomorphic (no zbar terms)")
-    ok, lambdas = is_normal_form(model)
-    if not ok:
-        raise InputError("slice_oracle: model must be in Bishop normal form")
-    if _classify_lambdas(lambdas) != "elliptic":
-        j = int(lambdas.argmax())
-        raise NotElliptic(
-            f"slice_oracle: invariant lambda_{j + 1} = {lambdas[j]} "
-            f"is at least 1/2 - {ELLIPTIC_MARGIN:g}, not elliptic",
-            eigenvalue=float(lambdas[j]),
-        )
+    lambdas = elliptic_normal_form(model, "slice_oracle")
     max_dev = 0.0
     for v in directions:
         v = np.asarray(v, dtype=complex).reshape(-1)

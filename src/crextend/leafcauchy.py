@@ -13,6 +13,7 @@ up like s^(-1/2) when the model degenerates (normal_derivative_probe).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +40,8 @@ class BoundaryData:
     to the array of data values at those points, of the same shape.  fz and
     fzbar, when given, map the same arguments to the tangential derivatives
     f_z and f_zbar, which only zderiv_bound_check calls; from_polynomial
-    differentiates inside them, and keeps the polynomial, so that
-    normal_derivative_probe can evaluate it by degree on its rungs.
+    differentiates once, on their first call, and keeps the polynomial, so
+    that normal_derivative_probe can evaluate it by degree on its rungs.
     """
 
     evaluator: Callable
@@ -55,11 +56,12 @@ class BoundaryData:
             raise InputError("BoundaryData.from_polynomial expects an n = 1 polynomial")
         if p.has_w_terms():
             raise InputError("BoundaryData.from_polynomial: polynomial must not contain w")
+        derivative = functools.cache(p.partial_derivative)
         return cls(
             evaluator=lambda z, s: eval_on_grid(p, z),
             description=description or p.pretty(),
-            fz=lambda z, s: eval_on_grid(p.partial_derivative("z"), z),
-            fzbar=lambda z, s: eval_on_grid(p.partial_derivative("zbar"), z),
+            fz=lambda z, s: eval_on_grid(derivative("z"), z),
+            fzbar=lambda z, s: eval_on_grid(derivative("zbar"), z),
             polynomial=p,
         )
 

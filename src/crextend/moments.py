@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, LeafSolveError, NotElliptic, NumericalError
+from .errors import InputError, LeafSolveError, NumericalError
 from .polyalg import DEGREE_CAP, Polynomial
-from .quadform import QuadricModel, _classify_lambdas, default_radii, is_normal_form, q_polynomial
+from .quadform import QuadricModel, default_radii, elliptic_normal_form, q_polynomial
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
@@ -98,10 +98,10 @@ class LeafGrid:
     """The t grid of one n = 1 model in Bishop normal form, shared by its leaves.
 
     Built once per (model, N): it checks that the model has n = 1, is in
-    normal form and elliptic (lam < 1/2 by quadform's ELLIPTIC_MARGIN
-    rule), and that N is a power of two >= 64, and holds the unit leaf
-    w(t) = p cos t + i q sin t (Q(w) = 1) and its derivative wt, both in
-    closed form.  Without E every leaf is r w, so the residual max |Q(w) - 1|
+    normal form and elliptic (quadform.elliptic_normal_form), and that N
+    is a power of two >= 64, and holds the unit leaf w(t) = p cos t +
+    i q sin t (Q(w) = 1) and its derivative wt, both in closed form.
+    Without E every leaf is r w, so the residual max |Q(w) - 1|
     is formed here once; with E, leaf(r) runs Newton for the radial factor
     psi of the leaf z = r psi w.  Then E = sum_d (r psi)^d G_d with the
     real parts G_d = Re E_d(w) of E's homogeneous parts on the grid; G
@@ -114,12 +114,7 @@ class LeafGrid:
     def __init__(self, model: QuadricModel, N=DEFAULT_GRID_N):
         if model.n != 1:
             raise InputError("solve_leaf: model must have n = 1")
-        ok, lambdas = is_normal_form(model)
-        if not ok:
-            raise InputError("solve_leaf: model must be in Bishop normal form (A = I, B = diag)")
-        lam = float(lambdas[0])
-        if _classify_lambdas(lambdas) != "elliptic":
-            raise NotElliptic(f"solve_leaf: model is not elliptic (lambda = {lam})", eigenvalue=lam)
+        lam = float(elliptic_normal_form(model, "solve_leaf")[0])
         _check_grid_size(N)
         eit = _unit_circle(N)
         p, q = (1.0 + 2.0 * lam) ** -0.5, (1.0 - 2.0 * lam) ** -0.5

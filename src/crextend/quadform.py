@@ -43,27 +43,6 @@ def _is_diagonal(M):
     return np.count_nonzero(M) == np.count_nonzero(M.diagonal())
 
 
-# LAPACK's Hermitian eigensolver scales an A whose largest entry lies outside
-# [_EIGH_RMIN, _EIGH_RMAX], which can move the last bit of its eigenvalues.
-_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
-_EIGH_RMIN, _EIGH_RMAX = np.sqrt(_SMLNUM), np.sqrt(1 / _SMLNUM)
-
-
-def _eigh_order(d):
-    """The order in which LAPACK's eigh returns the entries d of a diagonal matrix.
-
-    Its tridiagonal solver sorts by selection: place i swaps with the first
-    strictly smaller minimum after it, so equal entries can change places.
-    """
-    d, order = d.tolist(), list(range(len(d)))
-    for i in range(len(d) - 1):
-        k = min(range(i, len(d)), key=d.__getitem__)
-        if d[k] < d[i]:
-            d[i], d[k] = d[k], d[i]
-            order[i], order[k] = order[k], order[i]
-    return order
-
-
 def _conjugation_deviation(E):
     """(E.conjugate() - E).max_coeff(), from E's rows and their alpha/beta swaps.
 
@@ -128,16 +107,14 @@ class QuadricModel:
         """A's eigenvalues (ascending) and eigenvectors on first use, read-only.
 
         classify, normalize and default_radii all read them.  A diagonal A
-        (every normal form, every n = 1 model) takes them in closed form, with
-        the bits np.linalg.eigh gives: its real diagonal in LAPACK's order
-        (_eigh_order) and the matching identity columns, unless LAPACK would
-        rescale A first.  Any other A takes one np.linalg.eigh.
+        (every normal form, every n = 1 model) takes them in closed form: its
+        real diagonal, stably sorted, and the matching identity columns.  Any
+        other A takes one np.linalg.eigh.
         """
         A, n = self.A, self.n
-        d = A.diagonal().real
-        top = max(map(abs, d.tolist()))
-        if _is_diagonal(A) and (not top or _EIGH_RMIN <= top <= _EIGH_RMAX):
-            order = _eigh_order(d)
+        if _is_diagonal(A):
+            d = A.diagonal().real
+            order = np.argsort(d, kind="stable")
             eigs, V = d[order], np.zeros((n, n), dtype=complex)
             V[order, range(n)] = 1
         else:
@@ -306,10 +283,19 @@ def _residual(M, target):
     return residual
 
 
+def _diagonal_lambdas(model):
+    """Bishop's lambda_j = |B_jj| / A_jj, by j, for diagonal A and B with A positive definite."""
+    return np.abs(model.B.diagonal()) / model.A.diagonal().real
+
+
 def normalize(model: QuadricModel) -> BishopNormalForm:
     """Bishop normal form for positive definite A.
 
-    T comes from the model's eigendecomposition of A (_bishop).  Each column
+    On diagonal A and B (every normal form, every n = 1 model) it is in
+    closed form (Bishop, Duke Math. J. 32 (1965)): T_jj = exp(-i arg B_jj /
+    2) / sqrt(A_jj), phase 1 where B_jj = 0, and lambda_j = |B_jj| / A_jj
+    (_diagonal_lambdas), columns stably sorted by lambda.  Any other T
+    comes from the model's eigendecomposition of A (_bishop).  Each column
     of T is signed so that its first entry of largest modulus has positive
     real part (or, if that is 0, positive imaginary part); for distinct
     nonzero lambdas T then depends only on (A, B).  Both congruences are
@@ -322,11 +308,22 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
         raise NotElliptic(
             f"A is not positive definite (eigenvalue {eigs[0]:.3e})", eigenvalue=float(eigs[0])
         )
-    T, lambdas = _bishop(eigs, V, model.B)
-    lead = T[np.argmax(np.abs(T), axis=0), np.arange(model.n)]
+    A, B, n = model.A, model.B, model.n
+    if _is_diagonal(A) and _is_diagonal(B):
+        lambdas = _diagonal_lambdas(model)
+        order = np.argsort(lambdas, kind="stable")
+        b = B.diagonal()[order]
+        half = np.where(b == 0, 0.0, np.angle(b)) / 2
+        T = np.zeros((n, n), dtype=complex)
+        # cos - i sin: exp(-i half) gives T a -0.0 imaginary part where B_jj > 0
+        T[order, range(n)] = (np.cos(half) - 1j * np.sin(half)) / np.sqrt(A.diagonal().real[order])
+        lambdas = lambdas[order]
+    else:
+        T, lambdas = _bishop(eigs, V, B)
+    lead = T[np.argmax(np.abs(T), axis=0), np.arange(n)]
     T *= np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
-    residual_a = _residual(T.conj().T @ model.A @ T, np.eye(model.n))
-    residual_b = _residual(T.T @ model.B @ T, np.diag(lambdas))
+    residual_a = _residual(T.conj().T @ A @ T, np.eye(n))
+    residual_b = _residual(T.T @ B @ T, np.diag(lambdas))
     lambdas.setflags(write=False)
     T.setflags(write=False)
     return BishopNormalForm(
@@ -371,17 +368,15 @@ def classify(model: QuadricModel) -> ClassificationResult:
 
 
 def classification(model: QuadricModel) -> str:
-    """classify(model).classification, in closed form when A and B are diagonal.
+    """classify(model).classification, the verdict alone when A and B are diagonal.
 
-    On a diagonal quadric with positive definite, nondegenerate A the Bishop
-    invariants are lambda_j = |B_jj| / A_jj (Bishop, Duke Math. J. 32
-    (1965)), and A's eigenvalues are its diagonal (QuadricModel.eigh), so
-    the verdict takes no normal form.  Any other model is classified.
+    There it reads the lambdas normalize reports (_diagonal_lambdas), so
+    both decide a diagonal model from the same bits, and no route
+    decomposes A (QuadricModel.eigh).  Any other model is classified.
     """
-    A, B = model.A, model.B
     eigs = model.eigh[0]
-    if _is_diagonal(A) and _is_diagonal(B) and eigs[0] > DEGENERACY_TOL and _nondegeneracy(eigs).ok:
-        return _classify_lambdas(np.abs(B.diagonal()) / A.diagonal().real)
+    if eigs[0] > DEGENERACY_TOL and _nondegeneracy(eigs).ok and _is_diagonal(model.A) and _is_diagonal(model.B):
+        return _classify_lambdas(_diagonal_lambdas(model))
     return classify(model).classification
 
 
@@ -423,6 +418,25 @@ def is_normal_form(model: QuadricModel):
     if _maxabs(d.imag) > HERMITIAN_TOL or np.any(d.real < -HERMITIAN_TOL):
         return False, None
     return True, np.clip(d.real, 0.0, None)
+
+
+def elliptic_normal_form(model: QuadricModel, caller):
+    """is_normal_form's lambdas, refused for caller unless classify's rule calls them elliptic.
+
+    InputError off the normal form; NotElliptic, naming the largest
+    lambda_j, when some lambda_j >= 1/2 - ELLIPTIC_MARGIN.
+    """
+    ok, lambdas = is_normal_form(model)
+    if not ok:
+        raise InputError(f"{caller}: model must be in Bishop normal form (A = I, B = diag)")
+    if _classify_lambdas(lambdas) != "elliptic":
+        j = int(lambdas.argmax())
+        raise NotElliptic(
+            f"{caller}: invariant lambda_{j + 1} = {lambdas[j]} "
+            f"is at least 1/2 - {ELLIPTIC_MARGIN:g}, not elliptic",
+            eigenvalue=float(lambdas[j]),
+        )
+    return lambdas
 
 
 def normal_form_model(lambdas, E=None) -> QuadricModel:

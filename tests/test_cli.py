@@ -101,25 +101,47 @@ def _congruent_doc(lambdas):
 
 
 @pytest.mark.parametrize(
-    "doc, top",
+    "doc, top, exact",
     [
-        (_congruent_doc([0.3, 1e8]), 1e8),
-        (_congruent_doc([0.3, 1e10]), 1e10),
-        (model_doc([1e300]), 1e300),
-        (model_doc([1e300, 1e300]), 1e300),
+        (_congruent_doc([0.3, 1e8]), 1e8, False),
+        (_congruent_doc([0.3, 1e10]), 1e10, False),
+        (model_doc([1e300]), 1e300, True),
+        (model_doc([1e300, 1e300]), 1e300, True),
     ],
     ids=["congruent-1e8", "congruent-1e10", "diag-1e300-n1", "diag-1e300-n2"],
 )
-def test_cli_classify_large_b_is_hyperbolic(tmp_path, capsys, doc, top):
-    # normalize's residuals grow with |B| (5.7e-8 at 1e8, 1.5e284 at 1e300);
-    # each is gated relative to the matrices it compares and reported raw
+def test_cli_classify_large_b_is_hyperbolic(tmp_path, capsys, doc, top, exact):
+    # normalize's residuals grow with |B| (5.7e-8 at 1e8); each is gated
+    # relative to the matrices it compares and reported raw.  A diagonal
+    # model's normal form is in closed form, so its residual may be 0
     code, out, err = run(capsys, ["classify", write_json(tmp_path / "model.json", doc)])
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["classification"] == "hyperbolic"
     assert max(report["lambdas"]) == pytest.approx(top, rel=1e-12)
-    assert 0 < report["residual_b"] <= 1e-8 * top
+    assert report["residual_b"] <= 1e-8 * top
+    assert report["residual_b"] >= 0 if exact else report["residual_b"] > 0
     assert report["residual_a"] <= 1e-8
+
+
+def test_cli_classify_and_extend_agree_on_the_elliptic_edge(tmp_path, capsys):
+    # n = 1 models a hair inside the elliptic edge, lambda = 0.5 - 1e-10 up to
+    # rounding: the classify subcommand and extend read the same lambda bits,
+    # so extend refuses exactly the models classify does not call elliptic
+    f = poly_doc(Polynomial.z(1))
+    verdicts = set()
+    for a in np.linspace(0.1, 10, 54):
+        model = QuadricModel(A=np.array([[a]]), B=np.array([[a * (0.5 - 1e-10)]])).to_json_dict()
+        code, out, err = run(capsys, ["classify", write_json(tmp_path / "model.json", model)])
+        assert code == 0 and err == ""
+        kind = json.loads(out)["classification"]
+        code, out, err = run(capsys, ["extend", write_json(tmp_path / "in.json", {"model": model, "f": f})])
+        if kind == "elliptic":
+            assert code == 0 and err == "", a
+        else:
+            assert code == 2 and f"model is {kind}, not elliptic" in err, a
+        verdicts.add(kind)
+    assert verdicts == {"elliptic", "parabolic"}
 
 
 def test_cli_classify_and_extend_zero_invariants(tmp_path, capsys):

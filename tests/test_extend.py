@@ -949,7 +949,7 @@ def division_residual_map(m, d):
     for j, row in enumerate(rows):
         f = Polynomial(n, np.array([row]), [1.0])
         bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(d + 2))
-        (P_rows, P_x, _), = _division_degrees(f, polyalg.QPowers(Q), bounds, extend_module._divided_P(f, Q))
+        (P_rows, P_x, _, _), = _division_degrees(f, polyalg.QPowers(Q), bounds, extend_module._divided_P(f, Q))
         for e, c in term_dict(Polynomial(n, P_rows, P_x).substitute_w(Q) - f).items():
             R[index[(*e.alpha, *e.beta, 0)], j] += c
     return R, np.array(rows)
@@ -1144,7 +1144,7 @@ def per_degree_gate(f, powers, bounds, divided):
         order, starts = polyalg.sorted_runs(entries)
         R = np.add.reduceat(vals[order], starts)
         report = extend_module.DegreeReport(degree=d, residual=extend_module._norm(R), condition=condition)
-        yield P_rows, P_x, report
+        yield P_rows, P_x, report, True
 
 
 def assert_same_bits(res, ref):

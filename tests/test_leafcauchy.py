@@ -391,13 +391,21 @@ def test_boundary_data_returns_leaf_arrays():
     np.testing.assert_array_equal(identity.fzbar(zeta, s), 0.0)
 
 
-def test_boundary_data_from_polynomial_derivatives():
+def test_boundary_data_from_polynomial_derivatives(monkeypatch):
+    # f is differentiated once per symbol, on first use, however often the
+    # derivatives are evaluated
+    calls = []
+    derivative = Polynomial.partial_derivative
+    monkeypatch.setattr(Polynomial, "partial_derivative", lambda p, *a: calls.append(a) or derivative(p, *a))
     f = Polynomial.z(1) ** 2 * Polynomial.zbar(1) + 3 * Polynomial.zbar(1)
     data = BoundaryData.from_polynomial(f)
+    assert calls == []
     zeta = solve_leaf(normal_form_model([0.2]), 0.2, 64).points()
     np.testing.assert_allclose(data.evaluator(zeta, 0.0), zeta**2 * np.conj(zeta) + 3 * np.conj(zeta))
-    np.testing.assert_allclose(data.fz(zeta, 0.0), 2 * zeta * np.conj(zeta))
-    np.testing.assert_allclose(data.fzbar(zeta, 0.0), zeta**2 + 3)
+    for _ in range(2):
+        np.testing.assert_allclose(data.fz(zeta, 0.0), 2 * zeta * np.conj(zeta))
+        np.testing.assert_allclose(data.fzbar(zeta, 0.0), zeta**2 + 3)
+    assert calls == [("z",), ("zbar",)]
 
 
 def test_zderiv_requires_derivative_info():

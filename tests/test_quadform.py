@@ -315,8 +315,8 @@ def test_classify_indefinite_a_is_hyperbolic_with_note():
 def _diagonal_models(rng):
     """Diagonal models at n = 1..4 for classification(): real and complex B,
     A scaled from 1e-9 to 1e6, a degenerate or negative entry of A, and
-    invariants 1e-12 to either side of each edge of the elliptic class (on
-    an edge, rounding decides either route's verdict)."""
+    invariants on each edge of the elliptic class or 1e-12 to either side
+    of it (on an edge, rounding of |B_jj| / A_jj decides the verdict)."""
     edges = (0.5 - ELLIPTIC_MARGIN, 0.5 + ELLIPTIC_MARGIN)
     for trial in range(600):
         n = 1 + trial % 4
@@ -324,7 +324,7 @@ def _diagonal_models(rng):
         lambdas = rng.uniform(0.0, 0.7, n)
         case = trial % 6
         if case == 1:
-            lambdas[rng.integers(n)] = rng.choice(edges) + rng.choice([-1e-12, 1e-12])
+            lambdas[rng.integers(n)] = rng.choice(edges) + rng.choice([-1e-12, 0.0, 1e-12])
         elif case == 2:
             a[rng.integers(n)] *= rng.choice([0.0, 1e-12, 1e-6])  # degenerate or barely not
         elif case == 3:
@@ -334,18 +334,21 @@ def _diagonal_models(rng):
 
 
 def test_closed_form_classification_matches_classify_on_diagonal_models(monkeypatch):
-    # classification() reads a diagonal model's class off its diagonals,
-    # with no decomposition, and agrees with classify's normal form
+    # classification(), classify and normalize read a diagonal model in
+    # closed form, with no decomposition: classify's lambdas are the sorted
+    # |B_jj| / A_jj, bit for bit, so the two verdicts agree on every model
     def refuse(*args, **kwargs):
         raise AssertionError("decomposition called")
 
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     seen = set()
     for m in _diagonal_models(np.random.default_rng(71)):
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", refuse)
-            patch.setattr(np.linalg, "svd", refuse)
-            got = classification(m)
-        assert got == classify(m).classification, (m.A, m.B)
+        got, res = classification(m), classify(m)
+        assert got == res.classification, (m.A, m.B)
+        if res.lambdas is not None:
+            lambdas = np.sort(np.abs(m.B.diagonal()) / m.A.diagonal().real)
+            assert res.lambdas.tobytes() == lambdas.tobytes() == normalize(m).lambdas.tobytes(), (m.A, m.B)
         seen.add(got)
     assert seen == {"elliptic", "parabolic", "hyperbolic", "degenerate"}
 
@@ -357,9 +360,10 @@ def test_classification_of_a_congruent_model_is_classify_s():
         assert classification(m) == classify(m).classification
 
 
-def test_diagonal_eigh_has_numpy_s_bits():
+def test_diagonal_eigh_is_the_sorted_diagonal():
     # ties, zeros of both signs, negative entries and small imaginary parts
-    # on the diagonal; scales at which LAPACK rescales A take np.linalg.eigh
+    # on the diagonal, at every scale: the eigenvalues are the real diagonal,
+    # stably sorted, and V the permutation matrix with A V = V diag(eigs)
     rng = np.random.default_rng(79)
     for trial in range(3000):
         n = int(rng.integers(1, 6))
@@ -373,9 +377,10 @@ def test_diagonal_eigh_has_numpy_s_bits():
         elif trial % 10 == 1:
             A *= rng.choice([1e-150, 1e150, 1e-300, 1e300])
         eigs, V = QuadricModel(A=A, B=np.zeros((n, n))).eigh
-        want_eigs, want_V = np.linalg.eigh(A)
-        assert eigs.tobytes() == want_eigs.tobytes() and eigs.dtype == want_eigs.dtype, A
-        assert V.tobytes() == want_V.tobytes() and V.strides == want_V.strides, A
+        order = np.argsort(A.diagonal().real, kind="stable")
+        assert eigs.tobytes() == A.diagonal().real[order].tobytes() and eigs.dtype == float, A
+        assert np.array_equal(V, np.eye(n)[:, order]), A
+        assert np.array_equal(A.real @ V, V * eigs), A
 
 
 # -- ellipticity oracle ----------------------------------------------------------
