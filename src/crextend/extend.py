@@ -4,8 +4,8 @@ Given a polynomial f(z, zbar) on the quadric w = Q(z, zbar), extendibility
 means there is a holomorphic polynomial P(z, w) with P(z, Q(z, zbar)) = f.
 Because Q is homogeneous of degree 2, matching the degree-d part of f only
 involves monomials z^alpha w^k with |alpha| + 2k = d, so the problem splits
-into one problem per degree.  On a diagonal Q (every normal form) P comes
-from exact division by dQ/dzbar_1 for every degree at once, and the
+into one problem per degree.  On a diagonal model (every normal form) P
+comes from exact division by dQ/dzbar_1 for every degree at once, and the
 degrees are checked in ascending batches, each P_d(z, Q) - f_d of a batch
 expanded and summed together; only a degree that does not match is solved
 again by least squares, unless its certificate already proves that the
@@ -68,7 +68,7 @@ MAX_GRADED_ENTRIES = 2**24
 # at a low degree, which expand the rest of their batch for nothing (n = 3,
 # degree 14: 16.1 and 18.0 ms).  2**9 sits between.
 GATE_ENTRIES = 2**9
-# Largest graded block a Q that is not even in each coordinate solves by
+# Largest graded block a model that is not diagonal solves by
 # least squares (_congruent_degrees): n = 2 to degree 7, n = 3 to degree 4.
 # From the first larger degree on it divides in normal-form coordinates, at
 # a set-up cost of about 1 ms, which an obstruction found there pays on top
@@ -156,8 +156,8 @@ def _structural_certificate(f, model, degree, residual):
     """Attach the named obstruction when the model exposes one.
 
     f is the part of the data in the failing degree; the model is elliptic.
-    At n >= 2 on a Q even in each coordinate (A and B diagonal) it is the
-    first violated CR field X.  Every coefficient of X f is y . f for a
+    At n >= 2 on a diagonal model (QuadricModel.diagonal) it is the first
+    violated CR field X.  Every coefficient of X f is y . f for a
     functional y that vanishes on each P(z, Q), for any Q, so |y . f| <=
     |y|_2 times the least-squares residual, and |y|_2 <= d (|rho_j|_1 +
     |rho_ell|_1) with |.|_1 the sum of coefficient moduli: lower_bound is
@@ -170,7 +170,7 @@ def _structural_certificate(f, model, degree, residual):
     condition, detail, lower_bound = None, {}, None
     if model.n >= 2:
         rho = q_polynomial(model)
-        violation = _even_coordinates(rho) and next(cr_violations(f, model), None)
+        violation = model.diagonal and next(cr_violations(f, model), None)
         if violation:
             condition, detail = "CR field X f != 0", violation.to_json_dict()
             mass = sum(float(np.abs(rho.partial_derivative("zbar", j).coeffs).sum()) for j in detail["pair"])
@@ -205,11 +205,6 @@ def _block_shape(n, d):
     return nrows, ncols
 
 
-def _even_coordinates(Q):
-    """Whether every term of Q is even in each coordinate: z_j and zbar_j together."""
-    return not ((Q.exps[:, : Q.n] + Q.exps[:, Q.n : 2 * Q.n]) & 1).any()
-
-
 def _norm(v):
     """The 2-norm of v, inf when it overflows or v is not finite, and never nan.
 
@@ -224,16 +219,16 @@ def _norm(v):
     return inf if isnan(norm) else norm
 
 
-def _dense_degree(f, powers, d, lo, hi):
+def _dense_degree(f, powers, d, lo, hi, diagonal):
     """Degree d of f (rows lo:hi) by least squares over the graded block, class by class.
 
     Returns (basis, x, DegreeReport), with a rank-deficiency note as the
-    report's warning.  On a Q = powers.q even in each coordinate, z^alpha
-    Q^k keeps alpha's parities, so the block is block-diagonal over the
-    parity classes: (alpha mod 2) @ 2^j for column z^alpha w^k,
+    report's warning.  When the model is diagonal, z^alpha Q^k keeps
+    alpha's parities, so the block is block-diagonal over the parity
+    classes: (alpha mod 2) @ 2^j for column z^alpha w^k,
     ((alpha' + beta') mod 2) @ 2^j for row z^alpha' zbar^beta' (one class
-    at n = 1, where all have the parity of d); any other Q makes the whole
-    block one class.  Each class, in ascending order, is built as a whole block is:
+    at n = 1, where all have the parity of d); any other model makes the
+    whole block one class.  Each class, in ascending order, is built as a whole block is:
     its columns' images under powers and its part of f_d give the rows,
     distinct and in graded order, for one rank-revealing solve (SVD); basis
     comes back in class order.  The degree reports over the union of the
@@ -254,7 +249,7 @@ def _dense_degree(f, powers, d, lo, hi):
             f"entries, more than {MAX_GRADED_ENTRIES}"
         )
     basis = _graded_basis(n, d)
-    bits = (1 << np.arange(n)) * _even_coordinates(powers.q)
+    bits = (1 << np.arange(n)) * diagonal
     colcls = (basis[:, :n] & 1) @ bits
     f_exps, f_coeffs = f.exps[lo:hi], f.coeffs[lo:hi]
     rowcls = ((f_exps[:, :n] + f_exps[:, n : 2 * n]) & 1) @ bits
@@ -292,23 +287,16 @@ def _dense_degree(f, powers, d, lo, hi):
     return basis, x, report
 
 
-def _coefficient(p, row):
-    """The coefficient of the term row of p, 0 when p has no such term."""
-    hit = np.flatnonzero((p.exps == row).all(axis=1))
-    return complex(p.coeffs[hit[0]]) if len(hit) else 0j
-
-
-def _divided_P(f, Q, moduli=None):
-    """P with f = P(z, Q) for Q even in each coordinate, by exact division along z_1.
+def _divided_P(f, a, b, moduli=None):
+    """P with f = P(z, Q) for Q = sum_j a_j z_j zbar_j + b_j z_j^2 + conj(b_j) zbar_j^2, by exact division along z_1.
 
     Returns (rows, x, bound): P's rows alpha | 0 | k in graded order, their
     coefficients, and for each a bound on the moduli summed into it, starting
     from moduli (one per term of f, |f|'s coefficients when not given).
 
-    Such a Q is sum_j a_j z_j zbar_j + b_j z_j^2 + conj(b_j) zbar_j^2, so
-    dQ/dzbar_1 = a_1 (z_1 + mu zbar_1) with mu = 2 conj(b_1) / a_1, and
-    |mu| < 1 on an elliptic Q.  From H_0 = f, H_(m+1) = (dH_m/dzbar_1) /
-    (dQ/dzbar_1) is d^m P / dw^m (z, Q).  A term with some zbar_j, j >= 2,
+    With a real and positive, dQ/dzbar_1 = a_1 (z_1 + mu zbar_1) with mu =
+    2 conj(b_1) / a_1, and |mu| < 1 on an elliptic Q.  From H_0 = f, H_(m+1)
+    = (dH_m/dzbar_1) / (dQ/dzbar_1) is d^m P / dw^m (z, Q).  A term with some zbar_j, j >= 2,
     keeps it through every step (dQ/dzbar_1 holds z_1, zbar_1 alone), so
     it is dropped first.  The rest fall into fibres: the same exponents of
     z_2 .. z_n and the same degree e in z_1, zbar_1.  One row of a
@@ -328,8 +316,9 @@ def _divided_P(f, Q, moduli=None):
     """
     n = f.n
     unit = np.eye(2 * n + 1, dtype=np.int64)
-    a1 = _coefficient(Q, unit[0] + unit[n]).real
-    mu = 2 * _coefficient(Q, 2 * unit[n]) / a1
+    a1 = float(a[0])
+    # Python scalars: numpy divides a complex by a real through its reciprocal, which rounds differently
+    mu = 2 * complex(b[0]).conjugate() / a1
     kept = ~f.exps[:, n + 1 : 2 * n].any(axis=1)
     exps = f.exps[kept]
     # fibres: column 0 holds e = alpha_1 + beta_1, column n is cleared
@@ -365,9 +354,9 @@ def _divided_P(f, Q, moduli=None):
         G, Gabs = G * scale, Gabs * scale
         G, Gabs = G @ T[:width, :width], Gabs @ Tabs[:width, :width]
     # Horner: P = H_0 + (w - q0)(H_1 / 1! + (w - q0)(H_2 / 2! + ...)), with the moduli alongside
-    q0 = ~Q.exps[:, n : 2 * n].any(axis=1)
-    step = np.concatenate((unit[2 * n : 2 * n + 1], Q.exps[q0]))  # w - q0
-    step_vals = np.concatenate(([1.0], -Q.coeffs[q0]))
+    q0 = Polynomial(n, 2 * unit[:n], b)
+    step = np.concatenate((unit[2 * n : 2 * n + 1], q0.exps))  # w - q0
+    step_vals = np.concatenate(([1.0], -q0.coeffs))
     rows, x, bound = H.pop()
     while H:
         check_pairs(len(x) * len(step), "extend_general: a Horner step")
@@ -467,26 +456,20 @@ def _division_degrees(f, powers, bounds, divided):
         i = j
 
 
-def _normal_coordinates(Q):
+def _normal_coordinates(model):
     """(T, T^-1, lambdas, s) with Q(T zeta) = s (|zeta|^2 + 2 Re sum_j lambdas_j zeta_j^2), lambdas ascending.
 
-    H and B of Q = z^H H z + 2 Re z^T B z are read off Q's own terms and
-    brought to Bishop normal form (quadform._bishop) with Q's scale s = max
-    |H_jk| taken out, so T has unit scale whatever Q's scale; T^H (H / s) T
-    = I gives T^-1, refined by one Newton step.  Q is elliptic
+    Q = z^H H z + 2 Re z^T B z, H = model.hermitian and B's symmetric part,
+    is brought to Bishop normal form (quadform._bishop) with Q's scale s =
+    max |H_jk| taken out, so T has unit scale whatever Q's scale; T^H (H /
+    s) T = I gives T^-1, refined by one Newton step.  The model is elliptic
     (extend_general refuses any model that quadform.classification does not
     call elliptic), so H is positive definite.
     """
-    n = Q.n
-    alpha, beta, c = Q.exps[:, :n], Q.exps[:, n : 2 * n], Q.coeffs
-    H, B = np.zeros((2, n, n), dtype=complex)
-    mixed, pure = beta.sum(axis=1) == 1, ~beta.any(axis=1)
-    H[beta[mixed].argmax(axis=1), alpha[mixed].argmax(axis=1)] = c[mixed]  # H_jk z_k zbar_j
-    j, k = alpha[pure].argmax(axis=1), n - 1 - alpha[pure][:, ::-1].argmax(axis=1)
-    B[j, k] = B[k, j] = c[pure] / np.where(j == k, 1, 2)  # B_jk z_j z_k + B_kj z_k z_j
+    n, H = model.n, model.hermitian
     s = float(np.abs(H).max())
     H = (H + H.conj().T) / (2 * s)
-    T, lambdas = _bishop(*np.linalg.eigh(H), B / s)
+    T, lambdas = _bishop(*np.linalg.eigh(H), (model.B + model.B.T) / (2 * s))
     T_inv = T.conj().T @ H
     return T, T_inv @ (2 * np.eye(n) - T @ T_inv), lambdas, s  # one Newton step on T^-1
 
@@ -557,15 +540,15 @@ def _table_entries(n, top):
     return (top + 1) * sum(sizes) + n * sum(size * size for size in sizes)
 
 
-def _normal_form_P(f, Q, lo, hi):
-    """P with f_d = P_d(z, Q) for the degrees d of f's rows lo:hi, on any elliptic Q.
+def _normal_form_P(f, model, lo, hi):
+    """P with f_d = P_d(z, Q) for the degrees d of f's rows lo:hi, on any elliptic model.
 
     By division in normal-form coordinates; returns (rows, x, bound) as
     _divided_P does, rows sorted by weighted degree.  With Q(T zeta) = s
     Qn(zeta), Qn in Bishop normal form (_normal_coordinates), f(T zeta) =
     P~(zeta, s Qn) is divided along zeta_1, where lambda_1 is the smallest,
-    and P(z, w) = P~(T^-1 z, w).  _divided_P drops every term with some
-    zetabar_j, j >= 2, so only the terms zeta^gamma zetabar_1^b of f(T zeta)
+    by the diagonals s and s lambdas, and P(z, w) = P~(T^-1 z, w).
+    _divided_P drops every term with some zetabar_j, j >= 2, so only the terms zeta^gamma zetabar_1^b of f(T zeta)
     are formed: zbar^beta gives prod_j conj(T_j1)^beta_j zetabar_1^|beta| in
     closed form, and z^alpha gives row alpha of the symmetric power
     S_|alpha|(T) (_symmetric_powers); P~'s coefficients go back through
@@ -575,7 +558,7 @@ def _normal_form_P(f, Q, lo, hi):
     (_table_entries).
     """
     n, top = f.n, int(f.exps[hi - 1].sum())
-    T, T_inv, lambdas, s = _normal_coordinates(Q)
+    T, T_inv, lambdas, s = _normal_coordinates(model)
     W, offset, monos, steps = _monomial_plan(n, top)
     blocks = _symmetric_powers(np.stack((T, T_inv)), steps)
 
@@ -598,18 +581,14 @@ def _normal_form_P(f, Q, lo, hi):
     b, gamma, c, cabs = through(exps[:, n : 2 * n].sum(axis=1), exps[:, :n], u, np.abs(u), 0)
     rows = np.zeros((len(b), 2 * n + 1), dtype=np.int64)
     rows[:, :n], rows[:, n] = gamma, b  # zeta^gamma zetabar_1^b
-    unit = np.eye(2 * n + 1, dtype=np.int64)
-    zeta, bar = unit[:n], unit[n : 2 * n]
-    normal = np.concatenate((zeta + bar, 2 * zeta, 2 * bar))  # s Qn's terms
-    normal = Polynomial(n, normal, s * np.concatenate((np.ones(n), lambdas, lambdas)))
-    rows, x, bound = _divided_P(Polynomial._wrap(n, rows, c), normal, cabs)
+    rows, x, bound = _divided_P(Polynomial._wrap(n, rows, c), s * np.ones(n), s * lambdas, cabs)
     k, alpha, x, bound = through(rows[:, -1], rows[:, :n], x, bound, 1)
     order = np.argsort(alpha.sum(axis=1) + 2 * k, kind="stable")
     return np.column_stack((alpha, 0 * alpha, k))[order], x[order], bound[order]
 
 
-def _congruent_degrees(f, powers, bounds):
-    """(rows, x, DegreeReport, divided) per degree of f on a Q that is not even in each coordinate.
+def _congruent_degrees(f, model, powers, bounds):
+    """(rows, x, DegreeReport, divided) per degree of f on a model that is not diagonal.
 
     A degree whose graded block has at most DENSE_ENTRIES entries is solved
     by least squares (_dense_degree).  At the first larger degree the
@@ -623,7 +602,7 @@ def _congruent_degrees(f, powers, bounds):
     for d in np.flatnonzero(np.diff(bounds)).tolist():
         if prod(_block_shape(n, d)) > DENSE_ENTRIES:
             break
-        yield *_dense_degree(f, powers, d, bounds[d], bounds[d + 1]), False
+        yield *_dense_degree(f, powers, d, bounds[d], bounds[d + 1], diagonal=False), False
     else:
         return
     top = d - 1
@@ -631,7 +610,7 @@ def _congruent_degrees(f, powers, bounds):
         top += 1
     if top >= d:
         lo, hi = bounds[d], bounds[top + 1]
-        yield from _division_degrees(f, powers, np.clip(bounds, lo, hi), _normal_form_P(f, powers.q, lo, hi))
+        yield from _division_degrees(f, powers, np.clip(bounds, lo, hi), _normal_form_P(f, model, lo, hi))
     if top < last:
         d = int(f.exps[bounds[top + 1]].sum())
         raise InputError(
@@ -647,10 +626,10 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     {z^alpha w^k : |alpha| + 2k = d} so that substituting w = Q matches the
     degree-d part of f.  A model that quadform.classification does not call
     elliptic is refused (NotElliptic); on diagonal A and B that verdict is
-    read off the diagonals, with no decomposition of A.  When every term of
-    Q is even in each coordinate (_even_coordinates; A and B diagonal: every
-    normal form and every n = 1 model), P comes from exact division
-    (_divided_P) for every degree.  Any other Q solves each degree whose
+    read off the diagonals, with no decomposition of A.  On a diagonal
+    model (QuadricModel.diagonal: every normal form and every n = 1 model),
+    P comes from exact division by the quadric of the model's diagonals
+    (_divided_P) for every degree.  Any other model solves each degree whose
     graded block has at most DENSE_ENTRIES entries by least squares
     (_dense_degree, whose classes read the same test: one class), and
     divides every degree from the first larger one on in normal-form
@@ -683,17 +662,16 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
     kind = classification(model)
     if kind != "elliptic":
         raise NotElliptic(f"extend_general: model is {kind}, not elliptic")
-    Q = q_polynomial(model)
     n = f.n
     scale = 1.0 + f.max_coeff()
     threshold = tol * scale
     # f has no w-terms, so its rows are sorted by total degree: one slice per degree
     bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(f.degree() + 2))
-    powers = QPowers(Q)
-    if _even_coordinates(Q) and len(f.coeffs):
-        degrees = _division_degrees(f, powers, bounds, _divided_P(f, Q))
+    powers = QPowers(q_polynomial(model))
+    if model.diagonal and len(f.coeffs):
+        degrees = _division_degrees(f, powers, bounds, _divided_P(f, model.A.diagonal().real, model.B.diagonal()))
     else:
-        degrees = _congruent_degrees(f, powers, bounds)
+        degrees = _congruent_degrees(f, model, powers, bounds)
     reports = []
     P_exps, P_coeffs = [np.zeros((0, 2 * n + 1), dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for rows, x, report, divided in degrees:
@@ -706,7 +684,7 @@ def extend_general(f: Polynomial, model: QuadricModel, tol=DEFAULT_EXTEND_TOL) -
                     Polynomial(n, f.exps[lo:hi], f.coeffs[lo:hi]), model, d, residual
                 )
             if certificate is None or certificate.lower_bound is None or certificate.lower_bound < threshold:
-                rows, x, report = _dense_degree(f, powers, d, lo, hi)
+                rows, x, report = _dense_degree(f, powers, d, lo, hi, model.diagonal)
                 residual = report.residual
         if residual >= threshold:
             reports.append(replace(report, warning=None))

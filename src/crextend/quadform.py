@@ -124,6 +124,19 @@ class QuadricModel:
         return eigs, V
 
     @cached_property
+    def diagonal(self):
+        """Whether A and B are both diagonal (every normal form, every n = 1 model)."""
+        return _is_diagonal(self.A) and _is_diagonal(self.B)
+
+    @property
+    def hermitian(self):
+        """H with rho = z^H H z + 2 Re z^T B z + E, which rho is built from.
+
+        It is A^T, not the A of the module's formula (CHANGES.md FOUND 36).
+        """
+        return self.A.T
+
+    @cached_property
     def rho(self):
         """The defining function rho = Q + E as a Polynomial in z, zbar, built on first use.
 
@@ -137,12 +150,12 @@ class QuadricModel:
         k0 = np.zeros((n * n, 1), dtype=np.int64)
         exps = np.concatenate(
             (
-                np.hstack((zj, zk, k0)),  # A_jk z_j zbar_k
+                np.hstack((zk, zj, k0)),  # H_jk zbar_j z_k
                 np.hstack((zj + zk, none, k0)),  # B_jk z_j z_k
                 np.hstack((none, zj + zk, k0)),  # conj(B_jk) zbar_j zbar_k
             )
         )
-        coeffs = np.concatenate((self.A.ravel(), self.B.ravel(), self.B.conj().ravel()))
+        coeffs = np.concatenate((self.hermitian.ravel(), self.B.ravel(), self.B.conj().ravel()))
         rho = Polynomial(n, exps, coeffs)
         return rho if self.E is None else rho + self.E
 
@@ -271,14 +284,14 @@ def _bishop(eigs, V, B):
 
 
 def _residual(M, target):
-    """max |M - target|; NumericalFailure unless it is within RESIDUAL_FAIL times max(|M|, |target|, 1).
+    """max |M - target|; NumericalFailure unless it is finite and within RESIDUAL_FAIL times max(|M|, |target|, 1).
 
     The scale is at least 1, so only a residual above RESIDUAL_FAIL (or nan) needs it.
     """
     residual = _maxabs(M - target)
     if not residual <= RESIDUAL_FAIL:
         bound = RESIDUAL_FAIL * max(_maxabs(M), _maxabs(target), 1.0)
-        if not residual <= bound:
+        if not residual <= bound < np.inf:
             raise NumericalFailure(f"normal form residual {residual:.3e} exceeds {bound:g}")
     return residual
 
@@ -298,10 +311,11 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
     comes from the model's eigendecomposition of A (_bishop).  Each column
     of T is signed so that its first entry of largest modulus has positive
     real part (or, if that is 0, positive imaginary part); for distinct
-    nonzero lambdas T then depends only on (A, B).  Both congruences are
-    re-checked a posteriori: each residual, reported raw, must stay within
-    RESIDUAL_FAIL of the scale of the two matrices it compares (at least
-    1), since rounding in T^T B T grows with |B|.
+    nonzero lambdas T then depends only on (A, B).  A lambda that is not
+    finite is refused.  Both congruences are re-checked a posteriori: each
+    residual, reported raw, must be finite and within RESIDUAL_FAIL of the
+    scale of the two matrices it compares (at least 1), since rounding in
+    T^T B T grows with |B|.
     """
     eigs, V = model.eigh
     if eigs[0] <= DEGENERACY_TOL:
@@ -309,7 +323,7 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
             f"A is not positive definite (eigenvalue {eigs[0]:.3e})", eigenvalue=float(eigs[0])
         )
     A, B, n = model.A, model.B, model.n
-    if _is_diagonal(A) and _is_diagonal(B):
+    if model.diagonal:
         lambdas = _diagonal_lambdas(model)
         order = np.argsort(lambdas, kind="stable")
         b = B.diagonal()[order]
@@ -320,6 +334,8 @@ def normalize(model: QuadricModel) -> BishopNormalForm:
         lambdas = lambdas[order]
     else:
         T, lambdas = _bishop(eigs, V, B)
+    if not np.isfinite(lambdas[-1]):  # ascending: the largest
+        raise NumericalFailure(f"normal form invariant lambda_{n} = {lambdas[-1]} is not finite")
     lead = T[np.argmax(np.abs(T), axis=0), np.arange(n)]
     T *= np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
     residual_a = _residual(T.conj().T @ A @ T, np.eye(n))
@@ -375,7 +391,7 @@ def classification(model: QuadricModel) -> str:
     decomposes A (QuadricModel.eigh).  Any other model is classified.
     """
     eigs = model.eigh[0]
-    if eigs[0] > DEGENERACY_TOL and _nondegeneracy(eigs).ok and _is_diagonal(model.A) and _is_diagonal(model.B):
+    if eigs[0] > DEGENERACY_TOL and _nondegeneracy(eigs).ok and model.diagonal:
         return _classify_lambdas(_diagonal_lambdas(model))
     return classify(model).classification
 

@@ -124,6 +124,27 @@ def test_cli_classify_large_b_is_hyperbolic(tmp_path, capsys, doc, top, exact):
     assert report["residual_a"] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "A, B, j",
+    [
+        ([[1.0]], [[1.5e308 + 1.5e308j]], 1),
+        (np.eye(2), np.diag([1e300, 1.5e308 + 1.5e308j]), 2),
+    ],
+    ids=["n1", "n2"],
+)
+def test_cli_classify_refuses_an_overflowing_invariant(tmp_path, capsys, A, B, j):
+    # |B_jj| / A_jj overflows: classify names the invariant on one line and
+    # exits 3, where the writer or a nan residual used to; extend calls the
+    # model hyperbolic
+    model = QuadricModel(A=np.array(A), B=np.array(B)).to_json_dict()
+    code, out, err = run(capsys, ["classify", write_json(tmp_path / "model.json", model)])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and f"invariant lambda_{j} = inf is not finite" in err
+    f = poly_doc(Polynomial.z(len(A)))
+    code, out, err = run(capsys, ["extend", write_json(tmp_path / "in.json", {"model": model, "f": f})])
+    assert code == 2 and out == "" and "model is hyperbolic, not elliptic" in err
+
+
 def test_cli_classify_and_extend_agree_on_the_elliptic_edge(tmp_path, capsys):
     # n = 1 models a hair inside the elliptic edge, lambda = 0.5 - 1e-10 up to
     # rounding: the classify subcommand and extend read the same lambda bits,

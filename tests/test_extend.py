@@ -753,7 +753,7 @@ def test_normal_coordinates_read_the_transposed_hermitian_part():
     # than the (A, B) that classify reads when A has complex off-diagonal entries
     m = congruent_model(np.random.default_rng(1), [0.1, 0.25, 0.4])
     assert np.abs(m.A.imag).max() > 0.1  # complex off-diagonal entries
-    T, T_inv, lambdas, s = extend_module._normal_coordinates(q_polynomial(m))
+    T, T_inv, lambdas, s = extend_module._normal_coordinates(m)
     assert np.max(np.abs(T_inv @ T - np.eye(3))) <= 1e-14
     rng = np.random.default_rng(5)
     zeta = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
@@ -761,6 +761,120 @@ def test_normal_coordinates_read_the_transposed_hermitian_part():
     assert np.max(np.abs(q_polynomial(m).evaluate(zeta @ T.T) - normal)) <= 1e-13 * np.max(np.abs(normal))
     assert np.all(np.diff(lambdas) > 0) and lambdas[0] < 0.5 < lambdas[-1]
     assert np.max(np.abs(lambdas - classify(m).lambdas)) > 0.1
+
+
+def even_in_each_coordinate(Q):
+    """Whether every term of Q is even in each coordinate: z_j and zbar_j together."""
+    return not ((Q.exps[:, : Q.n] + Q.exps[:, Q.n : 2 * Q.n]) & 1).any()
+
+
+def coefficient(p, row):
+    """The coefficient of the term row of p, 0 when p has no such term."""
+    hit = np.flatnonzero((p.exps == row).all(axis=1))
+    return complex(p.coeffs[hit[0]]) if len(hit) else 0j
+
+
+def hermitian_and_symmetric_parts(Q):
+    """(H, B) of Q = z^H H z + 2 Re z^T B z, read off Q's terms."""
+    n = Q.n
+    alpha, beta, c = Q.exps[:, :n], Q.exps[:, n : 2 * n], Q.coeffs
+    H, B = np.zeros((2, n, n), dtype=complex)
+    mixed, pure = beta.sum(axis=1) == 1, ~beta.any(axis=1)
+    H[beta[mixed].argmax(axis=1), alpha[mixed].argmax(axis=1)] = c[mixed]  # H_jk z_k zbar_j
+    j, k = alpha[pure].argmax(axis=1), n - 1 - alpha[pure][:, ::-1].argmax(axis=1)
+    B[j, k] = B[k, j] = c[pure] / np.where(j == k, 1, 2)  # B_jk z_j z_k + B_kj z_k z_j
+    return H, B
+
+
+def normal_coordinates_from_terms(Q):
+    """extend._normal_coordinates with H and B read off Q's terms."""
+    H, B = hermitian_and_symmetric_parts(Q)
+    s = float(np.abs(H).max())
+    H = (H + H.conj().T) / (2 * s)
+    T, lambdas = extend_module._bishop(*np.linalg.eigh(H), B / s)
+    T_inv = T.conj().T @ H
+    return T, T_inv @ (2 * np.eye(Q.n) - T @ T_inv), lambdas, s
+
+
+def division_inputs_from_terms(Q):
+    """(a, b, q0) of a Q even in each coordinate, read off its terms: a_j and b_j
+    the coefficients of z_j zbar_j and z_j^2, q0 = Q(z, 0) as (rows, coefficients)."""
+    n = Q.n
+    unit = np.eye(2 * n + 1, dtype=np.int64)
+    a = np.array([coefficient(Q, unit[j] + unit[n + j]).real for j in range(n)])
+    b = np.array([coefficient(Q, 2 * unit[j]) for j in range(n)])
+    pure = ~Q.exps[:, n : 2 * n].any(axis=1)
+    return a, b, (Q.exps[pure], Q.coeffs[pure])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_model_facts_have_the_bits_of_rhos_terms():
+    # extend reads the quadric from the model: QuadricModel.diagonal, its
+    # hermitian block with B's symmetric part, and the diagonals it divides
+    # by.  On models whose entries are all zero or above the prune, those
+    # have the bits that Q's own terms give, as do the normal form's
+    # diagonals s and s lambdas against the terms of s Qn
+    rng = np.random.default_rng(337)
+    diagonal = [normal_form_model(random_lambdas(rng, n)) for n in (1, 2, 3)]
+    for n in (1, 2, 3):
+        a = rng.uniform(0.5, 2.0, n)
+        b = a * rng.uniform(0.05, 0.45, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        diagonal.append(QuadricModel(A=np.diag(a), B=np.diag(b)))
+    lams = ([0.1, 0.3], [0.0, 0.45], [0.1, 0.25, 0.4], [0.05, 0.2, 0.35])
+    models = diagonal + [congruent_model(rng, lam) for lam in lams]
+    unit = np.eye(7, dtype=np.int64)
+    for i, m in enumerate(models):
+        n, rho = m.n, q_polynomial(m)
+        assert m.diagonal == even_in_each_coordinate(rho) == (i < len(diagonal))
+        H, B = hermitian_and_symmetric_parts(rho)
+        assert same_bits(m.hermitian, H) and same_bits((m.B + m.B.T) / 2, B)
+        T, T_inv, lambdas, s = extend_module._normal_coordinates(m)
+        for got, want in zip((T, T_inv, lambdas, s), normal_coordinates_from_terms(rho)):
+            assert same_bits(got, want)
+        if m.diagonal:
+            a, b, q0 = division_inputs_from_terms(rho)
+            assert same_bits(m.A.diagonal().real, a) and same_bits(m.B.diagonal(), b)
+            q = Polynomial(n, 2 * unit[:n, : 2 * n + 1], m.B.diagonal())
+            assert same_bits(q.exps, q0[0]) and same_bits(q.coeffs, q0[1])
+        zeta, bar = unit[:n, : 2 * n + 1], unit[n : 2 * n, : 2 * n + 1]
+        normal = np.concatenate((zeta + bar, 2 * zeta, 2 * bar))  # s Qn's terms
+        normal = Polynomial(n, normal, s * np.concatenate((np.ones(n), lambdas, lambdas)))
+        a, b, _ = division_inputs_from_terms(normal)
+        assert same_bits(s * np.ones(n), a) and same_bits((s * lambdas).astype(complex), b)
+
+
+@pytest.mark.parametrize("where", ["A", "B"])
+def test_an_off_diagonal_entry_below_the_prune_makes_the_model_congruent(monkeypatch, where):
+    # an off-diagonal entry of 1e-15 leaves no term in rho, yet the model is
+    # not diagonal: classification, normalize and extend all treat it as
+    # congruent, so extend divides nothing along z_1 and its certificate is
+    # bare.  Status, failing degree and P are those of the diagonal model
+    rng = np.random.default_rng(349)
+    A, B = np.eye(2, dtype=complex), np.diag([0.1, 0.2]).astype(complex)
+    clean = QuadricModel(A, B)
+    (A if where == "A" else B)[0, 1] = (A if where == "A" else B)[1, 0] = 1e-15
+    m = QuadricModel(A, B)
+    assert clean.diagonal and not m.diagonal and q_polynomial(m) == q_polynomial(clean)
+    f = random_holomorphic(rng, 2, 6, nterms=10).substitute_w(q_polynomial(m))
+    bad = f + mono(2, (0, 0), (3, 0), c=1e-3)
+    divided = extend_module._divided_P
+    for model, route in ((clean, [True, True]), (m, [])):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(extend_module, "_divided_P", lambda *args: calls.append(True) or divided(*args))
+            res, obstructed = extend_general(f, model), extend_general(bad, model)
+        assert calls == route
+        assert res.extended and obstructed.status == "NotExtendible" and obstructed.certificate.degree == 3
+        if model is clean:
+            P = res.P
+            assert obstructed.certificate.condition == "CR field X f != 0"
+        else:
+            assert (res.P - P).max_coeff() <= 1e-10 * P.max_coeff()
+            assert obstructed.certificate.condition is None and obstructed.certificate.detail == {}
 
 
 def test_congruent_obstruction_above_the_dense_degrees_is_solved_again(monkeypatch):
@@ -938,6 +1052,11 @@ def test_extend_general_near_parabolic_degree_20():
                 assert_matches_reference(data, m)
 
 
+def diagonals(m):
+    """_divided_P's a and b for a diagonal model, as extend_general passes them."""
+    return m.A.diagonal().real, m.B.diagonal()
+
+
 def division_residual_map(m, d):
     """The matrix of f_d -> P_d(z, Q) - f_d for the division alone, without its
     least-squares recheck, over the degree-d monomials of m.n variables, and
@@ -949,7 +1068,7 @@ def division_residual_map(m, d):
     for j, row in enumerate(rows):
         f = Polynomial(n, np.array([row]), [1.0])
         bounds = np.searchsorted(f.exps.sum(axis=1), np.arange(d + 2))
-        (P_rows, P_x, _, _), = _division_degrees(f, polyalg.QPowers(Q), bounds, extend_module._divided_P(f, Q))
+        (P_rows, P_x, _, _), = _division_degrees(f, polyalg.QPowers(Q), bounds, extend_module._divided_P(f, *diagonals(m)))
         for e, c in term_dict(Polynomial(n, P_rows, P_x).substitute_w(Q) - f).items():
             R[index[(*e.alpha, *e.beta, 0)], j] += c
     return R, np.array(rows)
@@ -1097,9 +1216,9 @@ def test_divided_p_ignores_terms_with_zbar_beyond_the_first(n):
         zbar_n = mono(n, (0,) * n, (0,) * (n - 1) + (1,))
         g = random_polynomial(rng, n, 6, nterms=20) * zbar_n + mono(n, (0,) * n, (0, 3) + (0,) * (n - 2), c=2.5)
         assert g.exps[:, n + 1 : 2 * n].any(axis=1).all()
-        ref = extend_module._divided_P(f, Q)
+        ref = extend_module._divided_P(f, *diagonals(m))
         assert len(ref[1])
-        for got, want in zip(extend_module._divided_P(f + g, Q), ref):
+        for got, want in zip(extend_module._divided_P(f + g, *diagonals(m)), ref):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

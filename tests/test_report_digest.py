@@ -46,3 +46,40 @@ def test_report_digest_names_the_fields_that_moved(monkeypatch):
     assert {part for part in before if before[part] != after[part]} == {"stdout", "verify"}
     # output that is not a JSON object has the three whole parts only
     assert [part for part, _ in tool.parts("raised ValueError: x", "partial", "trace")] == ["exit", "stderr", "stdout"]
+
+
+def test_report_digest_compares_two_out_files(tmp_path, monkeypatch, capsys):
+    # changed digests, a part that only one file has and a document that only
+    # the other has are each counted by part and document kind
+    tool = load_report_digest(monkeypatch)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    h = ["0" * 64, "1" * 64, "2" * 64]
+    a.write_text(
+        f"cli-small 1 0 0 exit {h[0]} extend n2 nf\n"
+        f"cli-small 1 0 0 stdout {h[0]} extend n2 nf\n"
+        f"cli-small 1 0 0 P {h[0]} extend n2 nf\n"
+        f"cli-small 1 0 1 exit {h[0]} classify n1 elliptic\n"
+        f"cli-small 1 0 2 exit {h[2]} extend n2 nf\n",
+        encoding="utf-8",
+    )
+    b.write_text(
+        f"cli-small 1 0 0 exit {h[0]} extend n2 nf\n"
+        f"cli-small 1 0 0 stdout {h[1]} extend n2 nf\n"
+        f"cli-small 1 0 1 exit {h[0]} classify n1 elliptic\n"
+        f"cli-small 1 0 1 note {h[0]} classify n1 elliptic\n"
+        f"cli-small 1 0 2 exit {h[1]} extend n2 nf\n"
+        f"cli-small 1 0 3 exit {h[0]} check cr n2 nn\n",
+        encoding="utf-8",
+    )
+    tool.main(["--compare", str(a), str(b)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "     1  P  extend n2 nf",
+        "     1  exit  check cr n2 nn",
+        "     1  exit  extend n2 nf",
+        "     1  note  classify n1 elliptic",
+        "     1  stdout  extend n2 nf",
+        "4 of 4 documents moved, 5 parts",
+    ]
+    tool.main(["--compare", str(a), str(a)])
+    assert capsys.readouterr().out == "0 of 3 documents moved, 0 parts\n"

@@ -1,6 +1,7 @@
 """sha256 digests, field by field, of what crextend.cli.main reports on the benchmark corpus.
 
     python3 tools/report_digest.py TREE OUT
+    python3 tools/report_digest.py --compare OUT_A OUT_B
 
 Runs every document of perfbench/corpus.py (each workload, seeds 1-2,
 blocks 0-2: 1020 documents) through crextend.cli.main of the checkout at
@@ -11,7 +12,9 @@ part, and the document's kind.  The parts are `exit` (the exit code),
 is one JSON object, each of its top-level fields by name (its value as
 canonical JSON).  Two checkouts give the same reports when their OUT files
 are equal, and `diff a.txt b.txt` names the documents and fields that
-moved.
+moved.  With --compare, the tool reads two OUT files and prints how many
+parts moved (a different digest, or present in one file only) for each
+part and document kind, then the number of documents with a moved part.
 
 BLAS runs on one thread, fixed before numpy loads, and every document is
 read from the same path, so messages that name the input compare equal
@@ -36,6 +39,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SEEDS = (1, 2)
@@ -70,8 +74,30 @@ def parts(code, out, err):
     return [(part, hashlib.sha256(text.encode()).hexdigest()) for part, text in found.items()]
 
 
+def read_digests(path):
+    """{(workload, seed, block, index, part): (sha256, kind)} of one OUT file."""
+    digests = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        *key, digest, kind = line.split(maxsplit=6)
+        digests[tuple(key)] = digest, kind
+    return digests
+
+
+def compare(a_path, b_path):
+    """Print the moved parts of two OUT files counted by part and kind, then the documents they touch."""
+    a, b = read_digests(a_path), read_digests(b_path)
+    moved = {key: (a.get(key) or b[key])[1] for key in a.keys() | b.keys() if a.get(key) != b.get(key)}
+    counts = Counter((key[4], kind) for key, kind in moved.items())
+    for (part, kind), count in sorted(counts.items()):
+        print(f"{count:6d}  {part}  {kind}")
+    documents = {key[:4] for key in a.keys() | b.keys()}
+    print(f"{len({key[:4] for key in moved})} of {len(documents)} documents moved, {len(moved)} parts")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     tree, out_path = Path(argv[0]).resolve(), Path(argv[1])
